@@ -13,6 +13,9 @@ The catalogue, in the order implemented:
 * ``dragomir04``         weighted sums, three alternative right sides
 * ``dragomir04_corollaries``  the three quotient forms at ``c_k = conj(a_k)``
 
+The last three wrap ``pecaric_reports``, ``dragomir04_reports`` and
+``dragomir04_corollary_reports``, which ``check_all`` runs.
+
 Conventions: ``a_i = inner(x, y_i)`` are the coefficients of the family and
 ``S_i = sum_j |inner(y_i, y_j)|`` the absolute Gram row sums.  A max over an
 empty index set (off-diagonal terms at n = 1) is 0.  Quotient expressions
@@ -27,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, Family, ParameterError
+from .core import DimensionMismatch, Family, ParameterError, p_norm
 from .report import BoundReport, evaluated, skipped
 
 __all__ = [
@@ -42,18 +45,18 @@ __all__ = [
     "dragomir_pq",
     "heilbronn",
     "pecaric",
+    "pecaric_reports",
+    "classical_weights",
     "dragomir04",
+    "dragomir04_reports",
     "dragomir04_corollaries",
+    "dragomir04_corollary_reports",
 ]
 
 
-def _p_norm(values: np.ndarray, p: float) -> float:
-    """``(sum v**p) ** (1/p)`` for non-negative values, overflow-safe."""
-    m = float(values.max()) if values.size else 0.0
-    if m == 0.0:
-        return 0.0
-    t = values / m
-    return m * float((t**p).sum() ** (1.0 / p))
+def _quartic(f: Family, n1: float, n2: float) -> float:
+    """The quotient ``(sum |a_i|^2)^2 / (n1 n2)`` of the Dragomir bounds."""
+    return f.coefficients_sq_sum**2 / (n1 * n2)
 
 
 def bessel_sum(f: Family) -> float:
@@ -111,7 +114,7 @@ def dragomir_pq(f: Family, p: float) -> BoundReport:
     if f.max_abs_coefficient == 0.0:
         return skipped("dragomir_pq", "all coefficients inner(x, y_i) vanish")
     q = p / (p - 1.0)
-    lhs = f.coefficients_sq_sum**2 / (f.coeff_p_norm(p) * f.coeff_p_norm(q))
+    lhs = _quartic(f, f.coeff_p_norm(p), f.coeff_p_norm(q))
     return evaluated("dragomir_pq", lhs, f.x_norm_sq * f.max_row_sum)
 
 
@@ -128,22 +131,62 @@ class PecaricBounds(NamedTuple):
     rhs_second: float
 
 
+def _weights(f: Family, c, ndim: int) -> np.ndarray:
+    """``c`` as a complex array of ``ndim`` axes with one weight per test vector."""
+    carr = np.asarray(c, dtype=np.complex128)
+    if carr.ndim != ndim or carr.shape[-1] != f.n:
+        raise DimensionMismatch(
+            f"coefficient list must have length {f.n}, got shape {carr.shape}"
+        )
+    return carr
+
+
+def pecaric_reports(f: Family, weights) -> list[BoundReport]:
+    """``pecaric_first`` and ``pecaric_second`` for each row of a (k, n) weight stack.
+
+    A row of a k-row product can differ in its last bit from the same row
+    taken alone, so a single weight vector goes in as a 1-row stack.
+    """
+    w = _weights(f, weights, 2)
+    lhs = [abs(z) ** 2 for z in w @ f.coefficients]
+    c2 = w.real**2 + w.imag**2
+    rhs_first = f.x_norm_sq * (c2 @ f.gram_row_sums)
+    rhs_second = f.x_norm_sq * c2.sum(axis=1) * f.max_row_sum
+    reports = []
+    for k in range(w.shape[0]):
+        reports.append(evaluated("pecaric_first", lhs[k], rhs_first[k]))
+        reports.append(evaluated("pecaric_second", lhs[k], rhs_second[k]))
+    return reports
+
+
 def pecaric(f: Family, c: Sequence[complex]) -> PecaricBounds:
     """Weighted-sum bound ``|sum c_k a_k|^2 <= rhs_first <= rhs_second``.
 
     ``rhs_first = ||x||^2 sum_i |c_i|^2 S_i`` and
     ``rhs_second = ||x||^2 (sum |c_k|^2) max_i S_i``.
     """
-    carr = np.asarray(c, dtype=np.complex128)
-    if carr.ndim != 1 or carr.size != f.n:
-        raise DimensionMismatch(
-            f"coefficient list must have length {f.n}, got shape {carr.shape}"
-        )
-    lhs = abs(np.dot(carr, f.coefficients)) ** 2
-    c2 = carr.real**2 + carr.imag**2
-    rhs_first = f.x_norm_sq * float(np.dot(c2, f.gram_row_sums))
-    rhs_second = f.x_norm_sq * float(c2.sum()) * f.max_row_sum
-    return PecaricBounds(float(lhs), rhs_first, rhs_second)
+    first, second = pecaric_reports(f, np.asarray(c, dtype=np.complex128)[None])
+    return PecaricBounds(first.lhs, first.rhs, second.rhs)
+
+
+def classical_weights(f: Family) -> np.ndarray:
+    """The weights ``conj(a)``, ``conj(a) / S`` and ``conj(a) / |a|``, stacked.
+
+    A zero divisor gives weight 0 for ``S`` and weight 1 for ``|a|``.
+    """
+    a = f.coefficients
+    abs_a = f.abs_coefficients
+    conj_a = np.conj(a)
+    row = f.gram_row_sums
+    safe_row = np.where(row == 0.0, 1.0, row)
+    safe_abs = np.where(abs_a == 0.0, 1.0, abs_a)
+    return np.stack(
+        [
+            conj_a,
+            np.where(row == 0.0, 0.0, conj_a / safe_row),
+            np.where(abs_a == 0.0, 1.0 + 0.0j, conj_a / safe_abs),
+        ]
+    )
 
 
 class Dragomir04Bounds(NamedTuple):
@@ -153,45 +196,60 @@ class Dragomir04Bounds(NamedTuple):
     rhs_branch3: float
 
 
+def dragomir04_reports(
+    f: Family, c: Sequence[complex], p_values: Sequence[float]
+) -> list[BoundReport]:
+    """``dragomir04_b1``, one ``dragomir04_b2`` per exponent, ``dragomir04_b3``.
+
+    Every exponent must exceed 1.
+    """
+    carr = _weights(f, c, 1)
+    abs_c = np.abs(carr)
+    sum_c = float(abs_c.sum())
+    lhs = float(abs(np.dot(carr, f.coefficients)) ** 2)
+    xsq = f.x_norm_sq
+    reports = [evaluated("dragomir04_b1", lhs, xsq * float(abs_c.max()) * sum_c * f.max_row_sum)]
+    for p in p_values:
+        rhs2 = xsq * sum_c * p_norm(abs_c, p) * f.row_q_norm_max(p / (p - 1.0))
+        reports.append(evaluated("dragomir04_b2", lhs, rhs2))
+    reports.append(evaluated("dragomir04_b3", lhs, xsq * sum_c**2 * f.max_abs_gram))
+    return reports
+
+
 def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Dragomir04Bounds:
     """Weighted-sum bound with three alternative right sides.
 
     Branch 1 uses ``max_k |c_k|``, branch 2 the (p, q) norms (reported as
     None when ``p`` is absent or <= 1), branch 3 the max Gram entry.
     """
-    carr = np.asarray(c, dtype=np.complex128)
-    if carr.ndim != 1 or carr.size != f.n:
-        raise DimensionMismatch(
-            f"coefficient list must have length {f.n}, got shape {carr.shape}"
-        )
-    abs_c = np.abs(carr)
-    sum_c = float(abs_c.sum())
-    lhs = float(abs(np.dot(carr, f.coefficients)) ** 2)
-    xsq = f.x_norm_sq
-    rhs1 = xsq * float(abs_c.max()) * sum_c * f.max_row_sum
-    rhs3 = xsq * sum_c**2 * f.max_abs_gram
-    rhs2 = _dragomir04_branch2(f, abs_c, p) if p is not None and p > 1.0 else None
-    return Dragomir04Bounds(lhs, rhs1, rhs2, rhs3)
+    p_values = (p,) if p is not None and p > 1.0 else ()
+    reports = dragomir04_reports(f, c, p_values)
+    rhs2 = reports[1].rhs if p_values else None
+    return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)
 
 
-def _dragomir04_branch2(f: Family, abs_c: np.ndarray, p: float) -> float:
-    q = p / (p - 1.0)
-    return (
-        f.x_norm_sq
-        * float(abs_c.sum())
-        * _p_norm(abs_c, p)
-        * f.row_q_norm_max(q)
-    )
+def dragomir04_corollary_reports(f: Family, p_values: Sequence[float]) -> list[BoundReport]:
+    """``dragomir04_cor1``, one ``dragomir04_cor2`` per exponent, ``dragomir04_cor3``.
 
-
-def _cor2_report(f: Family, p: float | None) -> BoundReport:
-    if p is None or p <= 1.0:
-        return skipped("dragomir04_cor2", "requires p > 1")
+    Every exponent must exceed 1; with none, ``dragomir04_cor2`` is reported
+    once as skipped.  All reports are skipped when every coefficient is 0.
+    """
     if f.max_abs_coefficient == 0.0:
-        return skipped("dragomir04_cor2", "all coefficients inner(x, y_i) vanish")
-    q = p / (p - 1.0)
-    lhs = f.coefficients_sq_sum**2 / (f.coeff_p_norm(1.0) * f.coeff_p_norm(p))
-    return evaluated("dragomir04_cor2", lhs, f.x_norm_sq * f.row_q_norm_max(q))
+        reason = "all coefficients inner(x, y_i) vanish"
+        cor2 = [skipped("dragomir04_cor2", reason)] * max(1, len(p_values))
+        return [skipped("dragomir04_cor1", reason), *cor2, skipped("dragomir04_cor3", reason)]
+    xsq = f.x_norm_sq
+    sum_a = f.coeff_p_norm(1.0)
+    cor1 = _quartic(f, f.max_abs_coefficient, sum_a)
+    reports = [evaluated("dragomir04_cor1", cor1, xsq * f.max_row_sum)]
+    for p in p_values:
+        lhs = _quartic(f, sum_a, f.coeff_p_norm(p))
+        reports.append(evaluated("dragomir04_cor2", lhs, xsq * f.row_q_norm_max(p / (p - 1.0))))
+    if not p_values:
+        reports.append(skipped("dragomir04_cor2", "requires p > 1"))
+    cor3 = f.coefficients_sq_sum**2 / sum_a**2
+    reports.append(evaluated("dragomir04_cor3", cor3, xsq * f.max_abs_gram))
+    return reports
 
 
 def dragomir04_corollaries(
@@ -203,18 +261,4 @@ def dragomir04_corollaries(
     the matching Gram expression.  Requires not all coefficients zero; the
     second quotient needs ``p > 1`` and is skipped otherwise.
     """
-    max_a = f.max_abs_coefficient
-    if max_a == 0.0:
-        reason = "all coefficients inner(x, y_i) vanish"
-        return (
-            skipped("dragomir04_cor1", reason),
-            skipped("dragomir04_cor2", reason),
-            skipped("dragomir04_cor3", reason),
-        )
-    xsq = f.x_norm_sq
-    sq2 = f.coefficients_sq_sum**2
-    sum_a = f.coeff_p_norm(1.0)
-    rep1 = evaluated("dragomir04_cor1", sq2 / (max_a * sum_a), xsq * f.max_row_sum)
-    rep2 = _cor2_report(f, p)
-    rep3 = evaluated("dragomir04_cor3", sq2 / sum_a**2, xsq * f.max_abs_gram)
-    return rep1, rep2, rep3
+    return tuple(dragomir04_corollary_reports(f, (p,) if p is not None and p > 1.0 else ()))

@@ -50,6 +50,7 @@ __all__ = [
     "gram",
     "project_orthogonal",
     "lift_gram_values",
+    "p_norm",
 ]
 
 
@@ -124,6 +125,15 @@ def gram(ys: Sequence[Iterable[complex]]) -> np.ndarray:
     """
     arr = _as_matrix(ys)
     return arr @ arr.conj().T
+
+
+def p_norm(values: np.ndarray, p: float) -> float:
+    """``(sum v**p) ** (1/p)`` for non-negative values, overflow-safe."""
+    m = float(values.max()) if values.size else 0.0
+    if m == 0.0:
+        return 0.0
+    t = values / m
+    return m * float((t**p).sum() ** (1.0 / p))
 
 
 def project_orthogonal(w: Iterable[complex], x: Iterable[complex]) -> np.ndarray:
@@ -278,13 +288,13 @@ class Family:
         """``(sum_i |inner(x, y_i)|^p) ** (1/p)``, overflow-safe, cached per p."""
         cache = self.__dict__.setdefault("_coeff_norm_cache", {})
         if p not in cache:
-            m = float(self.abs_coefficients.max())
-            if m == 0.0:
-                cache[p] = 0.0
-            else:
-                t = self.abs_coefficients / m
-                cache[p] = m * float((t**p).sum() ** (1.0 / p))
+            cache[p] = p_norm(self.abs_coefficients, p)
         return cache[p]
+
+    @_lazy
+    def orthonormal_deviation(self) -> float:
+        """``max_ij |G_ij - delta_ij|``; 0 exactly for an orthonormal family."""
+        return float(np.abs(self.gram - np.eye(self.n)).max())
 
     @_lazy
     def x_norm_sq(self) -> float:

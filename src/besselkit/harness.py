@@ -16,21 +16,21 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .classical import (
-    _cor2_report,
-    _dragomir04_branch2,
     boas_bellman,
     bombieri,
+    classical_weights,
     dragomir03,
-    dragomir04,
-    dragomir04_corollaries,
+    dragomir04_corollary_reports,
+    dragomir04_reports,
     dragomir_pq,
     heilbronn,
-    pecaric,
+    pecaric_reports,
     selberg,
 )
 from .core import Family, ParameterError, PreconditionError, lift_gram_values
@@ -39,7 +39,7 @@ from .report import DEFAULT_TOLERANCE, BoundReport, evaluated, skipped
 from .sharp import (
     Disk,
     lemma_eq6,
-    orthonormal_remark,
+    orthonormal_family_remark,
     theorem21,
     theorem22,
     triangle_reverse_l2,
@@ -47,6 +47,9 @@ from .sharp import (
 )
 
 __all__ = [
+    "BOUNDS",
+    "Bound",
+    "BoundInputs",
     "DEFAULT_P_VALUES",
     "DiskSampler",
     "FuzzConfig",
@@ -61,10 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_P_VALUES = (1.5, 3.0)
-
-# ids competing as upper bounds for the Bessel sum, in tie-break priority
-# order; theorem21 competes through its squared right side
-_COMPETING = ("boas_bellman", "bombieri", "dragomir03", "theorem21", "theorem22")
 
 _CHUNK = 256  # fixed chunk size; must not depend on the worker count
 
@@ -168,7 +167,7 @@ def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool
             vals = _draw_matrix(rng, 1, 2, "complex")[0] * scale
             g, G = complex(vals[0]), complex(vals[1])
         d = Disk(g, G)
-        if abs(d.center) <= 1e-6 * max(1.0, scale):
+        if abs(d.center) <= 1e-6 * scale:
             continue
         if want_positive_re and d.re_product <= 0.0:
             continue
@@ -272,41 +271,106 @@ def _instance_inputs(
     return fam, c_gen, disk_fam, disk, c_disk
 
 
-def _special_coefficient_choices(f: Family) -> np.ndarray:
-    """The three classical weight choices, stacked, zero entries guarded."""
-    a = f.coefficients
-    abs_a = f.abs_coefficients
-    conj_a = np.conj(a)
-    row = f.gram_row_sums
-    safe_row = np.where(row == 0.0, 1.0, row)
-    safe_abs = np.where(abs_a == 0.0, 1.0, abs_a)
-    return np.stack(
-        [
-            conj_a,
-            np.where(row == 0.0, 0.0, conj_a / safe_row),
-            np.where(abs_a == 0.0, 1.0 + 0.0j, conj_a / safe_abs),
-        ]
+class BoundInputs(NamedTuple):
+    """What a bound may read besides the family; see ``check_all``."""
+
+    disk: Disk | None
+    weights: np.ndarray | None  # the 1-D weight vector c
+    p_values: tuple[float, ...]  # every p > 1
+    tol: float
+
+
+class Bound(NamedTuple):
+    """One entry of the catalogue ``BOUNDS``.
+
+    ``kernel(f, inputs)`` returns the entry's reports, with ids from ``ids``.
+    ``needs`` names what it reads besides the family: "family" (nothing),
+    "p" (the exponents, always given), "weights" or "disk"; an entry that
+    needs weights or a disk runs only when they are given.  A bound with
+    ``competes > 0`` competes in tightness through ``rhs ** competes``.
+    """
+
+    ids: tuple[str, ...]
+    needs: str
+    kernel: Callable[[Family, BoundInputs], list[BoundReport]]
+    competes: int = 0
+
+
+def _orthonormal(f: Family, i: BoundInputs) -> list[BoundReport]:
+    # only a family detected as orthonormal gets the specialised reports
+    if f.n > f.dim or f.orthonormal_deviation > i.tol:
+        return []
+    rem = orthonormal_family_remark(f, i.disk, i.tol)
+    return [rem.report30, rem.report31]
+
+
+# The catalogue.  Its order is the order of check_all's reports and the
+# tie-break priority of the tightness competition.
+BOUNDS = (
+    Bound(("boas_bellman",), "family", lambda f, i: [boas_bellman(f)], 1),
+    Bound(("bombieri",), "family", lambda f, i: [bombieri(f)], 1),
+    Bound(("selberg",), "family", lambda f, i: [selberg(f)]),
+    Bound(("dragomir03",), "family", lambda f, i: [dragomir03(f)], 1),
+    Bound(("dragomir_pq",), "p", lambda f, i: [dragomir_pq(f, p) for p in i.p_values]),
+    Bound(("heilbronn",), "family", lambda f, i: [heilbronn(f)]),
+    Bound(
+        ("pecaric_first", "pecaric_second"),
+        "weights",
+        lambda f, i: pecaric_reports(f, i.weights[None]),
+    ),
+    Bound(
+        ("dragomir04_b1", "dragomir04_b2", "dragomir04_b3"),
+        "weights",
+        lambda f, i: dragomir04_reports(f, i.weights, i.p_values),
+    ),
+    Bound(
+        ("dragomir04_cor1", "dragomir04_cor2", "dragomir04_cor3"),
+        "p",
+        lambda f, i: dragomir04_corollary_reports(f, i.p_values),
+    ),
+    Bound(("theorem21",), "disk", lambda f, i: [theorem21(f, i.disk, i.tol)], 2),
+    Bound(("theorem22",), "disk", lambda f, i: [theorem22(f, i.disk, i.tol)], 1),
+    Bound(
+        ("lemma_eq6",), "disk", lambda f, i: [evaluated("lemma_eq6", *lemma_eq6(f, i.disk, i.tol))]
+    ),
+    Bound(
+        ("triangle_reverse_l2",),
+        "disk",
+        lambda f, i: [triangle_reverse_l2(f.coefficients, i.disk, i.tol)],
+    ),
+    Bound(
+        ("triangle_reverse_sq",),
+        "disk",
+        lambda f, i: [triangle_reverse_sq(f.coefficients, i.disk, i.tol)],
+    ),
+    Bound(("orthonormal30", "orthonormal31"), "disk", _orthonormal),
+)
+
+
+@cache
+def _entries(weights: bool, disk: bool, competing: bool) -> tuple[Bound, ...]:
+    """The entries of ``BOUNDS`` that run on these inputs, in table order."""
+    return tuple(
+        b
+        for b in BOUNDS
+        if (weights or b.needs != "weights")
+        and (disk or b.needs != "disk")
+        and (b.competes or not competing)
     )
 
 
-def _pecaric_reports(f: Family, c: np.ndarray) -> list[BoundReport]:
-    res = pecaric(f, c)
-    return [
-        evaluated("pecaric_first", res.lhs, res.rhs_first),
-        evaluated("pecaric_second", res.lhs, res.rhs_second),
-    ]
+# the competing entries, in tie-break priority order
+_COMPETITORS = _entries(True, True, True)
 
 
-def _pecaric_batch_reports(f: Family, choices: np.ndarray) -> list[BoundReport]:
-    """Same numbers as ``pecaric`` per row of ``choices``, one matmul each."""
-    lhs = np.abs(choices @ f.coefficients) ** 2
-    c2 = choices.real**2 + choices.imag**2
-    rhs_first = f.x_norm_sq * (c2 @ f.gram_row_sums)
-    rhs_second = f.x_norm_sq * c2.sum(axis=1) * f.max_row_sum
+def _evaluate(entries: Sequence[Bound], f: Family, inputs: BoundInputs) -> list[BoundReport]:
     reports = []
-    for k in range(choices.shape[0]):
-        reports.append(evaluated("pecaric_first", lhs[k], rhs_first[k]))
-        reports.append(evaluated("pecaric_second", lhs[k], rhs_second[k]))
+    for b in entries:
+        try:
+            reports.extend(b.kernel(f, inputs))
+        except (ParameterError, PreconditionError) as exc:
+            # a disk the bound does not admit is reported, never raised
+            reports.extend(skipped(bid, str(exc)) for bid in b.ids)
     return reports
 
 
@@ -317,59 +381,19 @@ def check_all(
     p_values: Sequence[float] = DEFAULT_P_VALUES,
     tol: float = DEFAULT_TOLERANCE,
 ) -> list[BoundReport]:
-    """Evaluate every applicable bound on one family.
+    """Evaluate every applicable bound of ``BOUNDS`` on one family.
 
     Bounds whose preconditions fail are reported with
     ``preconditions_met = False`` instead of raising.  The disk-based
     bounds run only when ``d`` is given; the weighted bounds only when the
     coefficient list ``c`` is given; the orthonormal specialisations only
-    when the family is detected to be orthonormal.
+    when the family is orthonormal within ``tol``.  Exponents ``p <= 1``
+    are dropped.
     """
     p_values = tuple(p for p in p_values if p > 1.0)
-    reports = [boas_bellman(f), bombieri(f), selberg(f), dragomir03(f)]
-    for p in p_values:
-        reports.append(dragomir_pq(f, p))
-    reports.append(heilbronn(f))
-    if c is not None:
-        carr = np.asarray(c, dtype=np.complex128)
-        reports.extend(_pecaric_reports(f, carr))
-        first = dragomir04(f, carr, p_values[0] if p_values else None)
-        reports.append(evaluated("dragomir04_b1", first.lhs, first.rhs_branch1))
-        if first.rhs_branch2 is not None:
-            reports.append(evaluated("dragomir04_b2", first.lhs, first.rhs_branch2))
-        for p in p_values[1:]:
-            rhs2 = _dragomir04_branch2(f, np.abs(carr), p)
-            reports.append(evaluated("dragomir04_b2", first.lhs, rhs2))
-        reports.append(evaluated("dragomir04_b3", first.lhs, first.rhs_branch3))
-    cor1, cor2, cor3 = dragomir04_corollaries(f, p_values[0] if p_values else None)
-    reports.extend([cor1, cor2])
-    for p in p_values[1:]:
-        reports.append(_cor2_report(f, p))
-    reports.append(cor3)
-    if d is not None:
-        for fn, bid in ((theorem21, "theorem21"), (theorem22, "theorem22")):
-            try:
-                reports.append(fn(f, d, tol))
-            except ParameterError as exc:
-                reports.append(skipped(bid, str(exc)))
-        try:
-            lhs, rhs = lemma_eq6(f, d, tol)
-            reports.append(evaluated("lemma_eq6", lhs, rhs))
-        except (ParameterError, PreconditionError) as exc:
-            reports.append(skipped("lemma_eq6", str(exc)))
-        zs = f.coefficients
-        for fn, bid in (
-            (triangle_reverse_l2, "triangle_reverse_l2"),
-            (triangle_reverse_sq, "triangle_reverse_sq"),
-        ):
-            try:
-                reports.append(fn(zs, d, tol))
-            except ParameterError as exc:
-                reports.append(skipped(bid, str(exc)))
-        if f.n <= f.dim and float(np.abs(f.gram - np.eye(f.n)).max()) <= 1e-9:
-            rem = orthonormal_remark(f.x, f.ys, d, tol)
-            reports.extend([rem.report30, rem.report31])
-    return reports
+    weights = None if c is None else np.asarray(c, dtype=np.complex128)
+    inputs = BoundInputs(d, weights, p_values, tol)
+    return _evaluate(_entries(c is not None, d is not None, False), f, inputs)
 
 
 @dataclass
@@ -394,45 +418,32 @@ class FuzzSummary:
         }
 
 
-class _FuzzPartial(NamedTuple):
-    checked: dict
-    violations: list
-    min_slack: dict
-    tight: dict
-    wins: dict
-
-
 def _tightness_winner(reports: Iterable[BoundReport]) -> str | None:
     by_id = {r.bound_id: r for r in reports if r.preconditions_met}
     best_id, best_val = None, None
-    for bid in _COMPETING:
-        rep = by_id.get(bid)
+    for b in _COMPETITORS:
+        rep = by_id.get(b.ids[0])
         if rep is None:
             continue
-        val = rep.rhs**2 if bid == "theorem21" else rep.rhs
+        val = rep.rhs**b.competes
         if best_val is None or val < best_val:
-            best_id, best_val = bid, val
+            best_id, best_val = b.ids[0], val
     return best_id
 
 
 def _instance_reports(cfg: FuzzConfig, index: int) -> list[tuple[str, list[BoundReport]]]:
     fam, c_gen, disk_fam, disk, c_disk = _instance_inputs(cfg, index)
     generic = check_all(fam, None, c_gen, cfg.p_values, cfg.tolerance)
-    generic.extend(_pecaric_batch_reports(fam, _special_coefficient_choices(fam)))
+    generic.extend(pecaric_reports(fam, classical_weights(fam)))
     constrained = check_all(disk_fam, disk, c_disk, cfg.p_values, cfg.tolerance)
-    constrained.extend(
-        _pecaric_batch_reports(disk_fam, _special_coefficient_choices(disk_fam))
-    )
+    constrained.extend(pecaric_reports(disk_fam, classical_weights(disk_fam)))
     return [("generic", generic), ("disk", constrained)]
 
 
-def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> _FuzzPartial:
+def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     cfg, start, stop = args
-    checked: dict[str, int] = {}
-    violations: list[dict] = []
-    min_slack: dict[str, float] = {}
-    tight: dict[str, int] = {}
-    wins: dict[str, int] = {}
+    part = FuzzSummary(cfg, {}, [], {}, {}, {})
+    checked, min_slack, tight, wins = part.checked, part.min_slack, part.tight, part.tightness_wins
     for index in range(start, stop):
         for sampler, reports in _instance_reports(cfg, index):
             for rep in reports:
@@ -444,7 +455,7 @@ def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> _FuzzPartial:
                 if prev is None or rel < prev:
                     min_slack[rep.bound_id] = rel
                 if rel < -cfg.tolerance:
-                    violations.append(
+                    part.violations.append(
                         {
                             "bound_id": rep.bound_id,
                             "sampler": sampler,
@@ -457,7 +468,7 @@ def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> _FuzzPartial:
             winner = _tightness_winner(reports)
             if winner is not None:
                 wins[winner] = wins.get(winner, 0) + 1
-    return _FuzzPartial(checked, violations, min_slack, tight, wins)
+    return part
 
 
 def _chunks(instances: int) -> list[tuple[int, int]]:
@@ -479,24 +490,21 @@ def fuzz(cfg: FuzzConfig, workers: int = 1) -> FuzzSummary:
     any ``workers`` value because instances are independent and chunk
     results merge in index order.
     """
-    checked: dict[str, int] = {}
-    violations: list[dict] = []
-    min_slack: dict[str, float] = {}
-    tight: dict[str, int] = {}
-    wins: dict[str, int] = {}
+    total = FuzzSummary(cfg, {}, [], {}, {}, {})
     for part in _map_chunks(_fuzz_chunk, cfg, workers):
-        for key, val in part.checked.items():
-            checked[key] = checked.get(key, 0) + val
-        violations.extend(part.violations)
+        for counts, more in (
+            (total.checked, part.checked),
+            (total.tight, part.tight),
+            (total.tightness_wins, part.tightness_wins),
+        ):
+            for key, val in more.items():
+                counts[key] = counts.get(key, 0) + val
+        total.violations.extend(part.violations)
         for key, val in part.min_slack.items():
-            if key not in min_slack or val < min_slack[key]:
-                min_slack[key] = val
-        for key, val in part.tight.items():
-            tight[key] = tight.get(key, 0) + val
-        for key, val in part.wins.items():
-            wins[key] = wins.get(key, 0) + val
-    violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
-    return FuzzSummary(cfg, checked, violations, min_slack, tight, wins)
+            if key not in total.min_slack or val < total.min_slack[key]:
+                total.min_slack[key] = val
+    total.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
+    return total
 
 
 class TightnessRow(NamedTuple):
@@ -505,40 +513,33 @@ class TightnessRow(NamedTuple):
     mean_ratio: float
 
 
-def _competing_reports(f: Family, d: Disk | None, tol: float) -> list[BoundReport]:
-    reports = [boas_bellman(f), bombieri(f), dragomir03(f)]
-    if d is not None:
-        for fn, bid in ((theorem21, "theorem21"), (theorem22, "theorem22")):
-            try:
-                reports.append(fn(f, d, tol))
-            except ParameterError as exc:
-                reports.append(skipped(bid, str(exc)))
-    return reports
+def _sample_generic(cfg: FuzzConfig, index: int) -> tuple[Family, None]:
+    return sample_family(cfg, index), None
 
 
-def _compare_chunk(args: tuple[FuzzConfig, int, int, str]) -> dict:
-    cfg, start, stop, ensemble = args
-    wins = {bid: 0 for bid in _COMPETING}
-    ratio_sum = {bid: 0.0 for bid in _COMPETING}
-    ratio_count = {bid: 0 for bid in _COMPETING}
+_ENSEMBLES = {
+    "generic": _sample_generic,
+    "disk": sample_disk_family,
+    "orthonormal": sample_orthonormal_family,
+}
+
+
+def _compare_chunk(sampler, args: tuple[FuzzConfig, int, int]) -> dict[str, list]:
+    """Per competing bound: [wins, sum of ratios, number of ratios]."""
+    cfg, start, stop = args
+    totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
     for index in range(start, stop):
-        if ensemble == "generic":
-            f, d = sample_family(cfg, index), None
-        elif ensemble == "disk":
-            f, d = sample_disk_family(cfg, index)
-        elif ensemble == "orthonormal":
-            f, d = sample_orthonormal_family(cfg, index)
-        else:
-            raise ValueError(f"unknown ensemble {ensemble!r}")
-        reports = _competing_reports(f, d, cfg.tolerance)
+        f, d = sampler(cfg, index)
+        inputs = BoundInputs(d, None, (), cfg.tolerance)
+        reports = _evaluate(_entries(False, d is not None, True), f, inputs)
         winner = _tightness_winner(reports)
         if winner is not None:
-            wins[winner] += 1
+            totals[winner][0] += 1
         for rep in reports:
             if rep.preconditions_met and rep.rhs > 0.0:
-                ratio_sum[rep.bound_id] += rep.ratio
-                ratio_count[rep.bound_id] += 1
-    return {"wins": wins, "ratio_sum": ratio_sum, "ratio_count": ratio_count}
+                totals[rep.bound_id][1] += rep.ratio
+                totals[rep.bound_id][2] += 1
+    return totals
 
 
 def tightness_compare(
@@ -546,27 +547,19 @@ def tightness_compare(
 ) -> list[TightnessRow]:
     """Which bound gives the smallest Bessel-sum right side, per instance.
 
-    Ties go to the earlier entry of the fixed priority order, so the sharp
-    bounds only win when strictly smallest.  Returns one row per competing
-    bound with its win count and mean tightness ratio (NaN when the bound
-    never applied).
+    The competing bounds are the entries of ``BOUNDS`` with ``competes``
+    set, and ties go to the earlier entry, so the sharp bounds only win
+    when strictly smallest.  ``ensemble`` is "generic", "disk" or
+    "orthonormal".  Returns one row per competing bound with its win count
+    and mean tightness ratio (NaN when the bound never applied).
     """
-    tasks = [(cfg, a, b, ensemble) for a, b in _chunks(cfg.instances)]
-    if workers <= 1 or len(tasks) <= 1:
-        parts = [_compare_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compare_chunk, tasks))
-    wins = {bid: 0 for bid in _COMPETING}
-    ratio_sum = {bid: 0.0 for bid in _COMPETING}
-    ratio_count = {bid: 0 for bid in _COMPETING}
-    for part in parts:
-        for bid in _COMPETING:
-            wins[bid] += part["wins"][bid]
-            ratio_sum[bid] += part["ratio_sum"][bid]
-            ratio_count[bid] += part["ratio_count"][bid]
-    rows = []
-    for bid in _COMPETING:
-        mean = ratio_sum[bid] / ratio_count[bid] if ratio_count[bid] else float("nan")
-        rows.append(TightnessRow(bid, wins[bid], mean))
-    return rows
+    if ensemble not in _ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
+    for part in _map_chunks(partial(_compare_chunk, _ENSEMBLES[ensemble]), cfg, workers):
+        for bid, counts in part.items():
+            totals[bid] = [t + c for t, c in zip(totals[bid], counts)]
+    return [
+        TightnessRow(bid, wins, ratio_sum / count if count else float("nan"))
+        for bid, (wins, ratio_sum, count) in totals.items()
+    ]

@@ -52,6 +52,7 @@ __all__ = [
     "theorem22_residuals",
     "lemma_eq6",
     "orthonormal_remark",
+    "orthonormal_family_remark",
     "triangle_reverse_l2",
     "triangle_reverse_sq",
     "sufficient_condition_box",
@@ -137,11 +138,12 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     )
 
 
-def _first_outside(coeffs: np.ndarray, d: Disk, tol: float) -> int | None:
+def _outside(coeffs: np.ndarray, d: Disk, tol: float) -> str:
+    """Why the coefficients break the disk condition; "" when they meet it."""
     inside = disk_condition_abs(coeffs, d, tol)
     if bool(np.all(inside)):
-        return None
-    return int(np.argmin(inside))
+        return ""
+    return f"coefficient {int(np.argmin(inside))} lies outside the disk"
 
 
 def _require_center(d: Disk) -> None:
@@ -164,9 +166,9 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     precondition when some coefficient leaves the disk.
     """
     _require_center(d)
-    bad = _first_outside(f.coefficients, d, tol)
-    if bad is not None:
-        return skipped("theorem21", f"coefficient {bad} lies outside the disk")
+    reason = _outside(f.coefficients, d, tol)
+    if reason:
+        return skipped("theorem21", reason)
     rn = math.sqrt(f.n)
     lhs = math.sqrt(bessel_sum(f))
     rhs = f.x_norm * math.sqrt(f.ys_sum_norm_sq) / rn + (
@@ -181,9 +183,9 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
     _require_positive_re(d)
-    bad = _first_outside(f.coefficients, d, tol)
-    if bad is not None:
-        return skipped("theorem22", f"coefficient {bad} lies outside the disk")
+    reason = _outside(f.coefficients, d, tol)
+    if reason:
+        return skipped("theorem22", reason)
     rhs = (
         abs(d.Gamma + d.gamma) ** 2
         / (4.0 * d.re_product * f.n)
@@ -210,9 +212,9 @@ class EqualityResiduals:
 def _residuals(f: Family, d: Disk, target_scale: complex, tol: float) -> EqualityResiduals:
     if f.x_norm_sq == 0.0:
         raise DegenerateReference("equality residuals need a nonzero x")
-    bad = _first_outside(f.coefficients, d, tol)
-    if bad is not None:
-        raise PreconditionError(f"coefficient {bad} lies outside the disk")
+    reason = _outside(f.coefficients, d, tol)
+    if reason:
+        raise PreconditionError(reason)
     per_j = np.abs(np.abs(f.coefficients - d.center) - d.radius)
     mean_target = (target_scale / f.x_norm_sq) * f.x
     mean_residual = float(np.linalg.norm(f.ys_sum / f.n - mean_target))
@@ -254,9 +256,9 @@ def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float
     ``lhs <= rhs`` whenever all coefficients lie in the disk, with equality
     exactly when every coefficient is on the boundary.
     """
-    bad = _first_outside(f.coefficients, d, tol)
-    if bad is not None:
-        raise PreconditionError(f"coefficient {bad} lies outside the disk")
+    reason = _outside(f.coefficients, d, tol)
+    if reason:
+        raise PreconditionError(reason)
     lhs = bessel_sum(f) + f.n * abs(d.center) ** 2
     rhs = f.n * d.radius**2 + (
         (d.Gamma + d.gamma).conjugate() * f.coefficients_sum
@@ -285,17 +287,18 @@ def orthonormal_remark(
     parent bound).  ``coarser_than_bessel`` records that each computed rhs
     dominates the plain Bessel right side.
     """
+    return orthonormal_family_remark(Family(x, es), d, tol)
+
+
+def orthonormal_family_remark(
+    f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE
+) -> OrthonormalRemark:
+    """``orthonormal_remark`` on a family already built, with ``f.ys`` as the e_j."""
     _require_center(d)
-    f = Family(x, es)
-    ortho_err = float(np.abs(f.gram - np.eye(f.n)).max())
-    if ortho_err > tol:
-        reason = f"family is not orthonormal (max Gram deviation {ortho_err:.3g})"
-        return OrthonormalRemark(
-            skipped("orthonormal30", reason), skipped("orthonormal31", reason), False
-        )
-    bad = _first_outside(f.coefficients, d, tol)
-    if bad is not None:
-        reason = f"coefficient {bad} lies outside the disk"
+    reason = _outside(f.coefficients, d, tol)
+    if f.orthonormal_deviation > tol:
+        reason = f"family is not orthonormal (max Gram deviation {f.orthonormal_deviation:.3g})"
+    if reason:
         return OrthonormalRemark(
             skipped("orthonormal30", reason), skipped("orthonormal31", reason), False
         )

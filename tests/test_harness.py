@@ -24,11 +24,8 @@ from besselkit import (
     sample_orthonormal_family,
     tightness_compare,
 )
-from besselkit.harness import (
-    _COMPETING,
-    _pecaric_batch_reports,
-    _special_coefficient_choices,
-)
+from besselkit.classical import classical_weights, pecaric_reports
+from besselkit.harness import BOUNDS
 
 
 def small_cfg(**kw):
@@ -118,6 +115,13 @@ class TestSampleDiskFamily:
         assert summary.min_slack["lemma_eq6"] <= 1e-9
 
 
+    def test_small_scale_disk_has_a_center(self):
+        cfg = small_cfg(instances=8, disk_sampler=DiskSampler(scale=1e-7))
+        for i in range(8):
+            _, d = sample_disk_family(cfg, i)
+            assert d.center != 0.0
+
+
 class TestSampleOrthonormal:
     def test_orthonormal_and_in_disk(self):
         cfg = small_cfg()
@@ -187,6 +191,29 @@ class TestCheckAll:
         assert not reports["triangle_reverse_l2"].preconditions_met
         # the squared-form bound needs Re positive, also unavailable here
         assert not reports["theorem22"].preconditions_met
+        # an orthonormal family gets its specialised reports skipped, not raised
+        ortho = Family([0.5, 0.0], [[1.0, 0.0]])
+        reports = {r.bound_id: r for r in check_all(ortho, Disk(-1.0, 1.0))}
+        assert not reports["orthonormal30"].preconditions_met
+        assert not reports["orthonormal31"].preconditions_met
+
+    def test_orthonormal_detection_uses_tol(self):
+        # Gram diagonal 6e-9 off the identity: orthonormal within 1e-8 only
+        es = np.diag([1.0 + 3e-9, 1.0, 1.0])
+        fam = Family([1.5, 1.2, 1.8], es)
+
+        def ids(tol):
+            return {r.bound_id for r in check_all(fam, Disk(1.0, 2.0), tol=tol)}
+
+        assert "orthonormal30" not in ids(1e-9)
+        assert {"orthonormal30", "orthonormal31"} <= ids(1e-8)
+
+    def test_reports_follow_table_order(self):
+        position = {bid: k for k, b in enumerate(BOUNDS) for bid in b.ids}
+        fam, d = sample_orthonormal_family(small_cfg(), 1)
+        ids = [r.bound_id for r in check_all(fam, d, c=np.ones(fam.n))]
+        assert set(ids) == set(position)  # every entry ran
+        assert [position[bid] for bid in ids] == sorted(position[bid] for bid in ids)
 
     def test_p_values_filtered(self):
         fam = Family([1.0, 0.0], [[1, 0], [0, 1]])
@@ -199,8 +226,8 @@ class TestSpecialChoices:
         cfg = small_cfg()
         for i in range(20):
             fam = sample_family(cfg, i)
-            choices = _special_coefficient_choices(fam)
-            batch = _pecaric_batch_reports(fam, choices)
+            choices = classical_weights(fam)
+            batch = pecaric_reports(fam, choices)
             for k in range(choices.shape[0]):
                 direct = pecaric(fam, choices[k])
                 assert batch[2 * k].lhs == pytest.approx(direct.lhs, rel=1e-12, abs=1e-300)
@@ -213,7 +240,7 @@ class TestSpecialChoices:
 
     def test_choices_guard_zero_entries(self):
         fam = Family([0.0, 1.0], [[1, 0], [0, 0]])  # one zero vector, one zero coeff
-        choices = _special_coefficient_choices(fam)
+        choices = classical_weights(fam)
         assert np.all(np.isfinite(choices.view(float)))
 
 
@@ -259,7 +286,13 @@ class TestTightnessCompare:
     def test_rows_and_conservation_generic(self):
         cfg = small_cfg(instances=120)
         rows = tightness_compare(cfg, "generic")
-        assert [r.bound_id for r in rows] == list(_COMPETING)
+        assert [r.bound_id for r in rows] == [
+            "boas_bellman",
+            "bombieri",
+            "dragomir03",
+            "theorem21",
+            "theorem22",
+        ]
         assert sum(r.wins for r in rows) == 120
         for r in rows:
             if r.bound_id in ("theorem21", "theorem22"):
@@ -286,8 +319,9 @@ class TestTightnessCompare:
                 assert -1e-12 <= row.mean_ratio <= 1.0 + 1e-9
 
     def test_unknown_ensemble(self):
-        with pytest.raises(ValueError):
-            tightness_compare(small_cfg(instances=4), "bogus")
+        for instances in (4, 0):
+            with pytest.raises(ValueError):
+                tightness_compare(small_cfg(instances=instances), "bogus")
 
 
 class TestConfigValidation:
