@@ -18,9 +18,11 @@ The last three wrap ``pecaric_reports``, ``dragomir04_reports`` and
 
 Conventions: ``a_i = inner(x, y_i)`` are the coefficients of the family and
 ``S_i = sum_j |inner(y_i, y_j)|`` the absolute Gram row sums.  A max over an
-empty index set (off-diagonal terms at n = 1) is 0.  Quotient expressions
-are evaluated with the coefficient scale factored out, so families with
-extremely small coefficients do not underflow to 0/0.
+empty index set (off-diagonal terms at n = 1) is 0.  The quartic quotients
+``S^2 / (N1 N2)`` of ``dragomir_pq`` and the corollaries, with ``S`` the
+Bessel sum and ``N1``, ``N2`` norms of the coefficients, are formed as
+``(S / N1) (S / N2)``: each factor is on the scale of one coefficient, so a
+quotient overflows or underflows only where ``S`` itself does.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ __all__ = [
 
 
 def _quartic(f: Family, n1: float, n2: float) -> float:
-    """The quotient ``(sum |a_i|^2)^2 / (n1 n2)`` of the Dragomir bounds."""
-    return f.coefficients_sq_sum**2 / (n1 * n2)
+    """The quotient ``(sum |a_i|^2)^2 / (n1 n2)`` of the Dragomir bounds, scale-free."""
+    s = f.coefficients_sq_sum
+    return (s / n1) * (s / n2)
 
 
 def bessel_sum(f: Family) -> float:
@@ -247,7 +250,7 @@ def dragomir04_corollary_reports(f: Family, p_values: Sequence[float]) -> list[B
         reports.append(evaluated("dragomir04_cor2", lhs, xsq * f.row_q_norm_max(p / (p - 1.0))))
     if not p_values:
         reports.append(skipped("dragomir04_cor2", "requires p > 1"))
-    cor3 = f.coefficients_sq_sum**2 / sum_a**2
+    cor3 = _quartic(f, sum_a, sum_a)
     reports.append(evaluated("dragomir04_cor3", cor3, xsq * f.max_abs_gram))
     return reports
 

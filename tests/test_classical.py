@@ -318,6 +318,21 @@ class TestDragomir04Corollaries:
         assert not rep2.preconditions_met
         assert rep3.preconditions_met
 
+    def test_quotients_keep_their_ratios_at_extreme_scales(self):
+        # the squared Bessel sum of these copies lies near 2**1120 and 2**-1280
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        ys = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+
+        def ratios(scale):
+            fam = Family(scale * x, scale * ys)
+            reports = [dragomir_pq(fam, 3.0), *dragomir04_corollaries(fam, 3.0)]
+            return [r.ratio for r in reports]
+
+        base = ratios(1.0)
+        for exponent in (140, -160):
+            assert ratios(2.0**exponent) == pytest.approx(base, rel=1e-12)
+
 
 class TestInvariants:
     def test_validity_sweep(self):
