@@ -151,14 +151,17 @@ def pecaric_reports(f: Family, weights) -> list[BoundReport]:
     taken alone, so a single weight vector goes in as a 1-row stack.
     """
     w = _weights(f, weights, 2)
-    lhs = [abs(z) ** 2 for z in w @ f.coefficients]
+    xsq = f.x_norm_sq
     c2 = w.real**2 + w.imag**2
-    rhs_first = f.x_norm_sq * (c2 @ f.gram_row_sums)
-    rhs_second = f.x_norm_sq * c2.sum(axis=1) * f.max_row_sum
+    dots = (w @ f.coefficients).tolist()
+    firsts = (c2 @ f.gram_row_sums).tolist()
+    seconds = c2.sum(axis=1).tolist()
     reports = []
-    for k in range(w.shape[0]):
-        reports.append(evaluated("pecaric_first", lhs[k], rhs_first[k]))
-        reports.append(evaluated("pecaric_second", lhs[k], rhs_second[k]))
+    for dot, s1, s2 in zip(dots, firsts, seconds):
+        # a scalar abs (libm hypot); np.abs on an array can differ in the last bit
+        lhs = abs(dot) ** 2
+        reports.append(evaluated("pecaric_first", lhs, xsq * s1))
+        reports.append(evaluated("pecaric_second", lhs, xsq * s2 * f.max_row_sum))
     return reports
 
 

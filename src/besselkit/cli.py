@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -181,27 +182,23 @@ def _reports_text(reports: list[BoundReport], fmt: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["bound_id", "lhs", "rhs", "slack", "ratio", "preconditions_met", "reason"])
-    for r in reports:
-        writer.writerow(
-            [
-                r.bound_id,
-                "" if r.lhs is None else repr(r.lhs),
-                "" if r.rhs is None else repr(r.rhs),
-                "" if r.slack is None else repr(r.slack),
-                "" if r.ratio is None else repr(r.ratio),
-                r.preconditions_met,
-                r.reason,
-            ]
-        )
+    # csv writes None as "" and floats through repr, as the columns need
+    writer.writerows(r.as_dict().values() for r in reports)
     return out.getvalue()
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(text: str, output: str | None) -> int:
+    """Write ``text`` to ``output`` or stdout; exit code 0, or 1 if that fails."""
+    try:
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -217,10 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         data["p_values"],
         args.tolerance,
     )
-    try:
-        _emit(_reports_text(reports, args.format), args.output)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    if _emit(_reports_text(reports, args.format), args.output):
         return 1
     return 2 if any(not r.holds(args.tolerance) for r in reports) else 0
 
@@ -238,26 +232,29 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     raise CliInputError(f"--{name} expects an integer or lo:hi range, got {text!r}")
 
 
+def _fuzz_config(args: argparse.Namespace, **extra) -> FuzzConfig:
+    """The ``FuzzConfig`` set by the flags that ``fuzz`` and ``compare`` share."""
+    return FuzzConfig(
+        master_seed=args.seed,
+        instances=args.instances,
+        n_range=_parse_range(args.n, "n"),
+        d_range=_parse_range(args.dim, "dim"),
+        field_mode=args.field,
+        tolerance=args.tolerance,
+        **extra,
+    )
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
     try:
-        cfg = FuzzConfig(
-            master_seed=args.seed,
-            instances=args.instances,
-            n_range=_parse_range(args.n, "n"),
-            d_range=_parse_range(args.dim, "dim"),
-            field_mode=args.field,
-            disk_sampler=DiskSampler(boundary_fraction=args.boundary_fraction),
-            tolerance=args.tolerance,
-        )
+        sampler = DiskSampler(boundary_fraction=args.boundary_fraction)
+        cfg = _fuzz_config(args, disk_sampler=sampler)
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = fuzz(cfg, workers=args.workers)
     text = json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n"
-    try:
-        _emit(text, args.output)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    if _emit(text, args.output):
         return 1
     return 0 if not summary.violations else 2
 
@@ -307,15 +304,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        cfg = FuzzConfig(
-            master_seed=args.seed,
-            instances=args.instances,
-            n_range=_parse_range(args.n, "n"),
-            d_range=_parse_range(args.dim, "dim"),
-            field_mode=args.field,
-            tolerance=args.tolerance,
-        )
-        rows = tightness_compare(cfg, args.ensemble, workers=args.workers)
+        rows = tightness_compare(_fuzz_config(args), args.ensemble, workers=args.workers)
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -324,14 +313,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     writer.writerow(["bound_id", "wins", "mean_ratio"])
     for row in rows:
         writer.writerow([row.bound_id, row.wins, repr(row.mean_ratio)])
-    try:
-        _emit(out.getvalue(), args.output)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(out.getvalue(), args.output)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besselkit",
@@ -346,15 +331,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_fuzz = sub.add_parser("fuzz", help="randomized checking of all bounds")
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--instances", type=int, default=1000)
-    p_fuzz.add_argument("--n", default="1:12", help="family size or lo:hi range")
-    p_fuzz.add_argument("--dim", default="1:8", help="vector dimension or lo:hi range")
-    p_fuzz.add_argument("--field", choices=("real", "complex"), default="complex")
-    p_fuzz.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    # the sampling flags of fuzz and compare, read by _fuzz_config
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--instances", type=int, default=1000)
+    sampling.add_argument("--n", default="1:12", help="family size or lo:hi range")
+    sampling.add_argument("--dim", default="1:8", help="vector dimension or lo:hi range")
+    sampling.add_argument("--field", choices=("real", "complex"), default="complex")
+    sampling.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    sampling.add_argument("--workers", type=int, default=1)
+
+    p_fuzz = sub.add_parser("fuzz", parents=[sampling], help="randomized checking of all bounds")
     p_fuzz.add_argument("--boundary-fraction", type=float, default=0.25)
-    p_fuzz.add_argument("--workers", type=int, default=1)
     p_fuzz.add_argument("--output", default=None, help="summary JSON path (default stdout)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
@@ -368,15 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--output", default=None, help="family file path")
     p_ext.set_defaults(func=cmd_extremal)
 
-    p_cmp = sub.add_parser("compare", help="tightness comparison across bounds")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--instances", type=int, default=1000)
-    p_cmp.add_argument("--n", default="1:12")
-    p_cmp.add_argument("--dim", default="1:8")
-    p_cmp.add_argument("--field", choices=("real", "complex"), default="complex")
+    p_cmp = sub.add_parser("compare", parents=[sampling], help="tightness comparison across bounds")
     p_cmp.add_argument("--ensemble", choices=("generic", "disk", "orthonormal"), default="generic")
-    p_cmp.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p_cmp.add_argument("--workers", type=int, default=1)
     p_cmp.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_cmp.set_defaults(func=cmd_compare)
     return parser

@@ -296,12 +296,16 @@ class Bound(NamedTuple):
     competes: int = 0
 
 
+def _on_coefficients(fn: Callable[[np.ndarray, Disk, float], BoundReport]):
+    """Kernel of a scalar form of a sharp bound, run on the family's coefficients."""
+    return lambda f, i: [fn(f.coefficients, i.disk, i.tol)]
+
+
 def _orthonormal(f: Family, i: BoundInputs) -> list[BoundReport]:
     # only a family detected as orthonormal gets the specialised reports
     if f.n > f.dim or f.orthonormal_deviation > i.tol:
         return []
-    rem = orthonormal_family_remark(f, i.disk, i.tol)
-    return [rem.report30, rem.report31]
+    return list(orthonormal_family_remark(f, i.disk, i.tol)[:2])
 
 
 # The catalogue.  Its order is the order of check_all's reports and the
@@ -333,16 +337,8 @@ BOUNDS = (
     Bound(
         ("lemma_eq6",), "disk", lambda f, i: [evaluated("lemma_eq6", *lemma_eq6(f, i.disk, i.tol))]
     ),
-    Bound(
-        ("triangle_reverse_l2",),
-        "disk",
-        lambda f, i: [triangle_reverse_l2(f.coefficients, i.disk, i.tol)],
-    ),
-    Bound(
-        ("triangle_reverse_sq",),
-        "disk",
-        lambda f, i: [triangle_reverse_sq(f.coefficients, i.disk, i.tol)],
-    ),
+    Bound(("triangle_reverse_l2",), "disk", _on_coefficients(triangle_reverse_l2)),
+    Bound(("triangle_reverse_sq",), "disk", _on_coefficients(triangle_reverse_sq)),
     Bound(("orthonormal30", "orthonormal31"), "disk", _orthonormal),
 )
 
@@ -367,7 +363,7 @@ def _evaluate(entries: Sequence[Bound], f: Family, inputs: BoundInputs) -> list[
     reports = []
     for b in entries:
         try:
-            reports.extend(b.kernel(f, inputs))
+            reports += b.kernel(f, inputs)
         except (ParameterError, PreconditionError) as exc:
             # a disk the bound does not admit is reported, never raised
             reports.extend(skipped(bid, str(exc)) for bid in b.ids)

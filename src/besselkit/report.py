@@ -43,15 +43,8 @@ class BoundReport:
         return rel is not None and abs(rel) <= tol
 
     def as_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "ratio": self.ratio,
-            "preconditions_met": self.preconditions_met,
-            "reason": self.reason,
-        }
+        """The fields by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def evaluated(bound_id: str, lhs: float, rhs: float) -> BoundReport:
