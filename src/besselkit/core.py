@@ -293,7 +293,7 @@ class Family:
 
     @_lazy
     def orthonormal_deviation(self) -> float:
-        """``max_ij |G_ij - delta_ij|``; 0 exactly for an orthonormal family."""
+        """``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal."""
         return float(np.abs(self.gram - np.eye(self.n)).max())
 
     @_lazy

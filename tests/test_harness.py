@@ -114,7 +114,6 @@ class TestSampleDiskFamily:
         assert summary.min_slack["theorem22"] <= 1e-9
         assert summary.min_slack["lemma_eq6"] <= 1e-9
 
-
     def test_small_scale_disk_has_a_center(self):
         cfg = small_cfg(instances=8, disk_sampler=DiskSampler(scale=1e-7))
         for i in range(8):
