@@ -13,11 +13,15 @@ Family files are JSON with complex numbers as ``[re, im]`` pairs::
     }
 
 Floats are serialized with shortest round-trip precision, so writing and
-re-reading a family is bit-exact.  All randomness comes in through the
-``--seed`` flag; no command ever consults the clock.
+re-reading a family is bit-exact.  Every number must be finite: ``NaN``,
+``Infinity`` and overflowing literals such as ``1e400`` are rejected with
+their location.  ``--tolerance``, which every subcommand takes, must be
+finite and positive.  All randomness comes in through the ``--seed`` flag;
+no command ever consults the clock.
 
-Exit codes: 0 success, 1 malformed input or I/O failure, 2 a violated
-inequality (eval, fuzz) or an infeasible construction (extremal).
+Exit codes: 0 success (also ``--help``), 1 malformed input (file, flag or
+usage) or I/O failure, 2 a violated inequality (eval, fuzz) or an
+infeasible construction (extremal).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -37,19 +42,27 @@ from .extremal import ExtremalTarget, InfeasibleConstruction, build
 from .harness import (
     DEFAULT_P_VALUES,
     DiskSampler,
+    ENSEMBLES,
     FuzzConfig,
     check_all,
     fuzz,
     tightness_compare,
 )
-from .report import DEFAULT_TOLERANCE, BoundReport
+from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance
 from .sharp import Disk, theorem21, theorem21_residuals, theorem22, theorem22_residuals
 
 __all__ = ["main", "parse_complex", "read_family_file", "write_family_file"]
 
 
 class CliInputError(Exception):
-    """Malformed file or flag; maps to exit code 1."""
+    """Malformed file, flag or usage, or an unwritable output; maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``CliInputError`` rather than exiting with 2."""
+
+    def error(self, message: str):
+        raise CliInputError(f"{self.prog}: {message}")
 
 
 def parse_complex(text: str) -> complex:
@@ -76,9 +89,9 @@ def _pair_to_complex(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in value)
     ):
-        raise CliInputError(f"{where}: expected an [re, im] pair, got {value!r}")
+        raise CliInputError(f"{where}: expected a finite [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -97,7 +110,7 @@ def read_family_file(path: str) -> dict:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=float)  # so an overflowing integer reads as inf
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     except OSError as exc:
@@ -109,11 +122,11 @@ def read_family_file(path: str) -> dict:
         raise CliInputError(f"{path}: field_mode must be 'real' or 'complex', got {mode!r}")
     if "x" not in raw or "ys" not in raw:
         raise CliInputError(f"{path}: missing required keys 'x' and 'ys'")
-    x = _vector(raw["x"], "x")
+    x = _vector(raw["x"], f"{path}: x")
     ys_raw = raw["ys"]
     if not isinstance(ys_raw, list) or not ys_raw:
         raise CliInputError(f"{path}: ys must be a non-empty list of vectors")
-    ys = [_vector(v, f"ys[{k}]") for k, v in enumerate(ys_raw)]
+    ys = [_vector(v, f"{path}: ys[{k}]") for k, v in enumerate(ys_raw)]
     try:
         family = Family(x, ys, mode)
     except (BesselkitError, ValueError) as exc:
@@ -123,24 +136,23 @@ def read_family_file(path: str) -> dict:
         raise CliInputError(f"{path}: gamma and Gamma must be given together")
     if "gamma" in raw:
         disk = Disk(
-            _pair_to_complex(raw["gamma"], "gamma"),
-            _pair_to_complex(raw["Gamma"], "Gamma"),
+            _pair_to_complex(raw["gamma"], f"{path}: gamma"),
+            _pair_to_complex(raw["Gamma"], f"{path}: Gamma"),
         )
     coeffs = None
     if "coeffs" in raw:
-        coeffs = np.array(_vector(raw["coeffs"], "coeffs"), dtype=np.complex128)
+        coeffs = np.array(_vector(raw["coeffs"], f"{path}: coeffs"), dtype=np.complex128)
         if coeffs.size != family.n:
             raise CliInputError(
                 f"{path}: coeffs has length {coeffs.size}, family has {family.n} vectors"
             )
     p_values = DEFAULT_P_VALUES
     if "p" in raw:
-        if not isinstance(raw["p"], list) or not all(
-            isinstance(v, (int, float)) for v in raw["p"]
-        ):
+        if not isinstance(raw["p"], list):
             raise CliInputError(f"{path}: p must be a list of numbers")
-        if any(v <= 1.0 for v in raw["p"]):
-            raise CliInputError(f"{path}: all p values must exceed 1")
+        for k, v in enumerate(raw["p"]):
+            if not (isinstance(v, (int, float)) and 1.0 < v < math.inf):
+                raise CliInputError(f"{path}: p[{k}]: expected a finite number > 1, got {v!r}")
         p_values = tuple(float(v) for v in raw["p"])
     return {"family": family, "disk": disk, "coeffs": coeffs, "p_values": p_values}
 
@@ -170,10 +182,14 @@ def family_payload(
     return payload
 
 
+def _json_text(obj) -> str:
+    """The layout of every JSON document the commands write."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_family_file(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload))
 
 
 def _reports_text(reports: list[BoundReport], fmt: str) -> str:
@@ -187,8 +203,8 @@ def _reports_text(reports: list[BoundReport], fmt: str) -> str:
     return out.getvalue()
 
 
-def _emit(text: str, output: str | None) -> int:
-    """Write ``text`` to ``output`` or stdout; exit code 0, or 1 if that fails."""
+def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to ``output`` or stdout; raise ``CliInputError`` if that fails."""
     try:
         if output is None:
             sys.stdout.write(text)
@@ -196,17 +212,11 @@ def _emit(text: str, output: str | None) -> int:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        raise CliInputError(f"cannot write output: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        data = read_family_file(args.input)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = read_family_file(args.input)
     reports = check_all(
         data["family"],
         data["disk"],
@@ -214,8 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         data["p_values"],
         args.tolerance,
     )
-    if _emit(_reports_text(reports, args.format), args.output):
-        return 1
+    _emit(_reports_text(reports, args.format), args.output)
     return 2 if any(not r.holds(args.tolerance) for r in reports) else 0
 
 
@@ -232,43 +241,32 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     raise CliInputError(f"--{name} expects an integer or lo:hi range, got {text!r}")
 
 
-def _fuzz_config(args: argparse.Namespace, **extra) -> FuzzConfig:
-    """The ``FuzzConfig`` set by the flags that ``fuzz`` and ``compare`` share."""
-    return FuzzConfig(
-        master_seed=args.seed,
-        instances=args.instances,
-        n_range=_parse_range(args.n, "n"),
-        d_range=_parse_range(args.dim, "dim"),
-        field_mode=args.field,
-        tolerance=args.tolerance,
-        **extra,
-    )
+def _fuzz_config(args: argparse.Namespace, **sampler) -> FuzzConfig:
+    """The ``FuzzConfig`` of the shared flags; ``sampler`` sets its ``DiskSampler``."""
+    try:
+        return FuzzConfig(
+            master_seed=args.seed,
+            instances=args.instances,
+            n_range=_parse_range(args.n, "n"),
+            d_range=_parse_range(args.dim, "dim"),
+            field_mode=args.field,
+            disk_sampler=DiskSampler(**sampler),
+            tolerance=args.tolerance,
+        )
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    try:
-        sampler = DiskSampler(boundary_fraction=args.boundary_fraction)
-        cfg = _fuzz_config(args, disk_sampler=sampler)
-    except (CliInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = fuzz(cfg, workers=args.workers)
-    text = json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n"
-    if _emit(text, args.output):
-        return 1
+    summary = fuzz(_fuzz_config(args, boundary_fraction=args.boundary_fraction), args.workers)
+    _emit(_json_text(summary.as_dict()), args.output)
     return 0 if not summary.violations else 2
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
-    try:
-        gamma = parse_complex(args.gamma)
-        big_gamma = parse_complex(args.Gamma)
-        if args.n < 1 or args.dim < 1:
-            raise CliInputError("--n and --dim must be >= 1")
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    disk = Disk(gamma, big_gamma)
+    disk = Disk(parse_complex(args.gamma), parse_complex(args.Gamma))
+    if args.n < 1 or args.dim < 1:
+        raise CliInputError("--n and --dim must be >= 1")
     target = ExtremalTarget(args.target)
     x = np.zeros(args.dim, dtype=np.complex128)
     x[0] = 1.0
@@ -277,18 +275,12 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     except (ParameterError, InfeasibleConstruction) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    if target is ExtremalTarget.THM21:
-        rep = theorem21(family, disk, args.tolerance)
-        res = theorem21_residuals(family, disk, args.tolerance)
-    else:
-        rep = theorem22(family, disk, args.tolerance)
-        res = theorem22_residuals(family, disk, args.tolerance)
+    thm21 = target is ExtremalTarget.THM21
+    bound, resid = (theorem21, theorem21_residuals) if thm21 else (theorem22, theorem22_residuals)
+    rep = bound(family, disk, args.tolerance)
+    res = resid(family, disk, args.tolerance)
     if args.output is not None:
-        try:
-            write_family_file(args.output, family_payload(family, disk))
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 1
+        _emit(_json_text(family_payload(family, disk)), args.output)
     summary = {
         "target": target.value,
         "n": args.n,
@@ -298,47 +290,54 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         "mean_residual": res.mean_residual,
         "max_residual": res.max_residual,
     }
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(summary))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        rows = tightness_compare(_fuzz_config(args), args.ensemble, workers=args.workers)
-    except (CliInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = tightness_compare(_fuzz_config(args), args.ensemble, workers=args.workers)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["bound_id", "wins", "mean_ratio"])
     for row in rows:
         writer.writerow([row.bound_id, row.wins, repr(row.mean_ratio)])
-    return _emit(out.getvalue(), args.output)
+    _emit(out.getvalue(), args.output)
+    return 0
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="besselkit",
         description="Evaluate, fuzz and compare Bessel-sum bounds over vector families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flag every subcommand takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
 
-    p_eval = sub.add_parser("eval", help="evaluate every applicable bound on a family file")
+    p_eval = sub.add_parser(
+        "eval", parents=[common], help="evaluate every applicable bound on a family file"
+    )
     p_eval.add_argument("--input", required=True, help="family file (JSON)")
     p_eval.add_argument("--output", default=None, help="write reports here instead of stdout")
-    p_eval.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.set_defaults(func=cmd_eval)
 
     # the sampling flags of fuzz and compare, read by _fuzz_config
-    sampling = argparse.ArgumentParser(add_help=False)
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
     sampling.add_argument("--seed", type=int, default=0)
     sampling.add_argument("--instances", type=int, default=1000)
     sampling.add_argument("--n", default="1:12", help="family size or lo:hi range")
     sampling.add_argument("--dim", default="1:8", help="vector dimension or lo:hi range")
     sampling.add_argument("--field", choices=("real", "complex"), default="complex")
-    sampling.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     sampling.add_argument("--workers", type=int, default=1)
 
     p_fuzz = sub.add_parser("fuzz", parents=[sampling], help="randomized checking of all bounds")
@@ -346,26 +345,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--output", default=None, help="summary JSON path (default stdout)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
-    p_ext = sub.add_parser("extremal", help="construct an equality-attaining family")
+    p_ext = sub.add_parser(
+        "extremal", parents=[common], help="construct an equality-attaining family"
+    )
     p_ext.add_argument("--target", choices=("thm21", "thm22"), required=True)
     p_ext.add_argument("--n", type=int, required=True)
     p_ext.add_argument("--gamma", required=True, help='complex literal, e.g. "1+0i"')
     p_ext.add_argument("--Gamma", required=True, help='complex literal, e.g. "3+0i"')
     p_ext.add_argument("--dim", type=int, default=2)
-    p_ext.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_ext.add_argument("--output", default=None, help="family file path")
     p_ext.set_defaults(func=cmd_extremal)
 
     p_cmp = sub.add_parser("compare", parents=[sampling], help="tightness comparison across bounds")
-    p_cmp.add_argument("--ensemble", choices=("generic", "disk", "orthonormal"), default="generic")
+    p_cmp.add_argument("--ensemble", choices=tuple(ENSEMBLES), default="generic")
     p_cmp.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except CliInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

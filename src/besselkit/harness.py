@@ -6,10 +6,10 @@ instance derives its own generator from that pair through numpy's
 number of workers.  Aggregation merges fixed-size index chunks in index
 order, which keeps floating-point accumulations byte-stable as well.
 
-Three samplers are provided: unconstrained families, families whose
-coefficients are placed inside a sampled disk (so the sharp bounds apply
-by construction), and orthonormal families paired with a disk that
-contains their coefficients.
+The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
+families whose coefficients are placed inside a sampled disk (so the sharp
+bounds apply by construction), and orthonormal families paired with a disk
+that contains their coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .classical import (
 )
 from .core import Family, ParameterError, PreconditionError, lift_gram_values
 from .extremal import ExtremalTarget, plan, solve_phases
-from .report import DEFAULT_TOLERANCE, BoundReport, evaluated, skipped
+from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, evaluated, skipped
 from .sharp import (
     Disk,
     lemma_eq6,
@@ -52,6 +52,7 @@ __all__ = [
     "BoundInputs",
     "DEFAULT_P_VALUES",
     "DiskSampler",
+    "ENSEMBLES",
     "FuzzConfig",
     "FuzzSummary",
     "TightnessRow",
@@ -112,15 +113,7 @@ class FuzzConfig:
             raise ValueError(f"field_mode must be 'real' or 'complex', got {self.field_mode!r}")
         if any(p <= 1.0 for p in self.p_values):
             raise ValueError("all p values must exceed 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["n_range"] = list(self.n_range)
-        d["d_range"] = list(self.d_range)
-        d["p_values"] = list(self.p_values)
-        return d
+        check_tolerance(self.tolerance)
 
 
 def _rng(cfg: FuzzConfig, index: int, lane: int) -> np.random.Generator:
@@ -141,20 +134,6 @@ def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
     return n, d
-
-
-def _sample_family_impl(rng: np.random.Generator, cfg: FuzzConfig) -> Family:
-    n, d = _draw_sizes(rng, cfg)
-    x = _draw_matrix(rng, 1, d, cfg.field_mode)[0]
-    ys = _draw_matrix(rng, n, d, cfg.field_mode)
-    return Family(x, ys, cfg.field_mode)
-
-
-def sample_family(cfg: FuzzConfig, index: int) -> Family:
-    """Unconstrained family, deterministic in ``(master_seed, index)``."""
-    if index >= cfg.instances:
-        raise ValueError(f"index {index} out of range for {cfg.instances} instances")
-    return _sample_family_impl(_rng(cfg, index, 0), cfg)
 
 
 def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> Disk:
@@ -190,9 +169,14 @@ def _draw_disk_points(
     return d.center + rho * np.exp(1j * ang)
 
 
-def _sample_disk_impl(
-    rng: np.random.Generator, cfg: FuzzConfig, index: int
-) -> tuple[Family, Disk]:
+def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, None]:
+    n, d = _draw_sizes(rng, cfg)
+    x = _draw_matrix(rng, 1, d, cfg.field_mode)[0]
+    ys = _draw_matrix(rng, n, d, cfg.field_mode)
+    return Family(x, ys, cfg.field_mode), None
+
+
+def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
     n, d_dim = _draw_sizes(rng, cfg)
     while True:
         x = _draw_matrix(rng, 1, d_dim, cfg.field_mode)[0]
@@ -213,28 +197,7 @@ def _sample_disk_impl(
     return Family(x, ys, cfg.field_mode), disk
 
 
-def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
-    """Family whose coefficients lie in a sampled disk, plus that disk.
-
-    The disk center is never zero, and even-indexed instances force
-    ``Re(Gamma conj(gamma)) > 0`` so both sharp bounds are exercised.
-    Free components orthogonal to ``x`` are added to every test vector.
-    """
-    if index >= cfg.instances:
-        raise ValueError(f"index {index} out of range for {cfg.instances} instances")
-    return _sample_disk_impl(_rng(cfg, index, 1), cfg, index)
-
-
-def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
-    """Orthonormal family with coefficients confined to a valid disk.
-
-    The disk always satisfies ``Re(Gamma conj(gamma)) > 0`` so that both
-    specialised orthonormal bounds apply.  The reference vector is built
-    from prescribed in-disk coefficients plus a component outside the span.
-    """
-    if index >= cfg.instances:
-        raise ValueError(f"index {index} out of range for {cfg.instances} instances")
-    rng = _rng(cfg, index, 4)
+def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
     n, d_draw = _draw_sizes(rng, cfg)
     dim = max(d_draw, n)
     disk = _draw_disk(rng, cfg, want_positive_re=True)
@@ -254,21 +217,49 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
     return Family(x, es, cfg.field_mode), disk
 
 
-def _instance_inputs(
-    cfg: FuzzConfig, index: int
-) -> tuple[Family, np.ndarray, Family, Disk, np.ndarray]:
-    """Both samplers plus weight draws, two generator constructions total.
+# The ensembles: name -> (lane, draw(rng, cfg, index) -> (family, disk or None)).  Instance
+# ``index`` is drawn from the stream (master_seed, index, lane), so a lane must never change.
+ENSEMBLES = {
+    "generic": (0, _draw_generic),
+    "disk": (1, _draw_in_disk),
+    "orthonormal": (4, _draw_orthonormal),
+}
 
-    The weight vectors are drawn from the same per-lane streams, after the
-    family draws, so the public samplers observe identical prefixes.
+
+def _draw(
+    cfg: FuzzConfig, index: int, name: str
+) -> tuple[np.random.Generator, Family, Disk | None]:
+    """Instance ``index`` of ensemble ``name``, with its stream for further draws."""
+    if not 0 <= index < cfg.instances:
+        raise ValueError(f"index {index} out of range for {cfg.instances} instances")
+    lane, draw = ENSEMBLES[name]
+    rng = _rng(cfg, index, lane)
+    return (rng, *draw(rng, cfg, index))
+
+
+def sample_family(cfg: FuzzConfig, index: int) -> Family:
+    """Unconstrained family, deterministic in ``(master_seed, index)``."""
+    return _draw(cfg, index, "generic")[1]
+
+
+def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
+    """Family whose coefficients lie in a sampled disk, plus that disk.
+
+    The disk center is never zero, and even-indexed instances force
+    ``Re(Gamma conj(gamma)) > 0`` so both sharp bounds are exercised.
+    Free components orthogonal to ``x`` are added to every test vector.
     """
-    rng0 = _rng(cfg, index, 0)
-    fam = _sample_family_impl(rng0, cfg)
-    c_gen = _draw_matrix(rng0, 1, fam.n, cfg.field_mode)[0]
-    rng1 = _rng(cfg, index, 1)
-    disk_fam, disk = _sample_disk_impl(rng1, cfg, index)
-    c_disk = _draw_matrix(rng1, 1, disk_fam.n, cfg.field_mode)[0]
-    return fam, c_gen, disk_fam, disk, c_disk
+    return _draw(cfg, index, "disk")[1:]
+
+
+def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
+    """Orthonormal family with coefficients confined to a valid disk.
+
+    The disk always satisfies ``Re(Gamma conj(gamma)) > 0`` so that both
+    specialised orthonormal bounds apply.  The reference vector is built
+    from prescribed in-disk coefficients plus a component outside the span.
+    """
+    return _draw(cfg, index, "orthonormal")[1:]
 
 
 class BoundInputs(NamedTuple):
@@ -404,14 +395,7 @@ class FuzzSummary:
     tightness_wins: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config.as_dict(),
-            "checked": dict(self.checked),
-            "violations": list(self.violations),
-            "min_slack": dict(self.min_slack),
-            "tight": dict(self.tight),
-            "tightness_wins": dict(self.tightness_wins),
-        }
+        return asdict(self)
 
 
 def _tightness_winner(reports: Iterable[BoundReport]) -> str | None:
@@ -427,21 +411,17 @@ def _tightness_winner(reports: Iterable[BoundReport]) -> str | None:
     return best_id
 
 
-def _instance_reports(cfg: FuzzConfig, index: int) -> list[tuple[str, list[BoundReport]]]:
-    fam, c_gen, disk_fam, disk, c_disk = _instance_inputs(cfg, index)
-    generic = check_all(fam, None, c_gen, cfg.p_values, cfg.tolerance)
-    generic.extend(pecaric_reports(fam, classical_weights(fam)))
-    constrained = check_all(disk_fam, disk, c_disk, cfg.p_values, cfg.tolerance)
-    constrained.extend(pecaric_reports(disk_fam, classical_weights(disk_fam)))
-    return [("generic", generic), ("disk", constrained)]
-
-
 def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     cfg, start, stop = args
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     checked, min_slack, tight, wins = part.checked, part.min_slack, part.tight, part.tightness_wins
     for index in range(start, stop):
-        for sampler, reports in _instance_reports(cfg, index):
+        for sampler in ("generic", "disk"):
+            # the weights c continue the instance's stream after the family
+            rng, f, disk = _draw(cfg, index, sampler)
+            c = _draw_matrix(rng, 1, f.n, cfg.field_mode)[0]
+            reports = check_all(f, disk, c, cfg.p_values, cfg.tolerance)
+            reports += pecaric_reports(f, classical_weights(f))
             for rep in reports:
                 rel = rep.relative_slack()
                 if rel is None:
@@ -488,12 +468,9 @@ def fuzz(cfg: FuzzConfig, workers: int = 1) -> FuzzSummary:
     """
     total = FuzzSummary(cfg, {}, [], {}, {}, {})
     for part in _map_chunks(_fuzz_chunk, cfg, workers):
-        for counts, more in (
-            (total.checked, part.checked),
-            (total.tight, part.tight),
-            (total.tightness_wins, part.tightness_wins),
-        ):
-            for key, val in more.items():
+        for name in ("checked", "tight", "tightness_wins"):
+            counts = getattr(total, name)
+            for key, val in getattr(part, name).items():
                 counts[key] = counts.get(key, 0) + val
         total.violations.extend(part.violations)
         for key, val in part.min_slack.items():
@@ -509,23 +486,12 @@ class TightnessRow(NamedTuple):
     mean_ratio: float
 
 
-def _sample_generic(cfg: FuzzConfig, index: int) -> tuple[Family, None]:
-    return sample_family(cfg, index), None
-
-
-_ENSEMBLES = {
-    "generic": _sample_generic,
-    "disk": sample_disk_family,
-    "orthonormal": sample_orthonormal_family,
-}
-
-
-def _compare_chunk(sampler, args: tuple[FuzzConfig, int, int]) -> dict[str, list]:
+def _compare_chunk(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, list]:
     """Per competing bound: [wins, sum of ratios, number of ratios]."""
     cfg, start, stop = args
     totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
     for index in range(start, stop):
-        f, d = sampler(cfg, index)
+        _, f, d = _draw(cfg, index, ensemble)
         inputs = BoundInputs(d, None, (), cfg.tolerance)
         reports = _evaluate(_entries(False, d is not None, True), f, inputs)
         winner = _tightness_winner(reports)
@@ -545,14 +511,14 @@ def tightness_compare(
 
     The competing bounds are the entries of ``BOUNDS`` with ``competes``
     set, and ties go to the earlier entry, so the sharp bounds only win
-    when strictly smallest.  ``ensemble`` is "generic", "disk" or
-    "orthonormal".  Returns one row per competing bound with its win count
-    and mean tightness ratio (NaN when the bound never applied).
+    when strictly smallest.  ``ensemble`` is a key of ``ENSEMBLES``.
+    Returns one row per competing bound with its win count and mean
+    tightness ratio (NaN when the bound never applied).
     """
-    if ensemble not in _ENSEMBLES:
+    if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
-    for part in _map_chunks(partial(_compare_chunk, _ENSEMBLES[ensemble]), cfg, workers):
+    for part in _map_chunks(partial(_compare_chunk, ensemble), cfg, workers):
         for bid, counts in part.items():
             totals[bid] = [t + c for t, c in zip(totals[bid], counts)]
     return [

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 DEFAULT_TOLERANCE = 1e-9
 
-__all__ = ["DEFAULT_TOLERANCE", "BoundReport", "evaluated", "skipped"]
+__all__ = ["DEFAULT_TOLERANCE", "BoundReport", "check_tolerance", "evaluated", "skipped"]
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol``, or raise ValueError unless it is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
 
 
 @dataclass(slots=True)

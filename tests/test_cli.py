@@ -89,6 +89,24 @@ class TestFamilyFile:
         with pytest.raises(CliInputError, match=r"x\[1\]"):
             read_family_file(str(path))
 
+    def test_non_finite_numbers_located(self, tmp_path, capsys):
+        # json reads NaN, Infinity and overflowing literals as non-finite floats
+        for key, template in (
+            ("p", "[{}]"),
+            ("gamma", "[{}, 0.0]"),
+            ("coeffs", "[[1.0, 0.0], [{}, 0.0]]"),
+        ):
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+                path = tmp_path / "bad.json"
+                text = json.dumps(ORTHO_FILE)[:-1] + f', "{key}": {template.format(literal)}'
+                if key == "gamma":
+                    text += ', "Gamma": [3.0, 0.0]'
+                path.write_text(text + "}")
+                with pytest.raises(CliInputError, match=rf"bad\.json: {key}.*finite"):
+                    read_family_file(str(path))
+                assert main(["eval", "--input", str(path)]) == 1
+                assert key in capsys.readouterr().err
+
     def test_gamma_requires_big_gamma(self, tmp_path):
         payload = dict(ORTHO_FILE)
         payload["gamma"] = [1.0, 0.0]
@@ -127,6 +145,35 @@ class TestEval:
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["eval", "--input", "/nonexistent/f.json"]) == 1
+
+    def test_usage_errors_exit_one(self, tmp_path, capsys):
+        # argparse would exit 2, the code of a violated inequality
+        path = self.write(tmp_path, ORTHO_FILE)
+        for argv in (
+            ["eval"],
+            ["eval", "--inptu", path],
+            ["eval", "--input", path, "--fromat", "csv"],
+            ["eval", "--input", path, "--format", "xml"],
+            ["evaluate", "--input", path],
+            [],
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("error: besselkit")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+    def test_bad_tolerance_exit_one_on_every_command(self, tmp_path, capsys, value):
+        commands = (
+            ["eval", "--input", self.write(tmp_path, ORTHO_FILE)],
+            ["fuzz", "--instances", "5", "--output", str(tmp_path / "f.json")],
+            ["extremal", "--target", "thm21", "--gamma", "1", "--Gamma", "3", "--n", "2"],
+            ["compare", "--instances", "5", "--output", str(tmp_path / "c.csv")],
+        )
+        for argv in commands:
+            assert main(argv + [f"--tolerance={value}"]) == 1, argv
+            assert "--tolerance" in capsys.readouterr().err
 
     def test_csv_format(self, tmp_path, capsys):
         code = main(
@@ -309,6 +356,12 @@ class TestFuzzCommand:
     def test_unwritable_output_exit_one(self, capsys):
         code = main(["fuzz", "--instances", "5", "--output", "/nonexistent/dir/out.json"])
         assert code == 1
+        for argv in (
+            ["compare", "--instances", "5"],
+            ["extremal", "--target", "thm21", "--gamma", "1", "--Gamma", "3", "--n", "2"],
+        ):
+            assert main(argv + ["--output", "/nonexistent/dir/out"]) == 1
+            assert "cannot write output" in capsys.readouterr().err
 
     def test_bad_range_exit_one(self, capsys):
         assert main(["fuzz", "--instances", "5", "--n", "x:y", "--output", "/tmp/o.json"]) == 1

@@ -65,8 +65,10 @@ class TestSampleFamily:
             assert fam.dim == 3
 
     def test_index_bound(self):
-        with pytest.raises(ValueError):
-            sample_family(small_cfg(instances=5), 5)
+        for sampler in (sample_family, sample_disk_family, sample_orthonormal_family):
+            for index in (5, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    sampler(small_cfg(instances=5), index)
 
     def test_collision_check_large(self):
         cfg = small_cfg(instances=10_000)
@@ -335,8 +337,9 @@ class TestConfigValidation:
             FuzzConfig(p_values=(1.0,))
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            FuzzConfig(tolerance=0.0)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                FuzzConfig(tolerance=tol)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
