@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import DimensionMismatch, Family, ParameterError, p_norm
-from .report import BoundReport, evaluated, skipped
+from .report import BoundReport, evaluated, is_exponent, skipped
 
 __all__ = [
     "ParameterError",
@@ -112,7 +112,7 @@ def dragomir_pq(f: Family, p: float) -> BoundReport:
     coefficients; rhs is the Bombieri right side.  At p = 2 the lhs
     collapses to the plain Bessel sum.
     """
-    if p <= 1.0:
+    if not is_exponent(p):
         raise ParameterError(f"p must exceed 1, got {p}")
     if f.max_abs_coefficient == 0.0:
         return skipped("dragomir_pq", "all coefficients inner(x, y_i) vanish")
@@ -226,9 +226,10 @@ def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Drago
     """Weighted-sum bound with three alternative right sides.
 
     Branch 1 uses ``max_k |c_k|``, branch 2 the (p, q) norms (reported as
-    None when ``p`` is absent or <= 1), branch 3 the max Gram entry.
+    None when ``p`` is absent or not finite and > 1), branch 3 the max
+    Gram entry.
     """
-    p_values = (p,) if p is not None and p > 1.0 else ()
+    p_values = (p,) if p is not None and is_exponent(p) else ()
     reports = dragomir04_reports(f, c, p_values)
     rhs2 = reports[1].rhs if p_values else None
     return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)
@@ -265,6 +266,6 @@ def dragomir04_corollaries(
 
     Each report's lhs is the printed quotient of coefficient sums, the rhs
     the matching Gram expression.  Requires not all coefficients zero; the
-    second quotient needs ``p > 1`` and is skipped otherwise.
+    second quotient needs a finite ``p > 1`` and is skipped otherwise.
     """
-    return tuple(dragomir04_corollary_reports(f, (p,) if p is not None and p > 1.0 else ()))
+    return tuple(dragomir04_corollary_reports(f, (p,) if p is not None and is_exponent(p) else ()))

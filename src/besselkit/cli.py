@@ -13,11 +13,11 @@ Family files are JSON with complex numbers as ``[re, im]`` pairs::
     }
 
 Floats are serialized with shortest round-trip precision, so writing and
-re-reading a family is bit-exact.  Every number must be finite: ``NaN``,
-``Infinity`` and overflowing literals such as ``1e400`` are rejected with
-their location.  ``--tolerance``, which every subcommand takes, must be
-finite and positive.  All randomness comes in through the ``--seed`` flag;
-no command ever consults the clock.
+re-reading a family is bit-exact.  Every number must be a finite JSON
+number: ``NaN``, ``Infinity``, overflowing literals such as ``1e400`` and
+``true``/``false`` are rejected with their location.  ``--tolerance``,
+which every subcommand takes, must be finite and positive.  All randomness
+comes in through the ``--seed`` flag; no command ever consults the clock.
 
 Exit codes: 0 success (also ``--help``), 1 malformed input (file, flag or
 usage) or I/O failure, 2 a violated inequality (eval, fuzz) or an
@@ -48,7 +48,7 @@ from .harness import (
     fuzz,
     tightness_compare,
 )
-from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance
+from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, is_exponent
 from .sharp import Disk, theorem21, theorem21_residuals, theorem22, theorem22_residuals
 
 __all__ = ["main", "parse_complex", "read_family_file", "write_family_file"]
@@ -89,10 +89,10 @@ def _pair_to_complex(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in value)
+        or not all(type(v) is float and math.isfinite(v) for v in value)
     ):
         raise CliInputError(f"{where}: expected a finite [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(value[0], value[1])
 
 
 def _vector(value, where: str) -> list[complex]:
@@ -151,9 +151,9 @@ def read_family_file(path: str) -> dict:
         if not isinstance(raw["p"], list):
             raise CliInputError(f"{path}: p must be a list of numbers")
         for k, v in enumerate(raw["p"]):
-            if not (isinstance(v, (int, float)) and 1.0 < v < math.inf):
+            if not (type(v) is float and is_exponent(v)):
                 raise CliInputError(f"{path}: p[{k}]: expected a finite number > 1, got {v!r}")
-        p_values = tuple(float(v) for v in raw["p"])
+        p_values = tuple(raw["p"])
     return {"family": family, "disk": disk, "coeffs": coeffs, "p_values": p_values}
 
 

@@ -9,33 +9,10 @@ its inputs; values may be shared freely between threads.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-class _lazy:
-    """Lock-free memoizing property.
-
-    Equivalent to ``functools.cached_property`` without its per-access
-    lock (values here are pure functions of immutable inputs, so a rare
-    duplicate computation under races is harmless).
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        obj.__dict__[self.name] = value
-        return value
 
 __all__ = [
     "BesselkitError",
@@ -166,12 +143,7 @@ def lift_gram_values(
     Returns:
         Array of shape (n, d) whose rows are the constructed vectors.
     """
-    xa = as_vector(x)
-    zarr = np.asarray(zs, dtype=np.complex128)
-    if zarr.ndim != 1 or zarr.size == 0:
-        raise DimensionMismatch("zs must be a non-empty 1-D sequence of scalars")
-    if not np.all(np.isfinite(zarr)):
-        raise ValueError("prescribed values must be finite")
+    xa, zarr = as_vector(x), as_vector(zs)
     xsq = float(np.real(np.dot(xa, np.conj(xa))))
     if xsq == 0.0:
         raise DegenerateReference("reference vector x must be nonzero")
@@ -230,47 +202,47 @@ class Family:
     def dim(self) -> int:
         return self.x.size
 
-    @_lazy
+    @cached_property
     def coefficients(self) -> np.ndarray:
         """The n values ``inner(x, y_j)``."""
         return np.conj(self.ys) @ self.x
 
-    @_lazy
+    @cached_property
     def abs_coefficients(self) -> np.ndarray:
         return np.abs(self.coefficients)
 
-    @_lazy
+    @cached_property
     def max_abs_coefficient(self) -> float:
         return float(self.abs_coefficients.max())
 
-    @_lazy
+    @cached_property
     def coefficients_sq_sum(self) -> float:
         """``sum_j |inner(x, y_j)|^2``."""
         a = self.coefficients
         return float((a.real**2 + a.imag**2).sum())
 
-    @_lazy
+    @cached_property
     def coefficients_sum(self) -> complex:
         return complex(self.coefficients.sum())
 
-    @_lazy
+    @cached_property
     def gram(self) -> np.ndarray:
         return self.ys @ self.ys.conj().T
 
-    @_lazy
+    @cached_property
     def abs_gram(self) -> np.ndarray:
         return np.abs(self.gram)
 
-    @_lazy
+    @cached_property
     def gram_row_sums(self) -> np.ndarray:
         """Row sums of ``abs(gram)``, one per test vector."""
         return self.abs_gram.sum(axis=1)
 
-    @_lazy
+    @cached_property
     def max_row_sum(self) -> float:
         return float(self.gram_row_sums.max())
 
-    @_lazy
+    @cached_property
     def max_abs_gram(self) -> float:
         return float(self.abs_gram.max())
 
@@ -291,24 +263,24 @@ class Family:
             cache[p] = p_norm(self.abs_coefficients, p)
         return cache[p]
 
-    @_lazy
+    @cached_property
     def orthonormal_deviation(self) -> float:
         """``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal."""
         return float(np.abs(self.gram - np.eye(self.n)).max())
 
-    @_lazy
+    @cached_property
     def x_norm_sq(self) -> float:
         return float(np.real(np.dot(self.x, np.conj(self.x))))
 
-    @_lazy
+    @cached_property
     def x_norm(self) -> float:
         return math.sqrt(self.x_norm_sq)
 
-    @_lazy
+    @cached_property
     def ys_sum(self) -> np.ndarray:
         return self.ys.sum(axis=0)
 
-    @_lazy
+    @cached_property
     def ys_sum_norm_sq(self) -> float:
         s = self.ys_sum
         return float((s.real**2 + s.imag**2).sum())

@@ -35,7 +35,7 @@ from .classical import (
 )
 from .core import Family, ParameterError, PreconditionError, lift_gram_values
 from .extremal import ExtremalTarget, plan, solve_phases
-from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, evaluated, skipped
+from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, evaluated, is_exponent, skipped
 from .sharp import (
     Disk,
     lemma_eq6,
@@ -111,7 +111,7 @@ class FuzzConfig:
                 raise ValueError(f"{name} must be a non-empty range of integers >= 1")
         if self.field_mode not in ("real", "complex"):
             raise ValueError(f"field_mode must be 'real' or 'complex', got {self.field_mode!r}")
-        if any(p <= 1.0 for p in self.p_values):
+        if not all(map(is_exponent, self.p_values)):
             raise ValueError("all p values must exceed 1")
         check_tolerance(self.tolerance)
 
@@ -374,10 +374,10 @@ def check_all(
     ``preconditions_met = False`` instead of raising.  The disk-based
     bounds run only when ``d`` is given; the weighted bounds only when the
     coefficient list ``c`` is given; the orthonormal specialisations only
-    when the family is orthonormal within ``tol``.  Exponents ``p <= 1``
-    are dropped.
+    when the family is orthonormal within ``tol``.  Exponents that are not
+    finite and > 1 are dropped.
     """
-    p_values = tuple(p for p in p_values if p > 1.0)
+    p_values = tuple(filter(is_exponent, p_values))
     weights = None if c is None else np.asarray(c, dtype=np.complex128)
     inputs = BoundInputs(d, weights, p_values, tol)
     return _evaluate(_entries(c is not None, d is not None, False), f, inputs)

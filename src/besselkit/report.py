@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 DEFAULT_TOLERANCE = 1e-9
 
-__all__ = ["DEFAULT_TOLERANCE", "BoundReport", "check_tolerance", "evaluated", "skipped"]
+__all__ = [
+    "DEFAULT_TOLERANCE", "BoundReport", "check_tolerance", "evaluated", "is_exponent", "skipped"
+]
 
 
 def check_tolerance(tol: float) -> float:
@@ -21,6 +23,11 @@ def check_tolerance(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return tol
+
+
+def is_exponent(p: float) -> bool:
+    """True when ``p`` is finite and > 1: an exponent the Holder-type bounds admit."""
+    return math.isfinite(p) and p > 1.0
 
 
 @dataclass(slots=True)

@@ -17,15 +17,17 @@ Both are attained exactly when every coefficient sits on the disk boundary
 and the mean of the test vectors is a specific multiple of ``x``; the
 residual routines quantify the distance from that equality configuration.
 ``triangle_reverse_l2`` and ``triangle_reverse_sq`` restate the bounds for
-plain complex numbers, and ``orthonormal_remark`` specialises them to
+plain complex numbers ``z_j``: they are Theorems 2.1 and 2.2 on the family
+``x = 1``, ``y_j = conj(z_j)``, evaluated by the same kernels without
+building that family.  ``orthonormal_remark`` specialises the bounds to
 orthonormal families, where they are provably coarser than the plain
-Bessel inequality.
+Bessel inequality; it shares the disk terms of the two kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from .core import (
     Family,
     ParameterError,
     PreconditionError,
-    lift_gram_values,
+    as_vector,
 )
 from .report import DEFAULT_TOLERANCE, BoundReport, evaluated, skipped
 
@@ -158,6 +160,39 @@ def _require_positive_re(d: Disk) -> None:
         )
 
 
+def _theorem21_penalty(n: int, d: Disk) -> float:
+    """``(sqrt(n)/4) |G - g|^2 / |G + g|``, the disk term of Theorem 2.1."""
+    return (math.sqrt(n) / 4.0) * abs(d.Gamma - d.gamma) ** 2 / abs(d.Gamma + d.gamma)
+
+
+def _theorem22_factor(n: int, d: Disk) -> float:
+    """``|G + g|^2 / (4 n Re(G conj(g)))``, the disk factor of Theorem 2.2."""
+    return abs(d.Gamma + d.gamma) ** 2 / (4.0 * d.re_product * n)
+
+
+def _theorem21(
+    bound_id: str, a: np.ndarray, bessel: float, x_norm: float, sum_sq: float, d: Disk, tol: float
+) -> BoundReport:
+    """Theorem 2.1 on coefficients ``a``, Bessel sum, ``||x||`` and ``||sum y_j||^2``."""
+    _require_center(d)
+    reason = _outside(a, d, tol)
+    if reason:
+        return skipped(bound_id, reason)
+    rhs = x_norm * math.sqrt(sum_sq) / math.sqrt(a.size) + _theorem21_penalty(a.size, d)
+    return evaluated(bound_id, math.sqrt(bessel), rhs)
+
+
+def _theorem22(
+    bound_id: str, a: np.ndarray, bessel: float, x_norm_sq: float, sum_sq: float, d: Disk, tol: float
+) -> BoundReport:
+    """Theorem 2.2 on coefficients ``a``, Bessel sum, ``||x||^2`` and ``||sum y_j||^2``."""
+    _require_positive_re(d)
+    reason = _outside(a, d, tol)
+    if reason:
+        return skipped(bound_id, reason)
+    return evaluated(bound_id, bessel, _theorem22_factor(a.size, d) * sum_sq * x_norm_sq)
+
+
 def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Sharp bound on ``sqrt(Bessel sum)`` under the disk condition.
 
@@ -165,16 +200,9 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     Raises ``ParameterError`` when ``Gamma = -gamma``; reports a failed
     precondition when some coefficient leaves the disk.
     """
-    _require_center(d)
-    reason = _outside(f.coefficients, d, tol)
-    if reason:
-        return skipped("theorem21", reason)
-    rn = math.sqrt(f.n)
-    lhs = math.sqrt(bessel_sum(f))
-    rhs = f.x_norm * math.sqrt(f.ys_sum_norm_sq) / rn + (
-        rn / 4.0
-    ) * abs(d.Gamma - d.gamma) ** 2 / abs(d.Gamma + d.gamma)
-    return evaluated("theorem21", lhs, float(rhs))
+    return _theorem21(
+        "theorem21", f.coefficients, bessel_sum(f), f.x_norm, f.ys_sum_norm_sq, d, tol
+    )
 
 
 def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -182,17 +210,9 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
 
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
-    _require_positive_re(d)
-    reason = _outside(f.coefficients, d, tol)
-    if reason:
-        return skipped("theorem22", reason)
-    rhs = (
-        abs(d.Gamma + d.gamma) ** 2
-        / (4.0 * d.re_product * f.n)
-        * f.ys_sum_norm_sq
-        * f.x_norm_sq
+    return _theorem22(
+        "theorem22", f.coefficients, bessel_sum(f), f.x_norm_sq, f.ys_sum_norm_sq, d, tol
     )
-    return evaluated("theorem22", bessel_sum(f), rhs)
 
 
 @dataclass
@@ -302,12 +322,11 @@ def orthonormal_family_remark(
         return OrthonormalRemark(
             skipped("orthonormal30", reason), skipped("orthonormal31", reason), False
         )
-    rn = math.sqrt(f.n)
-    rhs30 = f.x_norm + (rn / 4.0) * abs(d.Gamma - d.gamma) ** 2 / abs(d.Gamma + d.gamma)
-    rep30 = evaluated("orthonormal30", math.sqrt(bessel_sum(f)), float(rhs30))
+    rhs30 = f.x_norm + _theorem21_penalty(f.n, d)
+    rep30 = evaluated("orthonormal30", math.sqrt(bessel_sum(f)), rhs30)
     coarser = rep30.rhs >= f.x_norm - tol * max(1.0, f.x_norm)
     if d.re_product > 0.0:
-        rhs31 = abs(d.Gamma + d.gamma) ** 2 / (4.0 * d.re_product) * f.x_norm_sq
+        rhs31 = _theorem22_factor(1, d) * f.x_norm_sq
         rep31 = evaluated("orthonormal31", bessel_sum(f), rhs31)
         coarser = coarser and rep31.rhs >= f.x_norm_sq - tol * max(1.0, f.x_norm_sq)
     else:
@@ -315,25 +334,23 @@ def orthonormal_family_remark(
     return OrthonormalRemark(rep30, rep31, bool(coarser))
 
 
-def _lift_scalars(zs: Sequence[complex]) -> Family:
-    zarr = np.asarray(zs, dtype=np.complex128)
-    if zarr.ndim != 1 or zarr.size == 0:
-        raise ValueError("zs must be a non-empty 1-D sequence of scalars")
-    ys = lift_gram_values(np.array([1.0 + 0.0j]), zarr)
-    return Family(np.array([1.0 + 0.0j]), ys)
+def _scalar_stats(zs: Sequence[complex]) -> tuple[np.ndarray, float, float, float]:
+    """Kernel inputs of the family ``x = 1``, ``y_j = conj(z_j)``, summed as ``Family`` sums:
+    coefficients ``zs``, Bessel sum, ``||x|| = ||x||^2 = 1`` and ``|sum z_j|^2``."""
+    a = as_vector(zs)
+    s = a.sum(keepdims=True)
+    return a, float((a.real**2 + a.imag**2).sum()), 1.0, float((s.real**2 + s.imag**2).sum())
 
 
 def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Reverse bound ``sqrt(sum |z_j|^2)`` vs ``|sum z_j| / sqrt(n)`` plus penalty.
 
-    Scalar form of ``theorem21``: delegates to it on the one-dimensional
-    family with reference 1 and prescribed coefficients ``zs``.
+    Scalar form of ``theorem21``: Theorem 2.1 on the family ``x = 1``,
+    ``y_j = conj(z_j)``, evaluated by the same kernel.
     """
-    rep = theorem21(_lift_scalars(zs), d, tol)
-    return replace(rep, bound_id="triangle_reverse_l2")
+    return _theorem21("triangle_reverse_l2", *_scalar_stats(zs), d, tol)
 
 
 def triangle_reverse_sq(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Reverse bound ``sum |z_j|^2`` vs ``|sum z_j|^2`` scaled; scalar ``theorem22``."""
-    rep = theorem22(_lift_scalars(zs), d, tol)
-    return replace(rep, bound_id="triangle_reverse_sq")
+    return _theorem22("triangle_reverse_sq", *_scalar_stats(zs), d, tol)

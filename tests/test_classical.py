@@ -152,8 +152,9 @@ class TestDragomirPQ:
         assert rep.rhs == pytest.approx(2.0)
 
     def test_invalid_p(self, doubled):
-        with pytest.raises(ParameterError):
-            dragomir_pq(doubled, 1.0)
+        for p in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                dragomir_pq(doubled, p)
 
     def test_vanishing_coefficients_not_applicable(self):
         rep = dragomir_pq(Family(E2, [E1, E1]), 3.0)

@@ -106,6 +106,21 @@ class TestFamilyFile:
                     read_family_file(str(path))
                 assert main(["eval", "--input", str(path)]) == 1
                 assert key in capsys.readouterr().err
+        # JSON booleans are not numbers, though a Python bool is an int
+        for key, value in (
+            ("x", [[True, False], [0.0, 0.0]]),
+            ("ys", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [False, 0.0]]]),
+            ("gamma", [True, 0.0]),
+            ("coeffs", [[1.0, 0.0], [0.0, False]]),
+        ):
+            payload = dict(ORTHO_FILE, **{key: value})
+            if key == "gamma":
+                payload["Gamma"] = [3.0, 0.0]
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CliInputError, match=rf"bad\.json: {key}.*finite"):
+                read_family_file(str(path))
+            assert main(["eval", "--input", str(path)]) == 1
+            assert key in capsys.readouterr().err
 
     def test_gamma_requires_big_gamma(self, tmp_path):
         payload = dict(ORTHO_FILE)

@@ -220,6 +220,10 @@ class TestCheckAll:
         fam = Family([1.0, 0.0], [[1, 0], [0, 1]])
         ids = [r.bound_id for r in check_all(fam, p_values=(0.5, 2.0))]
         assert ids.count("dragomir_pq") == 1
+        # q = p / (p - 1) is NaN at p = inf, so non-finite exponents are dropped too
+        ids = [r.bound_id for r in check_all(fam, p_values=(float("nan"), float("inf"), 2.0))]
+        assert ids.count("dragomir_pq") == 1
+        assert ids.count("dragomir04_cor2") == 1
 
 
 class TestSpecialChoices:
@@ -333,8 +337,9 @@ class TestConfigValidation:
             FuzzConfig(d_range=(5, 2))
 
     def test_bad_p_values(self):
-        with pytest.raises(ValueError):
-            FuzzConfig(p_values=(1.0,))
+        for p in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="exceed 1"):
+                FuzzConfig(p_values=(p,))
 
     def test_bad_tolerance(self):
         for tol in (0.0, -1.0, float("nan"), float("inf")):
