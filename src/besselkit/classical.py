@@ -1,7 +1,9 @@
 """Upper bounds on the Bessel sum for arbitrary finite vector families.
 
-Each routine evaluates one inequality as an lhs/rhs pair over a ``Family``.
-The catalogue, in the order implemented:
+Each bound is one array formula over the statistics of a stack of families
+(``core.BoundStats``): ``<bound>_batch(s)`` returns its ``BatchReport``s,
+and the function of the bound's own name runs the same formula on one
+family, a stack without the batch axis, and returns its ``BoundReport``.  The catalogue, in order:
 
 * ``boas_bellman``       max norm plus the Frobenius-style cross term
 * ``bombieri``           max absolute Gram row sum
@@ -13,8 +15,9 @@ The catalogue, in the order implemented:
 * ``dragomir04``         weighted sums, three alternative right sides
 * ``dragomir04_corollaries``  the three quotient forms at ``c_k = conj(a_k)``
 
-The last three wrap ``pecaric_reports``, ``dragomir04_reports`` and
-``dragomir04_corollary_reports``, which ``check_all`` runs.
+``pecaric``, ``dragomir04`` and ``dragomir04_corollaries`` return tuples
+built from ``pecaric_reports``, ``dragomir04_reports`` and
+``dragomir04_corollary_reports``.
 
 Conventions: ``a_i = inner(x, y_i)`` are the coefficients of the family and
 ``S_i = sum_j |inner(y_i, y_j)|`` the absolute Gram row sums.  A max over an
@@ -27,39 +30,58 @@ quotient overflows or underflows only where ``S`` itself does.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, Family, ParameterError, p_norm
-from .report import BoundReport, evaluated, is_exponent, skipped
+from .core import (
+    BoundStats,
+    DimensionMismatch,
+    Family,
+    ParameterError,
+    Stats,
+    libm_pow,
+    modulus,
+    p_norm,
+)
+from .report import BatchReport, BoundReport, is_exponent, reports_of
 
 __all__ = [
     "ParameterError",
     "PecaricBounds",
     "Dragomir04Bounds",
+    "as_weights",
     "bessel_sum",
     "boas_bellman",
+    "boas_bellman_batch",
     "bombieri",
+    "bombieri_batch",
     "selberg",
+    "selberg_batch",
     "dragomir03",
+    "dragomir03_batch",
     "dragomir_pq",
+    "dragomir_pq_batch",
     "heilbronn",
+    "heilbronn_batch",
     "pecaric",
     "pecaric_reports",
+    "pecaric_batch",
     "classical_weights",
+    "classical_weights_batch",
     "dragomir04",
     "dragomir04_reports",
+    "dragomir04_batch",
     "dragomir04_corollaries",
     "dragomir04_corollary_reports",
+    "dragomir04_corollaries_batch",
 ]
 
+_VANISH = "all coefficients inner(x, y_i) vanish"
 
-def _quartic(f: Family, n1: float, n2: float) -> float:
-    """The quotient ``(sum |a_i|^2)^2 / (n1 n2)`` of the Dragomir bounds, scale-free."""
-    s = f.coefficients_sq_sum
-    return (s / n1) * (s / n2)
+
+def _vanish(b: int) -> str:
+    return _VANISH
 
 
 def bessel_sum(f: Family) -> float:
@@ -67,42 +89,72 @@ def bessel_sum(f: Family) -> float:
     return f.coefficients_sq_sum
 
 
+def boas_bellman_batch(s: BoundStats) -> list[BatchReport]:
+    """Bessel sum vs ``||x||^2 [max ||y_i||^2 + sqrt(sum_{i!=j} |G_ij|^2)]``."""
+    rhs = s.xsq * (s.diag_max + np.sqrt(s.off_sq))
+    return [BatchReport("boas_bellman", s.bessel, rhs, s.always)]
+
+
 def boas_bellman(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 [max ||y_i||^2 + sqrt(sum_{i!=j} |G_ij|^2)]``."""
-    # summing the off-diagonal entries directly avoids the cancellation a
-    # total-minus-diagonal shortcut would hit on near-orthonormal families
-    sq = f.abs_gram**2
-    np.fill_diagonal(sq, 0.0)
-    cross = math.sqrt(float(sq.sum()))
-    rhs = f.x_norm_sq * (float(f.abs_gram.diagonal().max()) + cross)
-    return evaluated("boas_bellman", bessel_sum(f), rhs)
+    return reports_of(f.stats.evaluate(boas_bellman_batch))[0]
+
+
+def bombieri_batch(s: BoundStats) -> list[BatchReport]:
+    """Bessel sum vs ``||x||^2 max_i S_i``."""
+    return [BatchReport("bombieri", s.bessel, s.xsq * s.row_sum_max, s.always)]
 
 
 def bombieri(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 max_i S_i``."""
-    return evaluated("bombieri", bessel_sum(f), f.x_norm_sq * f.max_row_sum)
+    return reports_of(f.stats.evaluate(bombieri_batch))[0]
+
+
+def selberg_batch(s: BoundStats) -> list[BatchReport]:
+    """``sum_i |a_i|^2 / S_i`` vs ``||x||^2``; every ``y_i`` must be nonzero."""
+    zero = s.row_sums == 0.0
+    lhs = np.add.reduce(np.square(s.abs_a) / s.row_sums, axis=-1)
+    return [
+        BatchReport(
+            "selberg",
+            lhs,
+            s.xsq,
+            ~np.logical_or.reduce(zero, axis=-1),
+            lambda b: f"test vector {int(np.argmax(zero[b]))} is zero",
+        )
+    ]
 
 
 def selberg(f: Family) -> BoundReport:
     """``sum_i |a_i|^2 / S_i`` vs ``||x||^2``; every ``y_i`` must be nonzero."""
-    row_sums = f.gram_row_sums
-    if np.any(row_sums == 0.0):
-        idx = int(np.argmax(row_sums == 0.0))
-        return skipped("selberg", f"test vector {idx} is zero")
-    a2 = f.abs_coefficients**2
-    return evaluated("selberg", float((a2 / row_sums).sum()), f.x_norm_sq)
+    return reports_of(f.stats.evaluate(selberg_batch))[0]
+
+
+def dragomir03_batch(s: BoundStats) -> list[BatchReport]:
+    """Bessel sum vs ``||x||^2 {max ||y_i||^2 + (n-1) max_{i!=j} |G_ij|}``."""
+    rhs = s.xsq * (s.diag_max + (s.n - 1) * s.off_max)
+    return [BatchReport("dragomir03", s.bessel, rhs, s.always)]
 
 
 def dragomir03(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 {max ||y_i||^2 + (n-1) max_{i!=j} |G_ij|}``."""
-    diag_max = float(f.abs_gram.diagonal().max())
-    if f.n > 1:
-        off = f.abs_gram.copy()
-        np.fill_diagonal(off, -np.inf)
-        cross = (f.n - 1) * float(off.max())
-    else:
-        cross = 0.0
-    return evaluated("dragomir03", bessel_sum(f), f.x_norm_sq * (diag_max + cross))
+    return reports_of(f.stats.evaluate(dragomir03_batch))[0]
+
+
+def dragomir_pq_batch(s: BoundStats) -> list[BatchReport]:
+    """One ``dragomir_pq`` report per exponent of ``s.p_values``."""
+    ok = s.max_abs_a != 0.0
+    rhs = s.xsq * s.row_sum_max
+    return [
+        BatchReport(
+            "dragomir_pq",
+            (s.bessel / s.coeff_norm(p)) * (s.bessel / s.coeff_norm(p / (p - 1.0))),
+            rhs,
+            ok,
+            _vanish,
+        )
+        for p in s.p_values
+    ]
 
 
 def dragomir_pq(f: Family, p: float) -> BoundReport:
@@ -114,18 +166,18 @@ def dragomir_pq(f: Family, p: float) -> BoundReport:
     """
     if not is_exponent(p):
         raise ParameterError(f"p must exceed 1, got {p}")
-    if f.max_abs_coefficient == 0.0:
-        return skipped("dragomir_pq", "all coefficients inner(x, y_i) vanish")
-    q = p / (p - 1.0)
-    lhs = _quartic(f, f.coeff_p_norm(p), f.coeff_p_norm(q))
-    return evaluated("dragomir_pq", lhs, f.x_norm_sq * f.max_row_sum)
+    return reports_of(f.stats.bind(p_values=(p,)).evaluate(dragomir_pq_batch))[0]
+
+
+def heilbronn_batch(s: BoundStats) -> list[BatchReport]:
+    """``sum_i |a_i|`` vs ``||x|| sqrt(sum_{i,j} |G_ij|)``."""
+    rhs = s.x_norm * np.sqrt(np.add.reduce(s.abs_gram, axis=(-2, -1)))
+    return [BatchReport("heilbronn", np.add.reduce(s.abs_a, axis=-1), rhs, s.always)]
 
 
 def heilbronn(f: Family) -> BoundReport:
     """``sum_i |a_i|`` vs ``||x|| sqrt(sum_{i,j} |G_ij|)``."""
-    lhs = float(f.abs_coefficients.sum())
-    rhs = f.x_norm * math.sqrt(float(f.abs_gram.sum()))
-    return evaluated("heilbronn", lhs, rhs)
+    return reports_of(f.stats.evaluate(heilbronn_batch))[0]
 
 
 class PecaricBounds(NamedTuple):
@@ -134,7 +186,7 @@ class PecaricBounds(NamedTuple):
     rhs_second: float
 
 
-def _weights(f: Family, c, ndim: int) -> np.ndarray:
+def as_weights(f: Family, c, ndim: int) -> np.ndarray:
     """``c`` as a complex array of ``ndim`` axes with one weight per test vector."""
     carr = np.asarray(c, dtype=np.complex128)
     if carr.ndim != ndim or carr.shape[-1] != f.n:
@@ -144,25 +196,30 @@ def _weights(f: Family, c, ndim: int) -> np.ndarray:
     return carr
 
 
+def pecaric_batch(s: BoundStats) -> list[BatchReport]:
+    """``pecaric_first`` and ``pecaric_second`` for each weight row of ``s.weights``."""
+    w = s.weights
+    c2 = np.square(w.real) + np.square(w.imag)
+    dots = (w @ s.a[..., None])[..., 0]
+    lhs = libm_pow(modulus(dots), 2)
+    xsq = s.xsq[..., None]
+    first = xsq * (c2 @ s.row_sums[..., None])[..., 0]
+    second = xsq * np.add.reduce(c2, axis=-1) * s.row_sum_max[..., None]
+    reports = []
+    for k in range(w.shape[-2]):
+        reports.append(BatchReport("pecaric_first", lhs[..., k], first[..., k], s.always))
+        reports.append(BatchReport("pecaric_second", lhs[..., k], second[..., k], s.always))
+    return reports
+
+
 def pecaric_reports(f: Family, weights) -> list[BoundReport]:
     """``pecaric_first`` and ``pecaric_second`` for each row of a (k, n) weight stack.
 
     A row of a k-row product can differ in its last bit from the same row
     taken alone, so a single weight vector goes in as a 1-row stack.
     """
-    w = _weights(f, weights, 2)
-    xsq = f.x_norm_sq
-    c2 = w.real**2 + w.imag**2
-    dots = (w @ f.coefficients).tolist()
-    firsts = (c2 @ f.gram_row_sums).tolist()
-    seconds = c2.sum(axis=1).tolist()
-    reports = []
-    for dot, s1, s2 in zip(dots, firsts, seconds):
-        # a scalar abs (libm hypot); np.abs on an array can differ in the last bit
-        lhs = abs(dot) ** 2
-        reports.append(evaluated("pecaric_first", lhs, xsq * s1))
-        reports.append(evaluated("pecaric_second", lhs, xsq * s2 * f.max_row_sum))
-    return reports
+    w = as_weights(f, weights, 2)
+    return reports_of(f.stats.bind(weights=w).evaluate(pecaric_batch))
 
 
 def pecaric(f: Family, c: Sequence[complex]) -> PecaricBounds:
@@ -175,24 +232,29 @@ def pecaric(f: Family, c: Sequence[complex]) -> PecaricBounds:
     return PecaricBounds(first.lhs, first.rhs, second.rhs)
 
 
+def classical_weights_batch(s: Stats | BoundStats) -> np.ndarray:
+    """(..., 3, n): the weights ``conj(a)``, ``conj(a) / S`` and ``conj(a) / |a|`` of each family.
+
+    A zero divisor gives weight 0 for ``S`` and weight 1 for ``|a|``.
+    """
+    conj_a = np.conj(s.a)
+    row, abs_a = s.row_sums, s.abs_a
+    return np.stack(
+        [
+            conj_a,
+            np.where(row == 0.0, 0.0, conj_a / np.where(row == 0.0, 1.0, row)),
+            np.where(abs_a == 0.0, 1.0 + 0.0j, conj_a / np.where(abs_a == 0.0, 1.0, abs_a)),
+        ],
+        axis=-2,
+    )
+
+
 def classical_weights(f: Family) -> np.ndarray:
     """The weights ``conj(a)``, ``conj(a) / S`` and ``conj(a) / |a|``, stacked.
 
     A zero divisor gives weight 0 for ``S`` and weight 1 for ``|a|``.
     """
-    a = f.coefficients
-    abs_a = f.abs_coefficients
-    conj_a = np.conj(a)
-    row = f.gram_row_sums
-    safe_row = np.where(row == 0.0, 1.0, row)
-    safe_abs = np.where(abs_a == 0.0, 1.0, abs_a)
-    return np.stack(
-        [
-            conj_a,
-            np.where(row == 0.0, 0.0, conj_a / safe_row),
-            np.where(abs_a == 0.0, 1.0 + 0.0j, conj_a / safe_abs),
-        ]
-    )
+    return classical_weights_batch(f.stats)
 
 
 class Dragomir04Bounds(NamedTuple):
@@ -202,6 +264,23 @@ class Dragomir04Bounds(NamedTuple):
     rhs_branch3: float
 
 
+def dragomir04_batch(s: BoundStats) -> list[BatchReport]:
+    """``dragomir04_b1``, one ``dragomir04_b2`` per exponent, ``dragomir04_b3``, at weight row 0."""
+    c = s.weights[..., 0, :]
+    abs_c = np.abs(c)
+    sum_c = np.add.reduce(abs_c, axis=-1)
+    lhs = libm_pow(modulus((c[..., None, :] @ s.a[..., :, None])[..., 0, 0]), 2)
+    xsq = s.xsq
+    rhs1 = xsq * np.maximum.reduce(abs_c, axis=-1) * sum_c * s.row_sum_max
+    reports = [BatchReport("dragomir04_b1", lhs, rhs1, s.always)]
+    for p in s.p_values:
+        rhs2 = xsq * sum_c * p_norm(abs_c, p) * s.row_q_norm_max(p / (p - 1.0))
+        reports.append(BatchReport("dragomir04_b2", lhs, rhs2, s.always))
+    rhs3 = xsq * libm_pow(sum_c, 2) * s.abs_gram_max
+    reports.append(BatchReport("dragomir04_b3", lhs, rhs3, s.always))
+    return reports
+
+
 def dragomir04_reports(
     f: Family, c: Sequence[complex], p_values: Sequence[float]
 ) -> list[BoundReport]:
@@ -209,17 +288,9 @@ def dragomir04_reports(
 
     Every exponent must exceed 1.
     """
-    carr = _weights(f, c, 1)
-    abs_c = np.abs(carr)
-    sum_c = float(abs_c.sum())
-    lhs = float(abs(np.dot(carr, f.coefficients)) ** 2)
-    xsq = f.x_norm_sq
-    reports = [evaluated("dragomir04_b1", lhs, xsq * float(abs_c.max()) * sum_c * f.max_row_sum)]
-    for p in p_values:
-        rhs2 = xsq * sum_c * p_norm(abs_c, p) * f.row_q_norm_max(p / (p - 1.0))
-        reports.append(evaluated("dragomir04_b2", lhs, rhs2))
-    reports.append(evaluated("dragomir04_b3", lhs, xsq * sum_c**2 * f.max_abs_gram))
-    return reports
+    w = as_weights(f, c, 1)
+    s = f.stats.bind(weights=w[None], p_values=tuple(p_values))
+    return reports_of(s.evaluate(dragomir04_batch))
 
 
 def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Dragomir04Bounds:
@@ -235,28 +306,43 @@ def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Drago
     return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)
 
 
+def dragomir04_corollaries_batch(s: BoundStats) -> list[BatchReport]:
+    """``dragomir04_cor1``, one ``dragomir04_cor2`` per exponent, ``dragomir04_cor3``.
+
+    With no exponent, ``dragomir04_cor2`` is reported once as skipped.
+    Every report is skipped on a family whose coefficients are all 0.
+    """
+    ok = s.max_abs_a != 0.0
+    bessel, xsq, sum_a = s.bessel, s.xsq, s.coeff_norm(1.0)
+    cor1 = (bessel / s.max_abs_a) * (bessel / sum_a)
+    reports = [BatchReport("dragomir04_cor1", cor1, xsq * s.row_sum_max, ok, _vanish)]
+    for p in s.p_values:
+        cor2 = (bessel / sum_a) * (bessel / s.coeff_norm(p))
+        rhs2 = xsq * s.row_q_norm_max(p / (p - 1.0))
+        reports.append(BatchReport("dragomir04_cor2", cor2, rhs2, ok, _vanish))
+    if not s.p_values:
+        reports.append(
+            BatchReport(
+                "dragomir04_cor2",
+                bessel,
+                bessel,
+                ~s.always,
+                lambda b: "requires p > 1" if ok[b] else _VANISH,
+            )
+        )
+    cor3 = (bessel / sum_a) * (bessel / sum_a)
+    reports.append(BatchReport("dragomir04_cor3", cor3, xsq * s.abs_gram_max, ok, _vanish))
+    return reports
+
+
 def dragomir04_corollary_reports(f: Family, p_values: Sequence[float]) -> list[BoundReport]:
     """``dragomir04_cor1``, one ``dragomir04_cor2`` per exponent, ``dragomir04_cor3``.
 
     Every exponent must exceed 1; with none, ``dragomir04_cor2`` is reported
     once as skipped.  All reports are skipped when every coefficient is 0.
     """
-    if f.max_abs_coefficient == 0.0:
-        reason = "all coefficients inner(x, y_i) vanish"
-        cor2 = [skipped("dragomir04_cor2", reason)] * max(1, len(p_values))
-        return [skipped("dragomir04_cor1", reason), *cor2, skipped("dragomir04_cor3", reason)]
-    xsq = f.x_norm_sq
-    sum_a = f.coeff_p_norm(1.0)
-    cor1 = _quartic(f, f.max_abs_coefficient, sum_a)
-    reports = [evaluated("dragomir04_cor1", cor1, xsq * f.max_row_sum)]
-    for p in p_values:
-        lhs = _quartic(f, sum_a, f.coeff_p_norm(p))
-        reports.append(evaluated("dragomir04_cor2", lhs, xsq * f.row_q_norm_max(p / (p - 1.0))))
-    if not p_values:
-        reports.append(skipped("dragomir04_cor2", "requires p > 1"))
-    cor3 = _quartic(f, sum_a, sum_a)
-    reports.append(evaluated("dragomir04_cor3", cor3, xsq * f.max_abs_gram))
-    return reports
+    s = f.stats.bind(p_values=tuple(p_values))
+    return reports_of(s.evaluate(dragomir04_corollaries_batch))
 
 
 def dragomir04_corollaries(

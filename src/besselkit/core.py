@@ -2,17 +2,22 @@
 
 Vectors are 1-D ``numpy`` arrays of ``complex128``.  The inner product is
 linear in the first argument and conjugate-linear in the second, so
-``inner(u, v) == sum(u * conj(v))``.  Everything here is a pure function of
-its inputs; values may be shared freely between threads.
+``inner(u, v) == sum(u * conj(v))``.  ``Stats`` holds the statistics every
+bound reads, over a stack of families with a leading batch axis; a
+``Family`` is a stack without the batch axis, and its derived quantities
+are views of its ``stats``.  A statistic is computed once, on first
+access, and never changes afterwards, so values may be shared freely
+between threads.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .report import DEFAULT_TOLERANCE
 
 __all__ = [
     "BesselkitError",
@@ -21,12 +26,17 @@ __all__ = [
     "ParameterError",
     "PreconditionError",
     "Family",
+    "Stats",
+    "BoundStats",
     "as_vector",
     "inner",
     "norm",
     "gram",
     "project_orthogonal",
     "lift_gram_values",
+    "lift_stack",
+    "libm_pow",
+    "modulus",
     "p_norm",
 ]
 
@@ -58,7 +68,7 @@ def as_vector(u: Iterable[complex]) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a non-empty 1-D vector, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr
 
@@ -80,7 +90,8 @@ def norm(u: Iterable[complex]) -> float:
 
 def _as_matrix(ys: Sequence[Iterable[complex]]) -> np.ndarray:
     try:
-        arr = np.asarray(ys, dtype=np.complex128)
+        # row-major whatever the input's layout, so that a Gram product takes one BLAS path
+        arr = np.ascontiguousarray(ys, dtype=np.complex128)
     except ValueError as exc:
         raise DimensionMismatch(f"vectors have inconsistent dimensions: {exc}") from None
     if arr.ndim == 1 and arr.size == 0:
@@ -89,9 +100,14 @@ def _as_matrix(ys: Sequence[Iterable[complex]]) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a non-empty list of equal-length vectors, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr
+
+
+def _gram(ys: np.ndarray) -> np.ndarray:
+    """``G[..., i, j] = inner(ys[..., i, :], ys[..., j, :])`` over a stack of vector lists."""
+    return ys @ np.conj(ys).swapaxes(-1, -2)
 
 
 def gram(ys: Sequence[Iterable[complex]]) -> np.ndarray:
@@ -100,17 +116,64 @@ def gram(ys: Sequence[Iterable[complex]]) -> np.ndarray:
     Conjugate-symmetric with a real non-negative diagonal up to rounding
     of the underlying matrix product.
     """
-    arr = _as_matrix(ys)
-    return arr @ arr.conj().T
+    return _gram(_as_matrix(ys))
 
 
-def p_norm(values: np.ndarray, p: float) -> float:
-    """``(sum v**p) ** (1/p)`` for non-negative values, overflow-safe."""
-    m = float(values.max()) if values.size else 0.0
-    if m == 0.0:
-        return 0.0
-    t = values / m
-    return m * float((t**p).sum() ** (1.0 / p))
+def _sq_sum(v: np.ndarray) -> np.ndarray:
+    """``sum |v|^2`` over the last axis."""
+    return np.add.reduce(np.square(v.real) + np.square(v.imag), axis=-1)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """``||x||^2`` over the last axis, as the dot product of ``x`` with itself."""
+    return (x[..., None, :] @ np.conj(x)[..., :, None])[..., 0, 0].real
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """``|z|`` elementwise through libm ``hypot``, as Python's ``abs`` of a complex computes it.
+
+    ``np.abs`` on a complex array takes a vectorised path that can differ
+    in the last bit.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def _pow_or_inf(x: float, e: float) -> float:
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def libm_pow(v: np.ndarray | np.float64, e: float):
+    """``v ** e`` elementwise for ``v >= 0`` through libm ``pow``, as Python floats compute it.
+
+    numpy's vectorised power, and its squaring shortcut at ``e = 2``, can
+    differ from libm in the last bit.  The bounds take every power of a
+    single number (a squared modulus, the root of a p-norm) through this
+    function, so a report has the same bits at any batch size.  A result
+    beyond the double range is inf.
+    """
+    if isinstance(v, np.float64):
+        return v**e  # numpy's scalar power is libm's, and gives inf past the range
+    flat = v.ravel().tolist()
+    try:
+        out = [x**e for x in flat]
+    except OverflowError:
+        out = [_pow_or_inf(x, e) for x in flat]
+    return np.array(out, dtype=np.float64).reshape(v.shape)
+
+
+def p_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """``(sum v**p) ** (1/p)`` over the last axis for non-negative values, overflow-safe."""
+    m = np.maximum.reduce(values, axis=-1)
+    t = values / (m + (m == 0.0))[..., None]  # divide by 1 where all values are 0
+    return m * libm_pow(np.add.reduce(t**p, axis=-1), 1.0 / p)
+
+
+def _along(ws: np.ndarray, x: np.ndarray, xsq: np.ndarray) -> np.ndarray:
+    """The components along ``x[b]`` (B, d) of the rows of ``ws[b]`` (B, n, d), given ``||x[b]||^2``."""
+    return ((ws @ np.conj(x)[:, :, None])[:, :, 0] / xsq[:, None])[:, :, None] * x[:, None, :]
 
 
 def project_orthogonal(w: Iterable[complex], x: Iterable[complex]) -> np.ndarray:
@@ -118,10 +181,21 @@ def project_orthogonal(w: Iterable[complex], x: Iterable[complex]) -> np.ndarray
     wa, xa = as_vector(w), as_vector(x)
     if wa.shape != xa.shape:
         raise DimensionMismatch("projection needs vectors of equal dimension")
-    xsq = float(np.real(np.dot(xa, np.conj(xa))))
-    if xsq == 0.0:
+    xsq = _sq_norms(xa[None])
+    if xsq[0] == 0.0:
         raise DegenerateReference("cannot project against the zero vector")
-    return wa - (np.dot(wa, np.conj(xa)) / xsq) * xa
+    return wa - _along(wa[None, None], xa[None], xsq)[0, 0]
+
+
+def lift_stack(x: np.ndarray, zs: np.ndarray, ws: np.ndarray | None = None) -> np.ndarray:
+    """``lift_gram_values`` on a stack: ``x`` (B, d), ``zs`` (B, n), ``ws`` (B, n, d) or None."""
+    xsq = _sq_norms(x)
+    if (xsq == 0.0).any():
+        raise DegenerateReference("reference vector x must be nonzero")
+    ys = (np.conj(zs) / xsq[:, None])[:, :, None] * x[:, None, :]
+    if ws is not None:
+        ys = ys + ws - _along(ws, x, xsq)
+    return ys
 
 
 def lift_gram_values(
@@ -144,20 +218,251 @@ def lift_gram_values(
         Array of shape (n, d) whose rows are the constructed vectors.
     """
     xa, zarr = as_vector(x), as_vector(zs)
-    xsq = float(np.real(np.dot(xa, np.conj(xa))))
-    if xsq == 0.0:
-        raise DegenerateReference("reference vector x must be nonzero")
-    ys = np.outer(np.conj(zarr) / xsq, xa)
+    warr = None
     if ws is not None:
         warr = _as_matrix(ws)
         if warr.shape != (zarr.size, xa.size):
             raise DimensionMismatch(
                 f"ws must have shape {(zarr.size, xa.size)}, got {warr.shape}"
             )
-        # subtract each w's component along x, then add the remainder
-        coeffs = warr @ np.conj(xa) / xsq
-        ys = ys + warr - np.outer(coeffs, xa)
-    return ys
+        warr = warr[None]
+    return lift_stack(xa[None], zarr[None], warr)[0]
+
+
+class _lazy:
+    """A computed attribute, kept in the instance after its first access.
+
+    ``functools.cached_property`` does the same under a lock that costs
+    more than most statistics here take to compute.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class Stats:
+    """The statistics the bounds read, over a stack of families of n test vectors each.
+
+    A stack of B families has ``shape`` (B,), the leading axis of every
+    statistic; a family alone has ``shape`` (), so its statistics are
+    numpy scalars and (n,) or (n, n) arrays, and the same formulas read
+    them at scalar speed.  The families are held in ``parts`` of one
+    dimension each: ``(rows, x, ys)`` with ``x`` (k, d) and ``ys``
+    (k, n, d) the reference and test vectors of the families at positions
+    ``rows``; a family alone is one part ``((), x, ys)``.  No array is
+    padded, so every statistic has the bits it has for each family alone.
+    Each statistic is computed on first access and kept, so a bound pays
+    only for what it reads; the few that read the vectors are computed part
+    by part (``_by_dim``).
+
+    ``bind`` adds what the bounds read besides the families (a
+    ``BoundStats``), and ``evaluate`` runs formulas with no inputs bound.
+    """
+
+    def __init__(
+        self, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, ...]
+    ) -> None:
+        self.parts, self.shape = parts, shape
+        if parts:
+            self.n = parts[0][2].shape[-2]
+
+    @classmethod
+    def of_coefficients(cls, a: np.ndarray) -> Stats:
+        """A family alone given by its coefficients ``a``, without vectors."""
+        s = cls([], ())
+        s.n, s.a = a.size, a
+        return s
+
+    def bind(
+        self,
+        *,
+        disks=None,
+        weights: np.ndarray | None = None,
+        p_values: tuple[float, ...] = (),
+        tol: float = DEFAULT_TOLERANCE,
+    ) -> BoundStats:
+        """This stack with the inputs of one evaluation."""
+        return BoundStats(self, disks, weights, p_values, tol)
+
+    def evaluate(self, *formulas) -> list:
+        """The ``BatchReport``s of ``formulas`` with no inputs bound; see ``BoundStats.evaluate``."""
+        return self.bind().evaluate(*formulas)
+
+    def _by_dim(self, fn):
+        """``fn(x, ys)`` of each part, as one array over the stack."""
+        if len(self.parts) == 1:
+            return fn(*self.parts[0][1:])
+        out = None
+        for rows, x, ys in self.parts:
+            part = fn(x, ys)
+            if out is None:
+                out = np.empty(self.shape + part.shape[1:], part.dtype)
+            out[rows] = part
+        return out
+
+    @_lazy
+    def dim(self) -> np.ndarray:
+        """The dimension of each family."""
+        return self._by_dim(lambda x, ys: np.full(x.shape[:-1], x.shape[-1]))
+
+    @_lazy
+    def always(self) -> np.ndarray:
+        """All True: the preconditions of a bound that always applies."""
+        return np.ones(self.shape, dtype=bool)[()]
+
+    @_lazy
+    def a(self) -> np.ndarray:
+        """The coefficients ``inner(x, y_j)``, n per family."""
+        return self._by_dim(lambda x, ys: (np.conj(ys) @ x[..., None])[..., 0])
+
+    @_lazy
+    def abs_a(self) -> np.ndarray:
+        return np.abs(self.a)
+
+    @_lazy
+    def max_abs_a(self) -> np.ndarray:
+        return np.maximum.reduce(self.abs_a, axis=-1)
+
+    @_lazy
+    def bessel(self) -> np.ndarray:
+        """The Bessel sum ``sum_j |a_j|^2``."""
+        return _sq_sum(self.a)
+
+    @_lazy
+    def a_sum(self) -> np.ndarray:
+        return np.add.reduce(self.a, axis=-1)
+
+    @_lazy
+    def a_sum_sq(self) -> np.ndarray:
+        """``|sum_j a_j|^2``: ``||sum y_j||^2`` of the family ``x = 1``, ``y_j = conj(a_j)``."""
+        return _sq_sum(self.a_sum[..., None])
+
+    @_lazy
+    def xsq(self) -> np.ndarray:
+        return self._by_dim(lambda x, ys: _sq_norms(x))
+
+    @_lazy
+    def x_norm(self) -> np.ndarray:
+        return np.sqrt(self.xsq)
+
+    @_lazy
+    def sum_sq(self) -> np.ndarray:
+        """``||sum_j y_j||^2``."""
+        return self._by_dim(lambda x, ys: _sq_sum(np.add.reduce(ys, axis=-2)))
+
+    @_lazy
+    def gram(self) -> np.ndarray:
+        return self._by_dim(lambda x, ys: _gram(ys))
+
+    @_lazy
+    def abs_gram(self) -> np.ndarray:
+        return np.abs(self.gram)
+
+    @_lazy
+    def row_sums(self) -> np.ndarray:
+        """The row sums ``S_i`` of ``|G|``, n per family."""
+        return np.add.reduce(self.abs_gram, axis=-1)
+
+    @_lazy
+    def row_sum_max(self) -> np.ndarray:
+        return np.maximum.reduce(self.row_sums, axis=-1)
+
+    @_lazy
+    def abs_gram_max(self) -> np.ndarray:
+        return np.maximum.reduce(self.abs_gram, axis=(-2, -1))
+
+    @_lazy
+    def diag_max(self) -> np.ndarray:
+        """``max_i ||y_i||^2``, read off the Gram diagonal."""
+        return np.maximum.reduce(np.diagonal(self.abs_gram, 0, -2, -1), axis=-1)
+
+    @_lazy
+    def off_diag(self) -> np.ndarray:
+        """``|G|`` with a zero diagonal: its maximum is 0 when n = 1."""
+        off = self.abs_gram.copy()
+        i = np.arange(off.shape[-1])
+        off[..., i, i] = 0.0
+        return off
+
+    @_lazy
+    def off_sq(self) -> np.ndarray:
+        """``sum_{i != j} |G_ij|^2``, summed directly: a total-minus-diagonal
+        shortcut would cancel on near-orthonormal families."""
+        return np.add.reduce(np.square(self.off_diag), axis=(-2, -1))
+
+    @_lazy
+    def off_max(self) -> np.ndarray:
+        return np.maximum.reduce(self.off_diag, axis=(-2, -1))
+
+    @_lazy
+    def ortho_dev(self) -> np.ndarray:
+        """``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal."""
+        return np.maximum.reduce(np.abs(self.gram - np.eye(self.n)), axis=(-2, -1))
+
+    @_lazy
+    def _norms(self) -> dict:
+        return {}
+
+    def coeff_norm(self, p: float) -> np.ndarray:
+        """``(sum_i |a_i|^p) ** (1/p)``, overflow-safe, kept per p."""
+        key = ("a", p)
+        if key not in self._norms:
+            self._norms[key] = p_norm(self.abs_a, p)
+        return self._norms[key]
+
+    def row_q_norm_max(self, q: float) -> np.ndarray:
+        """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe, kept per q."""
+        key = ("G", q)
+        if key not in self._norms:
+            m = np.maximum.reduce(self.abs_gram, axis=-1)
+            t = self.abs_gram / (m + (m == 0.0))[..., None]
+            self._norms[key] = np.maximum.reduce(m * np.add.reduce(t**q, axis=-1) ** (1.0 / q), axis=-1)
+        return self._norms[key]
+
+
+class BoundStats(Stats):
+    """A ``Stats`` stack with the inputs of one evaluation bound to it.
+
+    The inputs are the families' disks ``disks`` (a sequence of B, or
+    None), the weight rows ``weights`` (B, k, n), whose row 0 is the weight
+    vector ``c``, the exponents ``p_values`` and the tolerance ``tol``.
+    The family statistics live in the stack's own attribute dictionary,
+    which this shares, so every evaluation of a family computes them once;
+    what depends on the inputs is kept per evaluation (``kept``).
+    """
+
+    __slots__ = ("stats", "disks", "weights", "p_values", "tol", "_kept")
+
+    def __init__(self, stats: Stats, disks, weights, p_values: tuple[float, ...], tol: float) -> None:
+        self.__dict__ = stats.__dict__
+        self.stats, self.disks, self.weights = stats, disks, weights
+        self.p_values, self.tol = p_values, tol
+        self._kept: dict = {}
+
+    def bind(self, **inputs) -> BoundStats:
+        """The stack with other inputs."""
+        return self.stats.bind(**inputs)
+
+    def evaluate(self, *formulas) -> list:
+        """The ``BatchReport``s of each formula in turn.
+
+        Overflow, and the divisions by zero of families a bound skips, give
+        inf or NaN without a warning.
+        """
+        with np.errstate(all="ignore"):
+            return [r for formula in formulas for r in formula(self)]
+
+    def kept(self, name: str, compute):
+        """``compute()``, a value of these inputs, computed on first use under ``name``."""
+        if name not in self._kept:
+            self._kept[name] = compute()
+        return self._kept[name]
 
 
 class Family:
@@ -168,9 +473,10 @@ class Family:
         ys: test vectors as rows, shape (n, d), n >= 1.
         field_mode: "complex" or "real"; a real family must have all
             imaginary parts equal to zero.
+        stats: the family as a ``Stats`` stack without the batch axis.
 
     Derived quantities (Gram matrix, coefficients ``inner(x, y_j)``, norms)
-    are computed lazily and cached; they never mutate after construction.
+    are views of ``stats``: computed on first use, never changed after.
     """
 
     def __init__(
@@ -194,96 +500,43 @@ class Family:
             raise ValueError("real-mode family has nonzero imaginary parts")
         self.field_mode = field_mode
 
-    @property
-    def n(self) -> int:
-        return self.ys.shape[0]
+    @_lazy
+    def stats(self) -> Stats:
+        """The family as a ``Stats`` stack without the batch axis."""
+        return Stats([((), self.x, self.ys)], ())
 
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The n values ``inner(x, y_j)``."""
-        return np.conj(self.ys) @ self.x
-
-    @cached_property
-    def abs_coefficients(self) -> np.ndarray:
-        return np.abs(self.coefficients)
-
-    @cached_property
-    def max_abs_coefficient(self) -> float:
-        return float(self.abs_coefficients.max())
-
-    @cached_property
-    def coefficients_sq_sum(self) -> float:
-        """``sum_j |inner(x, y_j)|^2``."""
-        a = self.coefficients
-        return float((a.real**2 + a.imag**2).sum())
-
-    @cached_property
-    def coefficients_sum(self) -> complex:
-        return complex(self.coefficients.sum())
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return self.ys @ self.ys.conj().T
-
-    @cached_property
-    def abs_gram(self) -> np.ndarray:
-        return np.abs(self.gram)
-
-    @cached_property
-    def gram_row_sums(self) -> np.ndarray:
-        """Row sums of ``abs(gram)``, one per test vector."""
-        return self.abs_gram.sum(axis=1)
-
-    @cached_property
-    def max_row_sum(self) -> float:
-        return float(self.gram_row_sums.max())
-
-    @cached_property
-    def max_abs_gram(self) -> float:
-        return float(self.abs_gram.max())
+    n = property(lambda self: self.ys.shape[0])
+    dim = property(lambda self: self.x.size)
+    coefficients = property(lambda self: self.stats.a, doc="The n values ``inner(x, y_j)``.")
+    abs_coefficients = property(lambda self: self.stats.abs_a)
+    max_abs_coefficient = property(lambda self: float(self.stats.max_abs_a))
+    coefficients_sq_sum = property(
+        lambda self: float(self.stats.bessel), doc="``sum_j |inner(x, y_j)|^2``."
+    )
+    coefficients_sum = property(lambda self: complex(self.stats.a_sum))
+    gram = property(lambda self: self.stats.gram)
+    abs_gram = property(lambda self: self.stats.abs_gram)
+    gram_row_sums = property(
+        lambda self: self.stats.row_sums, doc="Row sums of ``abs(gram)``, one per test vector."
+    )
+    max_row_sum = property(lambda self: float(self.stats.row_sum_max))
+    max_abs_gram = property(lambda self: float(self.stats.abs_gram_max))
+    orthonormal_deviation = property(
+        lambda self: float(self.stats.ortho_dev),
+        doc="``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal.",
+    )
+    x_norm_sq = property(lambda self: float(self.stats.xsq))
+    x_norm = property(lambda self: float(self.stats.x_norm))
+    ys_sum = property(lambda self: self.ys.sum(axis=0))
+    ys_sum_norm_sq = property(lambda self: float(self.stats.sum_sq))
 
     def row_q_norm_max(self, q: float) -> float:
-        """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe, cached per q."""
-        cache = self.__dict__.setdefault("_row_q_cache", {})
-        if q not in cache:
-            m = self.abs_gram.max(axis=1)
-            safe = np.where(m == 0.0, 1.0, m)
-            t = self.abs_gram / safe[:, None]
-            cache[q] = float((m * (t**q).sum(axis=1) ** (1.0 / q)).max())
-        return cache[q]
+        """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe."""
+        return float(self.stats.row_q_norm_max(q))
 
     def coeff_p_norm(self, p: float) -> float:
-        """``(sum_i |inner(x, y_i)|^p) ** (1/p)``, overflow-safe, cached per p."""
-        cache = self.__dict__.setdefault("_coeff_norm_cache", {})
-        if p not in cache:
-            cache[p] = p_norm(self.abs_coefficients, p)
-        return cache[p]
-
-    @cached_property
-    def orthonormal_deviation(self) -> float:
-        """``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal."""
-        return float(np.abs(self.gram - np.eye(self.n)).max())
-
-    @cached_property
-    def x_norm_sq(self) -> float:
-        return float(np.real(np.dot(self.x, np.conj(self.x))))
-
-    @cached_property
-    def x_norm(self) -> float:
-        return math.sqrt(self.x_norm_sq)
-
-    @cached_property
-    def ys_sum(self) -> np.ndarray:
-        return self.ys.sum(axis=0)
-
-    @cached_property
-    def ys_sum_norm_sq(self) -> float:
-        s = self.ys_sum
-        return float((s.real**2 + s.imag**2).sum())
+        """``(sum_i |inner(x, y_i)|^p) ** (1/p)``, overflow-safe."""
+        return float(self.stats.coeff_norm(p))
 
     def __repr__(self) -> str:
         return f"Family(n={self.n}, dim={self.dim}, field_mode={self.field_mode!r})"

@@ -42,7 +42,7 @@ from .core import (
     Family,
     ParameterError,
     as_vector,
-    lift_gram_values,
+    lift_stack,
     project_orthogonal,
 )
 from .sharp import Disk
@@ -195,7 +195,7 @@ def build(
                 "orthogonal components must sum to zero after projection; "
                 f"got residual norm {drift:.3g}"
             )
-        ys = lift_gram_values(xa, zs, warr)
+        ys = lift_stack(xa[None], zs[None], warr[None])[0]
     else:
-        ys = lift_gram_values(xa, zs)
+        ys = lift_stack(xa[None], zs[None])[0]
     return Family(xa, ys)

@@ -10,46 +10,57 @@ The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
 that contains their coefficients.
+
+The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
+once, maps the statistics of a stack of families (``core.BoundStats``:
+coefficients, norms, Gram row sums and maxima, and the disks, weights and
+exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
+``tightness_compare`` draw each instance as arrays, stack the instances of
+a chunk that share a family size n, and reduce the reports of a stack with
+masks; ``check_all`` runs the same formulas on one family, a stack without
+the batch axis, and builds its ``BoundReport``s from them.  No array is
+padded, so a family's reports have the same bits in a stack as alone.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .classical import (
-    boas_bellman,
-    bombieri,
-    classical_weights,
-    dragomir03,
-    dragomir04_corollary_reports,
-    dragomir04_reports,
-    dragomir_pq,
-    heilbronn,
-    pecaric_reports,
-    selberg,
+    as_weights,
+    boas_bellman_batch,
+    bombieri_batch,
+    classical_weights_batch,
+    dragomir03_batch,
+    dragomir04_batch,
+    dragomir04_corollaries_batch,
+    dragomir_pq_batch,
+    heilbronn_batch,
+    pecaric_batch,
+    selberg_batch,
 )
-from .core import Family, ParameterError, PreconditionError, lift_gram_values
+from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values, lift_stack
 from .extremal import ExtremalTarget, plan, solve_phases
-from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, evaluated, is_exponent, skipped
+from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of
 from .sharp import (
     Disk,
-    lemma_eq6,
-    orthonormal_family_remark,
-    theorem21,
-    theorem22,
-    triangle_reverse_l2,
-    triangle_reverse_sq,
+    lemma_eq6_batch,
+    orthonormal_batch,
+    theorem21_batch,
+    theorem22_batch,
+    triangle_reverse_l2_batch,
+    triangle_reverse_sq_batch,
 )
 
 __all__ = [
     "BOUNDS",
     "Bound",
-    "BoundInputs",
     "DEFAULT_P_VALUES",
     "DiskSampler",
     "ENSEMBLES",
@@ -67,6 +78,10 @@ __all__ = [
 DEFAULT_P_VALUES = (1.5, 3.0)
 
 _CHUNK = 256  # fixed chunk size; must not depend on the worker count
+_SQRT2 = np.sqrt(2.0)
+# Gram entries per stack, n * max(n, d) per family: 64 families at n = 12,
+# d <= 8, and one family from n = 96 up.
+_STACK_ENTRIES = 64 * 12 * 12
 
 
 @dataclass(frozen=True)
@@ -84,8 +99,8 @@ class DiskSampler:
     extremal_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         for name in ("boundary_fraction", "extremal_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -122,12 +137,32 @@ def _rng(cfg: FuzzConfig, index: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _draw_matrix(rng: np.random.Generator, n: int, d: int, mode: str) -> np.ndarray:
+def _field(v: np.ndarray, shape: tuple[int, ...], mode: str) -> np.ndarray:
+    """Standard normals ``v`` as entries of ``shape``; complex ones take their
+    real parts from the first half of ``v`` and imaginary parts from the second."""
     if mode == "real":
-        return rng.standard_normal((n, d)).astype(np.complex128)
-    re = rng.standard_normal((n, d))
-    im = rng.standard_normal((n, d))
-    return (re + 1j * im) / np.sqrt(2.0)
+        return v.reshape(shape).astype(np.complex128)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = v.reshape(2, *shape)
+    z /= _SQRT2  # the bits of (re + 1j * im) / sqrt(2)
+    return z
+
+
+def _draw_fields(rng: np.random.Generator, shapes: list[tuple[int, ...]], mode: str) -> list[np.ndarray]:
+    """Arrays of these shapes in turn, from one normal draw: it gives the numbers that
+    drawing them one by one would."""
+    k = 1 if mode == "real" else 2
+    z = rng.standard_normal(k * sum(math.prod(shape) for shape in shapes))
+    fields, start = [], 0
+    for shape in shapes:
+        stop = start + k * math.prod(shape)
+        fields.append(_field(z[start:stop], shape, mode))
+        start = stop
+    return fields
+
+
+def _draw_matrix(rng: np.random.Generator, n: int, d: int, mode: str) -> np.ndarray:
+    return _draw_fields(rng, [(n, d)], mode)[0]
 
 
 def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
@@ -169,35 +204,44 @@ def _draw_disk_points(
     return d.center + rho * np.exp(1j * ang)
 
 
-def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, None]:
+class Draw(NamedTuple):
+    """One instance as arrays; ``Family`` objects are built only by the public samplers."""
+
+    x: np.ndarray  # (d,)
+    ys: np.ndarray  # (n, d): the test vectors, or the free components lifted onto zs
+    zs: np.ndarray | None  # the coefficients inner(x, y_j) the ys are lifted to
+    disk: Disk | None
+    c: np.ndarray | None  # weights (n,); the instance's stream continues with them
+
+
+def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
     n, d = _draw_sizes(rng, cfg)
-    x = _draw_matrix(rng, 1, d, cfg.field_mode)[0]
-    ys = _draw_matrix(rng, n, d, cfg.field_mode)
-    return Family(x, ys, cfg.field_mode), None
+    x, ys, c = _draw_fields(rng, [(d,), (n, d), (n,)], cfg.field_mode)
+    return Draw(x, ys, None, None, c)
 
 
-def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
+def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
     n, d_dim = _draw_sizes(rng, cfg)
+    mode = cfg.field_mode
     while True:
-        x = _draw_matrix(rng, 1, d_dim, cfg.field_mode)[0]
-        if np.linalg.norm(x) > 0.0:
+        x = _draw_matrix(rng, 1, d_dim, mode)[0]
+        if x.any():
             break
     disk = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
     use_extremal = rng.random() < cfg.disk_sampler.extremal_fraction
     zs = None
-    if use_extremal and cfg.field_mode == "complex" and disk.re_product > 0.0:
+    if use_extremal and mode == "complex" and disk.re_product > 0.0:
         target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
         spec = plan(target, n, disk)
         if spec.feasible:
             zs = disk.center + disk.radius * np.exp(1j * solve_phases(spec))
     if zs is None:
-        zs = _draw_disk_points(rng, disk, n, cfg.disk_sampler.boundary_fraction, cfg.field_mode)
-    ws = _draw_matrix(rng, n, d_dim, cfg.field_mode)
-    ys = lift_gram_values(x, zs, ws)
-    return Family(x, ys, cfg.field_mode), disk
+        zs = _draw_disk_points(rng, disk, n, cfg.disk_sampler.boundary_fraction, mode)
+    ws, c = _draw_fields(rng, [(n, d_dim), (n,)], mode)
+    return Draw(x, ws, zs, disk, c)
 
 
-def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
+def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
     n, d_draw = _draw_sizes(rng, cfg)
     dim = max(d_draw, n)
     disk = _draw_disk(rng, cfg, want_positive_re=True)
@@ -214,11 +258,11 @@ def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> 
         extra = _draw_matrix(rng, 1, dim, cfg.field_mode)[0]
         extra = extra - (es.conj() @ extra) @ es
         x = x + extra
-    return Family(x, es, cfg.field_mode), disk
+    return Draw(x, es, None, disk, None)
 
 
-# The ensembles: name -> (lane, draw(rng, cfg, index) -> (family, disk or None)).  Instance
-# ``index`` is drawn from the stream (master_seed, index, lane), so a lane must never change.
+# The ensembles: name -> (lane, draw(rng, cfg, index) -> Draw).  Instance ``index`` is
+# drawn from the stream (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic),
     "disk": (1, _draw_in_disk),
@@ -226,20 +270,23 @@ ENSEMBLES = {
 }
 
 
-def _draw(
-    cfg: FuzzConfig, index: int, name: str
-) -> tuple[np.random.Generator, Family, Disk | None]:
-    """Instance ``index`` of ensemble ``name``, with its stream for further draws."""
+def _draw(cfg: FuzzConfig, index: int, name: str) -> Draw:
+    """Instance ``index`` of ensemble ``name``."""
     if not 0 <= index < cfg.instances:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
     lane, draw = ENSEMBLES[name]
-    rng = _rng(cfg, index, lane)
-    return (rng, *draw(rng, cfg, index))
+    return draw(_rng(cfg, index, lane), cfg, index)
+
+
+def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
+    draw = _draw(cfg, index, name)
+    ys = draw.ys if draw.zs is None else lift_gram_values(draw.x, draw.zs, draw.ys)
+    return Family(draw.x, ys, cfg.field_mode), draw.disk
 
 
 def sample_family(cfg: FuzzConfig, index: int) -> Family:
     """Unconstrained family, deterministic in ``(master_seed, index)``."""
-    return _draw(cfg, index, "generic")[1]
+    return _family(cfg, index, "generic")[0]
 
 
 def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
@@ -249,7 +296,7 @@ def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
     ``Re(Gamma conj(gamma)) > 0`` so both sharp bounds are exercised.
     Free components orthogonal to ``x`` are added to every test vector.
     """
-    return _draw(cfg, index, "disk")[1:]
+    return _family(cfg, index, "disk")
 
 
 def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
@@ -259,86 +306,112 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
     specialised orthonormal bounds apply.  The reference vector is built
     from prescribed in-disk coefficients plus a component outside the span.
     """
-    return _draw(cfg, index, "orthonormal")[1:]
+    return _family(cfg, index, "orthonormal")
 
 
-class BoundInputs(NamedTuple):
-    """What a bound may read besides the family; see ``check_all``."""
+class _Stack(NamedTuple):
+    indices: list[int]  # the instance index of each family
+    stats: Stats  # no inputs bound yet
+    disks: list[Disk] | None  # None for an ensemble without disks
+    c: np.ndarray | None  # (B, n) weights
 
-    disk: Disk | None
-    weights: np.ndarray | None  # the 1-D weight vector c
-    p_values: tuple[float, ...]  # every p > 1
-    tol: float
+
+def _stack(members: list[tuple[int, Draw]]) -> _Stack:
+    """Draws of one family size n as one stack, in parts of one dimension, lifted where due."""
+    draws = [dr for _, dr in members]
+    by_dim: dict[int, list[int]] = {}
+    for b, dr in enumerate(draws):
+        by_dim.setdefault(dr.x.size, []).append(b)
+    parts = []
+    for rows in by_dim.values():
+        x = np.array([draws[r].x for r in rows])
+        ys = np.array([draws[r].ys for r in rows])
+        if draws[0].zs is not None:
+            ys = lift_stack(x, np.array([draws[r].zs for r in rows]), ys)
+        parts.append((np.array(rows), x, ys))
+    return _Stack(
+        [i for i, _ in members],
+        Stats(parts, (len(draws),)),
+        None if draws[0].disk is None else [dr.disk for dr in draws],
+        None if draws[0].c is None else np.array([dr.c for dr in draws]),
+    )
+
+
+def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[_Stack]:
+    """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
+
+    A stack holds at most 64 families, fewer when they are large, so that
+    its arrays stay near 1 MB; each is built when the previous one is done.
+    """
+    by_n: dict[int, list[tuple[int, Draw]]] = {}
+    for index in range(start, stop):
+        draw = _draw(cfg, index, name)
+        by_n.setdefault(draw.ys.shape[0], []).append((index, draw))
+    for n, members in sorted(by_n.items()):
+        size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
+        for k in range(0, len(members), size):
+            yield _stack(members[k : k + size])
 
 
 class Bound(NamedTuple):
     """One entry of the catalogue ``BOUNDS``.
 
-    ``kernel(f, inputs)`` returns the entry's reports, with ids from ``ids``.
-    ``needs`` names what it reads besides the family: "family" (nothing),
-    "p" (the exponents, always given), "weights" or "disk"; an entry that
-    needs weights or a disk runs only when they are given.  A bound with
-    ``competes > 0`` competes in tightness through ``rhs ** competes``.
+    ``formula(s)`` returns the entry's ``BatchReport``s on the stack ``s``,
+    with ids from ``ids``.  ``needs`` names what it reads besides the
+    family: "family" (nothing), "p" (``s.p_values``, always given),
+    "weights" (``s.weights``) or "disk" (``s.disks``, ``s.tol``);
+    an entry that needs weights or a disk runs only when they are given.  A
+    bound with ``competes > 0`` competes in tightness through
+    ``rhs ** competes``.
     """
 
     ids: tuple[str, ...]
     needs: str
-    kernel: Callable[[Family, BoundInputs], list[BoundReport]]
+    formula: Callable[[BoundStats], list[BatchReport]]
     competes: int = 0
 
 
-def _on_coefficients(fn: Callable[[np.ndarray, Disk, float], BoundReport]):
-    """Kernel of a scalar form of a sharp bound, run on the family's coefficients."""
-    return lambda f, i: [fn(f.coefficients, i.disk, i.tol)]
-
-
-def _orthonormal(f: Family, i: BoundInputs) -> list[BoundReport]:
-    # only a family detected as orthonormal gets the specialised reports
-    if f.n > f.dim or f.orthonormal_deviation > i.tol:
+def _orthonormal(s: BoundStats) -> list[BatchReport]:
+    # only a family detected as orthonormal gets the specialised reports; n
+    # orthonormal vectors need n <= dim, which spares the Gram deviation
+    fits = s.n <= s.dim
+    if not fits.any():
         return []
-    return list(orthonormal_family_remark(f, i.disk, i.tol)[:2])
+    detected = fits & (s.ortho_dev <= s.tol)
+    if not detected.any():
+        return []
+    return [
+        r._replace(ok=r.ok & detected, why=lambda b, why=r.why: why(b) if detected[b] else None)
+        for r in orthonormal_batch(s)
+    ]
 
 
 # The catalogue.  Its order is the order of check_all's reports and the
 # tie-break priority of the tightness competition.
 BOUNDS = (
-    Bound(("boas_bellman",), "family", lambda f, i: [boas_bellman(f)], 1),
-    Bound(("bombieri",), "family", lambda f, i: [bombieri(f)], 1),
-    Bound(("selberg",), "family", lambda f, i: [selberg(f)]),
-    Bound(("dragomir03",), "family", lambda f, i: [dragomir03(f)], 1),
-    Bound(("dragomir_pq",), "p", lambda f, i: [dragomir_pq(f, p) for p in i.p_values]),
-    Bound(("heilbronn",), "family", lambda f, i: [heilbronn(f)]),
-    Bound(
-        ("pecaric_first", "pecaric_second"),
-        "weights",
-        lambda f, i: pecaric_reports(f, i.weights[None]),
-    ),
-    Bound(
-        ("dragomir04_b1", "dragomir04_b2", "dragomir04_b3"),
-        "weights",
-        lambda f, i: dragomir04_reports(f, i.weights, i.p_values),
-    ),
-    Bound(
-        ("dragomir04_cor1", "dragomir04_cor2", "dragomir04_cor3"),
-        "p",
-        lambda f, i: dragomir04_corollary_reports(f, i.p_values),
-    ),
-    Bound(("theorem21",), "disk", lambda f, i: [theorem21(f, i.disk, i.tol)], 2),
-    Bound(("theorem22",), "disk", lambda f, i: [theorem22(f, i.disk, i.tol)], 1),
-    Bound(
-        ("lemma_eq6",), "disk", lambda f, i: [evaluated("lemma_eq6", *lemma_eq6(f, i.disk, i.tol))]
-    ),
-    Bound(("triangle_reverse_l2",), "disk", _on_coefficients(triangle_reverse_l2)),
-    Bound(("triangle_reverse_sq",), "disk", _on_coefficients(triangle_reverse_sq)),
+    Bound(("boas_bellman",), "family", boas_bellman_batch, 1),
+    Bound(("bombieri",), "family", bombieri_batch, 1),
+    Bound(("selberg",), "family", selberg_batch),
+    Bound(("dragomir03",), "family", dragomir03_batch, 1),
+    Bound(("dragomir_pq",), "p", dragomir_pq_batch),
+    Bound(("heilbronn",), "family", heilbronn_batch),
+    Bound(("pecaric_first", "pecaric_second"), "weights", pecaric_batch),
+    Bound(("dragomir04_b1", "dragomir04_b2", "dragomir04_b3"), "weights", dragomir04_batch),
+    Bound(("dragomir04_cor1", "dragomir04_cor2", "dragomir04_cor3"), "p", dragomir04_corollaries_batch),
+    Bound(("theorem21",), "disk", theorem21_batch, 2),
+    Bound(("theorem22",), "disk", theorem22_batch, 1),
+    Bound(("lemma_eq6",), "disk", lemma_eq6_batch),
+    Bound(("triangle_reverse_l2",), "disk", triangle_reverse_l2_batch),
+    Bound(("triangle_reverse_sq",), "disk", triangle_reverse_sq_batch),
     Bound(("orthonormal30", "orthonormal31"), "disk", _orthonormal),
 )
 
 
 @cache
-def _entries(weights: bool, disk: bool, competing: bool) -> tuple[Bound, ...]:
-    """The entries of ``BOUNDS`` that run on these inputs, in table order."""
+def _formulas(weights: bool, disk: bool, competing: bool) -> tuple[Callable, ...]:
+    """The formulas of the ``BOUNDS`` entries that run on these inputs, in table order."""
     return tuple(
-        b
+        b.formula
         for b in BOUNDS
         if (weights or b.needs != "weights")
         and (disk or b.needs != "disk")
@@ -347,18 +420,7 @@ def _entries(weights: bool, disk: bool, competing: bool) -> tuple[Bound, ...]:
 
 
 # the competing entries, in tie-break priority order
-_COMPETITORS = _entries(True, True, True)
-
-
-def _evaluate(entries: Sequence[Bound], f: Family, inputs: BoundInputs) -> list[BoundReport]:
-    reports = []
-    for b in entries:
-        try:
-            reports += b.kernel(f, inputs)
-        except (ParameterError, PreconditionError) as exc:
-            # a disk the bound does not admit is reported, never raised
-            reports.extend(skipped(bid, str(exc)) for bid in b.ids)
-    return reports
+_COMPETITORS = tuple(b for b in BOUNDS if b.competes)
 
 
 def check_all(
@@ -375,12 +437,16 @@ def check_all(
     bounds run only when ``d`` is given; the weighted bounds only when the
     coefficient list ``c`` is given; the orthonormal specialisations only
     when the family is orthonormal within ``tol``.  Exponents that are not
-    finite and > 1 are dropped.
+    finite and > 1 are dropped.  The formulas are those ``fuzz`` runs, on
+    the family alone (a stack without the batch axis).
     """
-    p_values = tuple(filter(is_exponent, p_values))
-    weights = None if c is None else np.asarray(c, dtype=np.complex128)
-    inputs = BoundInputs(d, weights, p_values, tol)
-    return _evaluate(_entries(c is not None, d is not None, False), f, inputs)
+    s = f.stats.bind(
+        disks=None if d is None else (d,),
+        weights=None if c is None else as_weights(f, c, 1)[None],
+        p_values=tuple(filter(is_exponent, p_values)),
+        tol=tol,
+    )
+    return reports_of(s.evaluate(*_formulas(c is not None, d is not None, False)))
 
 
 @dataclass
@@ -398,52 +464,84 @@ class FuzzSummary:
         return asdict(self)
 
 
-def _tightness_winner(reports: Iterable[BoundReport]) -> str | None:
-    by_id = {r.bound_id: r for r in reports if r.preconditions_met}
-    best_id, best_val = None, None
-    for b in _COMPETITORS:
-        rep = by_id.get(b.ids[0])
-        if rep is None:
+def _winners(reports: list[BatchReport]) -> np.ndarray:
+    """Per family, the position in ``_COMPETITORS`` of the smallest ``rhs ** competes``; -1 for none.
+
+    A later entry wins only when strictly smaller, so ties go to the
+    earlier one, and a NaN never displaces a winner.
+    """
+    by_id = {r.bound_id: r for r in reports}
+    win = np.full(reports[0].ok.shape, -1)
+    best = np.zeros(win.shape)
+    for k, b in enumerate(_COMPETITORS):
+        r = by_id.get(b.ids[0])
+        if r is None:
             continue
-        val = rep.rhs**b.competes
-        if best_val is None or val < best_val:
-            best_id, best_val = b.ids[0], val
-    return best_id
+        val = r.rhs if b.competes == 1 else libm_pow(r.rhs, b.competes)
+        take = r.ok & ((win < 0) | (val < best))
+        best = np.where(take, val, best)
+        win = np.where(take, k, win)
+    return win
+
+
+def _count(counts: dict[str, int], key: str, value: int) -> None:
+    if value:
+        counts[key] = counts.get(key, 0) + value
+
+
+def _tally(part: FuzzSummary, reports: list[BatchReport], sampler: str, indices: list[int]) -> None:
+    """Add a stack's reports and tightness winners to ``part``."""
+    tol = part.config.tolerance
+    ok = np.array([r.ok for r in reports])
+    rhs = np.array([r.rhs for r in reports])
+    rel = (rhs - np.array([r.lhs for r in reports])) / np.maximum(1.0, np.abs(rhs))
+    # a NaN slack (a side beyond the double range) is checked, but never
+    # tight, never a violation and never the least slack
+    slack = ok & ~np.isnan(rel)
+    least = np.where(slack, rel, np.inf).min(axis=1).tolist()
+    checked = ok.sum(axis=1).tolist()
+    tight = (ok & (np.abs(rel) <= tol)).sum(axis=1).tolist()
+    has_least = slack.any(axis=1).tolist()
+    bad = ok & (rel < -tol)
+    for k, r in enumerate(reports):
+        _count(part.checked, r.bound_id, checked[k])
+        _count(part.tight, r.bound_id, tight[k])
+        if has_least[k]:
+            prev = part.min_slack.get(r.bound_id)
+            if prev is None or least[k] < prev:
+                part.min_slack[r.bound_id] = least[k]
+    for b, k in np.argwhere(bad.T):  # instance by instance, reports in order
+        part.violations.append(
+            {
+                "bound_id": reports[k].bound_id,
+                "sampler": sampler,
+                "instance_seed": indices[b],
+                "slack": float(rel[k, b]),
+            }
+        )
+    win = _winners(reports)
+    for k, b in enumerate(_COMPETITORS):
+        _count(part.tightness_wins, b.ids[0], int(np.count_nonzero(win == k)))
 
 
 def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     cfg, start, stop = args
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
-    checked, min_slack, tight, wins = part.checked, part.min_slack, part.tight, part.tightness_wins
-    for index in range(start, stop):
-        for sampler in ("generic", "disk"):
-            # the weights c continue the instance's stream after the family
-            rng, f, disk = _draw(cfg, index, sampler)
-            c = _draw_matrix(rng, 1, f.n, cfg.field_mode)[0]
-            reports = check_all(f, disk, c, cfg.p_values, cfg.tolerance)
-            reports += pecaric_reports(f, classical_weights(f))
-            for rep in reports:
-                rel = rep.relative_slack()
-                if rel is None:
-                    continue
-                checked[rep.bound_id] = checked.get(rep.bound_id, 0) + 1
-                prev = min_slack.get(rep.bound_id)
-                if prev is None or rel < prev:
-                    min_slack[rep.bound_id] = rel
-                if rel < -cfg.tolerance:
-                    part.violations.append(
-                        {
-                            "bound_id": rep.bound_id,
-                            "sampler": sampler,
-                            "instance_seed": index,
-                            "slack": rel,
-                        }
-                    )
-                elif abs(rel) <= cfg.tolerance:
-                    tight[rep.bound_id] = tight.get(rep.bound_id, 0) + 1
-            winner = _tightness_winner(reports)
-            if winner is not None:
-                wins[winner] = wins.get(winner, 0) + 1
+    for sampler in ("generic", "disk"):
+        for stack in _stacks(cfg, sampler, start, stop):
+            s = stack.stats.bind(
+                disks=stack.disks,
+                weights=stack.c[:, None],
+                p_values=cfg.p_values,
+                tol=cfg.tolerance,
+            )
+            reports = s.evaluate(*_formulas(True, stack.disks is not None, False))
+            with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
+                # the three classical weight choices, after every other report; they
+                # are their own stack of rows, since a row of a k-row product can
+                # differ in its last bit from the same row in a 1-row product
+                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                _tally(part, reports, sampler, stack.indices)
     return part
 
 
@@ -486,22 +584,32 @@ class TightnessRow(NamedTuple):
     mean_ratio: float
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """``values`` added one at a time, in order (``np.sum`` adds them pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def _compare_chunk(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, list]:
-    """Per competing bound: [wins, sum of ratios, number of ratios]."""
+    """Per competing bound: [wins, sum of ratios in index order, number of ratios]."""
     cfg, start, stop = args
-    totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
-    for index in range(start, stop):
-        _, f, d = _draw(cfg, index, ensemble)
-        inputs = BoundInputs(d, None, (), cfg.tolerance)
-        reports = _evaluate(_entries(False, d is not None, True), f, inputs)
-        winner = _tightness_winner(reports)
-        if winner is not None:
-            totals[winner][0] += 1
-        for rep in reports:
-            if rep.preconditions_met and rep.rhs > 0.0:
-                totals[rep.bound_id][1] += rep.ratio
-                totals[rep.bound_id][2] += 1
-    return totals
+    ids = [b.ids[0] for b in _COMPETITORS]
+    wins = dict.fromkeys(ids, 0)
+    ratios = {bid: np.zeros(stop - start) for bid in ids}
+    used = {bid: np.zeros(stop - start, dtype=bool) for bid in ids}
+    for stack in _stacks(cfg, ensemble, start, stop):
+        s = stack.stats.bind(disks=stack.disks, tol=cfg.tolerance)
+        reports = s.evaluate(*_formulas(False, stack.disks is not None, True))
+        win = _winners(reports)
+        for k, bid in enumerate(ids):
+            wins[bid] += int(np.count_nonzero(win == k))
+        at = np.array(stack.indices) - start
+        for r in reports:
+            use = r.ok & (r.rhs > 0.0)
+            ratios[r.bound_id][at[use]] = r.lhs[use] / r.rhs[use]
+            used[r.bound_id][at[use]] = True
+    return {
+        bid: [wins[bid], _running_sum(ratios[bid][used[bid]]), int(used[bid].sum())] for bid in ids
+    }
 
 
 def tightness_compare(

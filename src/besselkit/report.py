@@ -3,18 +3,30 @@
 Every bound evaluation produces a ``BoundReport`` holding both sides of the
 inequality, the slack ``rhs - lhs`` and the tightness ratio ``lhs / rhs``.
 Comparisons use a combined absolute/relative tolerance: a report violates
-its inequality when ``slack < -tol * max(1, |rhs|)``.
+its inequality when ``slack < -tol * max(1, |rhs|)``.  A bound evaluated
+over a stack of families gives a ``BatchReport`` per report; ``reports_of``
+turns one family's share of them into ``BoundReport``s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 
 __all__ = [
-    "DEFAULT_TOLERANCE", "BoundReport", "check_tolerance", "evaluated", "is_exponent", "skipped"
+    "DEFAULT_TOLERANCE",
+    "BatchReport",
+    "BoundReport",
+    "check_tolerance",
+    "evaluated",
+    "is_exponent",
+    "reports_of",
+    "skipped",
 ]
 
 
@@ -69,14 +81,7 @@ def evaluated(bound_id: str, lhs: float, rhs: float) -> BoundReport:
         ratio = 0.0 if lhs == 0.0 else math.inf
     else:
         ratio = lhs / rhs
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        ratio=ratio,
-        preconditions_met=True,
-    )
+    return BoundReport(bound_id, lhs, rhs, rhs - lhs, ratio, True)
 
 
 def skipped(bound_id: str, reason: str) -> BoundReport:
@@ -90,3 +95,34 @@ def skipped(bound_id: str, reason: str) -> BoundReport:
         preconditions_met=False,
         reason=reason,
     )
+
+
+class BatchReport(NamedTuple):
+    """One report of a bound over a stack of families (``core.Stats``).
+
+    ``lhs`` and ``rhs`` hold both sides, and ``ok`` whether family b meets
+    the bound's preconditions, each with the stack's shape.  Where it does not,
+    ``why(b)`` gives the reason, or None when the bound makes no report on
+    that family at all.
+    """
+
+    bound_id: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ok: np.ndarray
+    why: Callable[..., str | None] | None = None
+
+
+def reports_of(batch: Iterable[BatchReport], b=()) -> list[BoundReport]:
+    """The ``BoundReport``s of family ``b`` of a stack, in order; ``b = ()`` for a family alone."""
+    alone = isinstance(b, tuple)  # a family alone: its values are scalars already
+    reports = []
+    for r in batch:
+        ok, lhs, rhs = (r.ok, r.lhs, r.rhs) if alone else (r.ok[b], r.lhs[b], r.rhs[b])
+        if ok:
+            reports.append(evaluated(r.bound_id, lhs, rhs))
+        else:
+            reason = r.why(b)
+            if reason is not None:
+                reports.append(skipped(r.bound_id, reason))
+    return reports

@@ -18,10 +18,15 @@ and the mean of the test vectors is a specific multiple of ``x``; the
 residual routines quantify the distance from that equality configuration.
 ``triangle_reverse_l2`` and ``triangle_reverse_sq`` restate the bounds for
 plain complex numbers ``z_j``: they are Theorems 2.1 and 2.2 on the family
-``x = 1``, ``y_j = conj(z_j)``, evaluated by the same kernels without
-building that family.  ``orthonormal_remark`` specialises the bounds to
-orthonormal families, where they are provably coarser than the plain
-Bessel inequality; it shares the disk terms of the two kernels.
+``x = 1``, ``y_j = conj(z_j)``, evaluated by the same kernels on that
+family's statistics without building it.  ``orthonormal_remark``
+specialises the bounds to orthonormal families, where they are provably
+coarser than the plain Bessel inequality; it shares the disk terms of the
+two kernels.
+
+As in ``classical``, each bound is an array formula ``<bound>_batch(s)``
+over a stack whose disks are bound (``core.BoundStats``), and the function
+of the bound's own name runs it on one family.
 """
 
 from __future__ import annotations
@@ -32,15 +37,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classical import bessel_sum
 from .core import (
+    BoundStats,
     DegenerateReference,
     Family,
     ParameterError,
     PreconditionError,
+    Stats,
     as_vector,
 )
-from .report import DEFAULT_TOLERANCE, BoundReport, evaluated, skipped
+from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, reports_of
 
 __all__ = [
     "Disk",
@@ -49,14 +55,20 @@ __all__ = [
     "disk_condition_re",
     "disk_condition_abs",
     "theorem21",
+    "theorem21_batch",
     "theorem21_residuals",
     "theorem22",
+    "theorem22_batch",
     "theorem22_residuals",
     "lemma_eq6",
+    "lemma_eq6_batch",
     "orthonormal_remark",
     "orthonormal_family_remark",
+    "orthonormal_batch",
     "triangle_reverse_l2",
+    "triangle_reverse_l2_batch",
     "triangle_reverse_sq",
+    "triangle_reverse_sq_batch",
     "sufficient_condition_box",
 ]
 
@@ -76,7 +88,7 @@ class Disk:
     def __post_init__(self) -> None:
         g, G = complex(self.gamma), complex(self.Gamma)
         for name, value in (("gamma", g), ("Gamma", G)):
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "Gamma", G)
@@ -119,7 +131,7 @@ def disk_condition_abs(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     Equivalent to ``disk_condition_re`` up to tolerance at the boundary.
     Accepts scalars or numpy arrays of ``z``.
     """
-    return np.abs(np.asarray(z) - d.center) <= d.radius + tol * max(1.0, d.radius)
+    return np.abs(np.asarray(z) - d.center) <= _reach(d, tol)
 
 
 def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
@@ -140,57 +152,153 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     )
 
 
-def _outside(coeffs: np.ndarray, d: Disk, tol: float) -> str:
-    """Why the coefficients break the disk condition; "" when they meet it."""
-    inside = disk_condition_abs(coeffs, d, tol)
-    if bool(np.all(inside)):
+def _reach(d: Disk, tol: float) -> float:
+    """How far from the center a point of the disk may lie at tolerance ``tol``."""
+    return d.radius + tol * max(1.0, d.radius)
+
+
+class _DiskTerms(NamedTuple):
+    """The scalars of a family's disk that the sharp bounds read, one entry per family."""
+
+    center: np.ndarray
+    reach: np.ndarray  # see _reach
+    centered: np.ndarray  # Gamma != -gamma
+    re_product: np.ndarray
+    penalty: np.ndarray  # (sqrt(n)/4) |G - g|^2 / |G + g|, the disk term of Theorem 2.1
+    factor: np.ndarray  # |G + g|^2 / (4 n Re(G conj(g))), the disk factor of Theorem 2.2
+    factor1: np.ndarray  # the same at n = 1
+    n_center_sq: np.ndarray  # n |center|^2
+    n_radius_sq: np.ndarray  # n radius^2
+    sum: np.ndarray  # Gamma + gamma
+
+
+def _guarded(term) -> float:
+    """``term()``; NaN where it divides by zero, inf where it leaves the double range."""
+    try:
+        return term()
+    except ZeroDivisionError:
+        return math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _centered(d: Disk) -> bool:
+    return abs(d.Gamma + d.gamma) != 0.0
+
+
+def _terms_of(d: Disk, n: int, tol: float) -> tuple:
+    """The ``_DiskTerms`` of ``d`` for families of n vectors, in Python floats."""
+    center, radius, re = d.center, d.radius, d.re_product
+    total = d.Gamma + d.gamma
+    sum_abs = abs(total)
+    return (
+        center,
+        _reach(d, tol),
+        sum_abs != 0.0,
+        re,
+        _guarded(lambda: (math.sqrt(n) / 4.0) * abs(d.Gamma - d.gamma) ** 2 / sum_abs),
+        _guarded(lambda: sum_abs**2 / (4.0 * re * n)),
+        _guarded(lambda: sum_abs**2 / (4.0 * re)),
+        _guarded(lambda: n * abs(center) ** 2),
+        _guarded(lambda: n * radius**2),
+        total,
+    )
+
+
+def _disk_terms(s: BoundStats) -> _DiskTerms:
+    """Each family's ``_DiskTerms``: arrays over a stack, Python scalars for a family alone."""
+
+    def compute() -> _DiskTerms:
+        rows = [_terms_of(d, s.n, s.tol) for d in s.disks]
+        if not s.shape:
+            return _DiskTerms(*rows[0])
+        return _DiskTerms(*(np.array(column) for column in zip(*rows)))
+
+    return s.kept("disk", compute)
+
+
+def _inside(s: BoundStats) -> np.ndarray:
+    """(..., n): coefficient j of family b meets ``disk_condition_abs`` for its disk."""
+
+    def compute() -> np.ndarray:
+        t = _disk_terms(s)
+        if not s.shape:
+            return np.abs(s.a - t.center) <= t.reach
+        return np.abs(s.a - t.center[:, None]) <= t.reach[:, None]
+
+    return s.kept("inside", compute)
+
+
+def _disk_of(s: BoundStats, b) -> Disk:
+    """Family ``b``'s disk (``b = ()`` for a family alone)."""
+    return s.disks[b] if s.shape else s.disks[0]
+
+
+def _all_inside(s: BoundStats) -> np.ndarray:
+    """Every coefficient of family b lies in its disk."""
+    return s.kept("all_inside", lambda: np.logical_and.reduce(_inside(s), axis=-1))
+
+
+_CENTERLESS = "Gamma = -gamma gives a centerless constraint; not allowed"
+
+
+def _not_positive(re_product: float) -> str:
+    return f"Re(Gamma * conj(gamma)) must be positive, got {re_product}"
+
+
+def _outside(inside: np.ndarray) -> str:
+    """Why coefficients break the disk condition, given their membership; "" when they meet it."""
+    if inside.all():
         return ""
     return f"coefficient {int(np.argmin(inside))} lies outside the disk"
 
 
 def _require_center(d: Disk) -> None:
-    if abs(d.Gamma + d.gamma) == 0.0:
-        raise ParameterError("Gamma = -gamma gives a centerless constraint; not allowed")
+    if not _centered(d):
+        raise ParameterError(_CENTERLESS)
 
 
 def _require_positive_re(d: Disk) -> None:
     if d.re_product <= 0.0:
-        raise ParameterError(
-            f"Re(Gamma * conj(gamma)) must be positive, got {d.re_product}"
-        )
+        raise ParameterError(_not_positive(d.re_product))
 
 
-def _theorem21_penalty(n: int, d: Disk) -> float:
-    """``(sqrt(n)/4) |G - g|^2 / |G + g|``, the disk term of Theorem 2.1."""
-    return (math.sqrt(n) / 4.0) * abs(d.Gamma - d.gamma) ** 2 / abs(d.Gamma + d.gamma)
+def _bind(s: Stats, d: Disk, tol: float) -> BoundStats:
+    """The family alone ``s`` with the disk ``d`` bound."""
+    return s.bind(disks=(d,), tol=tol)
 
 
-def _theorem22_factor(n: int, d: Disk) -> float:
-    """``|G + g|^2 / (4 n Re(G conj(g)))``, the disk factor of Theorem 2.2."""
-    return abs(d.Gamma + d.gamma) ** 2 / (4.0 * d.re_product * n)
+def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> BatchReport:
+    """Theorem 2.1 on the coefficients and Bessel sum of ``s``, with ``||x||`` and ``||sum y_j||^2``."""
+    t = _disk_terms(s)
+    rhs = x_norm * np.sqrt(sum_sq) / math.sqrt(s.n) + t.penalty
+
+    def why(b) -> str:
+        return _outside(_inside(s)[b]) if _centered(_disk_of(s, b)) else _CENTERLESS
+
+    return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & _all_inside(s), why)
 
 
-def _theorem21(
-    bound_id: str, a: np.ndarray, bessel: float, x_norm: float, sum_sq: float, d: Disk, tol: float
-) -> BoundReport:
-    """Theorem 2.1 on coefficients ``a``, Bessel sum, ``||x||`` and ``||sum y_j||^2``."""
-    _require_center(d)
-    reason = _outside(a, d, tol)
-    if reason:
-        return skipped(bound_id, reason)
-    rhs = x_norm * math.sqrt(sum_sq) / math.sqrt(a.size) + _theorem21_penalty(a.size, d)
-    return evaluated(bound_id, math.sqrt(bessel), rhs)
+def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> BatchReport:
+    """Theorem 2.2 on the coefficients and Bessel sum of ``s``, with ``||x||^2``, ``||sum y_j||^2``."""
+    t = _disk_terms(s)
+
+    def why(b) -> str:
+        re = _disk_of(s, b).re_product
+        return _outside(_inside(s)[b]) if re > 0.0 else _not_positive(re)
+
+    ok = (t.re_product > 0.0) & _all_inside(s)
+    return BatchReport(bound_id, s.bessel, t.factor * sum_sq * x_norm_sq, ok, why)
 
 
-def _theorem22(
-    bound_id: str, a: np.ndarray, bessel: float, x_norm_sq: float, sum_sq: float, d: Disk, tol: float
-) -> BoundReport:
-    """Theorem 2.2 on coefficients ``a``, Bessel sum, ``||x||^2`` and ``||sum y_j||^2``."""
-    _require_positive_re(d)
-    reason = _outside(a, d, tol)
-    if reason:
-        return skipped(bound_id, reason)
-    return evaluated(bound_id, bessel, _theorem22_factor(a.size, d) * sum_sq * x_norm_sq)
+def theorem21_batch(s: BoundStats) -> list[BatchReport]:
+    """``theorem21`` on a stack with its disks bound; see ``theorem21``."""
+    return [_theorem21("theorem21", s, s.x_norm, s.sum_sq)]
+
+
+def theorem22_batch(s: BoundStats) -> list[BatchReport]:
+    """``theorem22`` on a stack with its disks bound; see ``theorem22``."""
+    return [_theorem22("theorem22", s, s.xsq, s.sum_sq)]
 
 
 def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -200,9 +308,8 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     Raises ``ParameterError`` when ``Gamma = -gamma``; reports a failed
     precondition when some coefficient leaves the disk.
     """
-    return _theorem21(
-        "theorem21", f.coefficients, bessel_sum(f), f.x_norm, f.ys_sum_norm_sq, d, tol
-    )
+    _require_center(d)
+    return reports_of(_bind(f.stats, d, tol).evaluate(theorem21_batch))[0]
 
 
 def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -210,9 +317,8 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
 
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
-    return _theorem22(
-        "theorem22", f.coefficients, bessel_sum(f), f.x_norm_sq, f.ys_sum_norm_sq, d, tol
-    )
+    _require_positive_re(d)
+    return reports_of(_bind(f.stats, d, tol).evaluate(theorem22_batch))[0]
 
 
 @dataclass
@@ -232,7 +338,7 @@ class EqualityResiduals:
 def _residuals(f: Family, d: Disk, target_scale: complex, tol: float) -> EqualityResiduals:
     if f.x_norm_sq == 0.0:
         raise DegenerateReference("equality residuals need a nonzero x")
-    reason = _outside(f.coefficients, d, tol)
+    reason = _outside(disk_condition_abs(f.coefficients, d, tol))
     if reason:
         raise PreconditionError(reason)
     per_j = np.abs(np.abs(f.coefficients - d.center) - d.radius)
@@ -268,6 +374,16 @@ def theorem22_residuals(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> E
     return _residuals(f, d, scale, tol)
 
 
+def lemma_eq6_batch(s: BoundStats) -> list[BatchReport]:
+    """``lemma_eq6`` on a stack with its disks bound; see ``lemma_eq6``."""
+    t = _disk_terms(s)
+    # Re[conj(Gamma + gamma) sum_j a_j]
+    re = t.sum.real * s.a_sum.real + t.sum.imag * s.a_sum.imag
+    ok = _all_inside(s)
+    lhs, rhs = s.bessel + t.n_center_sq, t.n_radius_sq + re
+    return [BatchReport("lemma_eq6", lhs, rhs, ok, lambda b: _outside(_inside(s)[b]))]
+
+
 def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
     """Summed disk inequality underlying both sharp bounds.
 
@@ -276,20 +392,41 @@ def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float
     ``lhs <= rhs`` whenever all coefficients lie in the disk, with equality
     exactly when every coefficient is on the boundary.
     """
-    reason = _outside(f.coefficients, d, tol)
-    if reason:
-        raise PreconditionError(reason)
-    lhs = bessel_sum(f) + f.n * abs(d.center) ** 2
-    rhs = f.n * d.radius**2 + (
-        (d.Gamma + d.gamma).conjugate() * f.coefficients_sum
-    ).real
-    return lhs, rhs
+    rep = _bind(f.stats, d, tol).evaluate(lemma_eq6_batch)[0]
+    if not rep.ok:
+        raise PreconditionError(rep.why(()))
+    return float(rep.lhs), float(rep.rhs)
 
 
 class OrthonormalRemark(NamedTuple):
     report30: BoundReport
     report31: BoundReport
     coarser_than_bessel: bool
+
+
+def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
+    """``orthonormal30`` and ``orthonormal31`` on a stack with its disks bound.
+
+    A family's test vectors are its e_j; one that is not orthonormal
+    within ``s.tol`` is skipped with its Gram deviation as the reason.
+    """
+    t = _disk_terms(s)
+    ok = t.centered & (s.ortho_dev <= s.tol) & _all_inside(s)
+
+    def why30(b) -> str:
+        if not _centered(_disk_of(s, b)):
+            return _CENTERLESS
+        if s.ortho_dev[b] > s.tol:
+            return f"family is not orthonormal (max Gram deviation {s.ortho_dev[b]:.3g})"
+        return _outside(_inside(s)[b])
+
+    def why31(b) -> str:
+        return why30(b) or "requires Re(Gamma * conj(gamma)) > 0"
+
+    return [
+        BatchReport("orthonormal30", np.sqrt(s.bessel), s.x_norm + t.penalty, ok, why30),
+        BatchReport("orthonormal31", s.bessel, t.factor1 * s.xsq, ok & (t.re_product > 0.0), why31),
+    ]
 
 
 def orthonormal_remark(
@@ -315,31 +452,28 @@ def orthonormal_family_remark(
 ) -> OrthonormalRemark:
     """``orthonormal_remark`` on a family already built, with ``f.ys`` as the e_j."""
     _require_center(d)
-    reason = _outside(f.coefficients, d, tol)
-    if f.orthonormal_deviation > tol:
-        reason = f"family is not orthonormal (max Gram deviation {f.orthonormal_deviation:.3g})"
-    if reason:
-        return OrthonormalRemark(
-            skipped("orthonormal30", reason), skipped("orthonormal31", reason), False
-        )
-    rhs30 = f.x_norm + _theorem21_penalty(f.n, d)
-    rep30 = evaluated("orthonormal30", math.sqrt(bessel_sum(f)), rhs30)
+    rep30, rep31 = reports_of(_bind(f.stats, d, tol).evaluate(orthonormal_batch))
+    if not rep30.preconditions_met:
+        return OrthonormalRemark(rep30, rep31, False)
     coarser = rep30.rhs >= f.x_norm - tol * max(1.0, f.x_norm)
-    if d.re_product > 0.0:
-        rhs31 = _theorem22_factor(1, d) * f.x_norm_sq
-        rep31 = evaluated("orthonormal31", bessel_sum(f), rhs31)
+    if rep31.preconditions_met:
         coarser = coarser and rep31.rhs >= f.x_norm_sq - tol * max(1.0, f.x_norm_sq)
-    else:
-        rep31 = skipped("orthonormal31", "requires Re(Gamma * conj(gamma)) > 0")
     return OrthonormalRemark(rep30, rep31, bool(coarser))
 
 
-def _scalar_stats(zs: Sequence[complex]) -> tuple[np.ndarray, float, float, float]:
-    """Kernel inputs of the family ``x = 1``, ``y_j = conj(z_j)``, summed as ``Family`` sums:
-    coefficients ``zs``, Bessel sum, ``||x|| = ||x||^2 = 1`` and ``|sum z_j|^2``."""
-    a = as_vector(zs)
-    s = a.sum(keepdims=True)
-    return a, float((a.real**2 + a.imag**2).sum()), 1.0, float((s.real**2 + s.imag**2).sum())
+def triangle_reverse_l2_batch(s: BoundStats) -> list[BatchReport]:
+    """Theorem 2.1 on the family ``x = 1``, ``y_j = conj(a_j)`` of each stack entry's coefficients."""
+    return [_theorem21("triangle_reverse_l2", s, 1.0, s.a_sum_sq)]
+
+
+def triangle_reverse_sq_batch(s: BoundStats) -> list[BatchReport]:
+    """Theorem 2.2 on the family ``x = 1``, ``y_j = conj(a_j)`` of each stack entry's coefficients."""
+    return [_theorem22("triangle_reverse_sq", s, 1.0, s.a_sum_sq)]
+
+
+def _scalars(zs: Sequence[complex], d: Disk, tol: float) -> BoundStats:
+    """The family alone with coefficients ``zs``, and the disk ``d`` bound."""
+    return _bind(Stats.of_coefficients(as_vector(zs)), d, tol)
 
 
 def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -348,9 +482,13 @@ def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOL
     Scalar form of ``theorem21``: Theorem 2.1 on the family ``x = 1``,
     ``y_j = conj(z_j)``, evaluated by the same kernel.
     """
-    return _theorem21("triangle_reverse_l2", *_scalar_stats(zs), d, tol)
+    s = _scalars(zs, d, tol)
+    _require_center(d)
+    return reports_of(s.evaluate(triangle_reverse_l2_batch))[0]
 
 
 def triangle_reverse_sq(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Reverse bound ``sum |z_j|^2`` vs ``|sum z_j|^2`` scaled; scalar ``theorem22``."""
-    return _theorem22("triangle_reverse_sq", *_scalar_stats(zs), d, tol)
+    s = _scalars(zs, d, tol)
+    _require_positive_re(d)
+    return reports_of(s.evaluate(triangle_reverse_sq_batch))[0]

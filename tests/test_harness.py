@@ -1,6 +1,7 @@
 """Samplers, check_all dispatch, fuzz aggregation, tightness comparison."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,17 @@ from besselkit import (
     sample_orthonormal_family,
     tightness_compare,
 )
-from besselkit.classical import classical_weights, pecaric_reports
-from besselkit.harness import BOUNDS
+from besselkit.classical import (
+    classical_weights,
+    classical_weights_batch,
+    pecaric_batch,
+    pecaric_reports,
+)
+from besselkit.core import Stats
+from besselkit.harness import BOUNDS, DEFAULT_P_VALUES
+from besselkit.report import reports_of
+
+HEAVY = DiskSampler(boundary_fraction=0.9, extremal_fraction=0.5)
 
 
 def small_cfg(**kw):
@@ -286,6 +296,59 @@ class TestFuzz:
         s = fuzz(small_cfg(instances=60, field_mode="real"))
         assert s.violations == []
 
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_sides_beyond_double_range(self, scale):
+        # at 1e80 the classical-weight Pecaric sides overflow, at 1e160 the
+        # sharp bounds' too; a NaN slack is checked but never enters min_slack
+        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=scale))
+        s1 = fuzz(cfg, workers=1)
+        assert not any(math.isnan(v) for v in s1.min_slack.values())
+        assert set(s1.min_slack) <= set(s1.checked)
+        text2 = json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True)
+        assert json.dumps(s1.as_dict(), sort_keys=True) == text2
+
+
+def _stack(families):
+    """The families, all of one size n, as one ``Stats`` stack in parts of one dimension."""
+    dims = np.array([f.dim for f in families])
+    parts = []
+    for d in np.unique(dims):
+        rows = np.flatnonzero(dims == d)
+        x = np.array([families[r].x for r in rows])
+        parts.append((rows, x, np.array([families[r].ys for r in rows])))
+    return Stats(parts, (len(families),))
+
+
+class TestStackMatchesFamilyAlone:
+    """Every formula over a stack gives each family the reports ``check_all`` gives it alone."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("sampler", [DiskSampler(), HEAVY])
+    def test_whole_chunk(self, mode, sampler):
+        cfg = FuzzConfig(master_seed=11, instances=256, field_mode=mode, disk_sampler=sampler)
+        rng = np.random.default_rng(5)
+        for disk in (False, True):
+            drawn = [
+                sample_disk_family(cfg, i) if disk else (sample_family(cfg, i), None) for i in range(256)
+            ]
+            imag = 1j if mode == "complex" else 0j
+            weights = [rng.standard_normal(f.n) + imag * rng.standard_normal(f.n) for f, _ in drawn]
+            for n in {f.n for f, _ in drawn}:
+                members = [k for k, (f, _) in enumerate(drawn) if f.n == n]
+                s = _stack([drawn[k][0] for k in members]).bind(
+                    disks=[drawn[k][1] for k in members] if disk else None,
+                    weights=np.array([weights[k] for k in members])[:, None],
+                    p_values=DEFAULT_P_VALUES,
+                    tol=cfg.tolerance,
+                )
+                batch = s.evaluate(*(b.formula for b in BOUNDS if disk or b.needs != "disk"))
+                batch += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                for b, k in enumerate(members):
+                    f, d = drawn[k]
+                    alone = check_all(f, d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
+                    alone += pecaric_reports(f, classical_weights(f))
+                    assert [r.as_dict() for r in reports_of(batch, b)] == [r.as_dict() for r in alone]
+
 
 class TestTightnessCompare:
     def test_rows_and_conservation_generic(self):
@@ -323,6 +386,43 @@ class TestTightnessCompare:
             if row.wins or not np.isnan(row.mean_ratio):
                 assert -1e-12 <= row.mean_ratio <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_rows_match_families_alone(self, mode, ensemble):
+        # the winner scan and the running ratio sums, family by family
+        cfg = small_cfg(instances=300, field_mode=mode, disk_sampler=HEAVY)
+        sampler = {
+            "generic": lambda c, i: (sample_family(c, i), None),
+            "disk": sample_disk_family,
+            "orthonormal": sample_orthonormal_family,
+        }[ensemble]
+        competing = [b for b in BOUNDS if b.competes]
+        wins = {b.ids[0]: 0 for b in competing}
+        sums = {b.ids[0]: [0.0, 0.0] for b in competing}  # one per chunk of 256
+        counts = {b.ids[0]: 0 for b in competing}
+        for i in range(cfg.instances):
+            f, d = sampler(cfg, i)
+            reports = {r.bound_id: r for r in check_all(f, d, p_values=()) if r.preconditions_met}
+            best = None
+            for b in competing:
+                r = reports.get(b.ids[0])
+                if r is None:
+                    continue
+                if best is None or r.rhs**b.competes < best[1]:
+                    best = (b.ids[0], r.rhs**b.competes)
+                if r.rhs > 0.0:
+                    sums[b.ids[0]][i // 256] += r.ratio
+                    counts[b.ids[0]] += 1
+            wins[best[0]] += 1
+        expected = [
+            (bid, wins[bid], (sums[bid][0] + sums[bid][1]) / counts[bid] if counts[bid] else math.nan)
+            for bid in wins
+        ]
+        rows = tightness_compare(cfg, ensemble)
+        assert [(r.bound_id, r.wins) for r in rows] == [e[:2] for e in expected]
+        for r, e in zip(rows, expected):
+            assert r.mean_ratio == e[2] or (math.isnan(r.mean_ratio) and math.isnan(e[2]))
+
     def test_unknown_ensemble(self):
         for instances in (4, 0):
             with pytest.raises(ValueError):
@@ -349,3 +449,8 @@ class TestConfigValidation:
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
             DiskSampler(boundary_fraction=1.5)
+
+    def test_bad_scale(self):
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                DiskSampler(scale=scale)
