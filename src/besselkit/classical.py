@@ -16,8 +16,8 @@ family, a stack without the batch axis, and returns its ``BoundReport``.  The ca
 * ``dragomir04_corollaries``  the three quotient forms at ``c_k = conj(a_k)``
 
 ``pecaric``, ``dragomir04`` and ``dragomir04_corollaries`` return tuples
-built from ``pecaric_reports``, ``dragomir04_reports`` and
-``dragomir04_corollary_reports``.
+of the values of their reports; ``pecaric_reports`` gives the Pecaric
+reports of a stack of weight vectors.
 
 Conventions: ``a_i = inner(x, y_i)`` are the coefficients of the family and
 ``S_i = sum_j |inner(y_i, y_j)|`` the absolute Gram row sums.  A max over an
@@ -70,10 +70,8 @@ __all__ = [
     "classical_weights",
     "classical_weights_batch",
     "dragomir04",
-    "dragomir04_reports",
     "dragomir04_batch",
     "dragomir04_corollaries",
-    "dragomir04_corollary_reports",
     "dragomir04_corollaries_batch",
 ]
 
@@ -281,18 +279,6 @@ def dragomir04_batch(s: BoundStats) -> list[BatchReport]:
     return reports
 
 
-def dragomir04_reports(
-    f: Family, c: Sequence[complex], p_values: Sequence[float]
-) -> list[BoundReport]:
-    """``dragomir04_b1``, one ``dragomir04_b2`` per exponent, ``dragomir04_b3``.
-
-    Every exponent must exceed 1.
-    """
-    w = as_weights(f, c, 1)
-    s = f.stats.bind(weights=w[None], p_values=tuple(p_values))
-    return reports_of(s.evaluate(dragomir04_batch))
-
-
 def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Dragomir04Bounds:
     """Weighted-sum bound with three alternative right sides.
 
@@ -301,7 +287,8 @@ def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Drago
     Gram entry.
     """
     p_values = (p,) if p is not None and is_exponent(p) else ()
-    reports = dragomir04_reports(f, c, p_values)
+    s = f.stats.bind(weights=as_weights(f, c, 1)[None], p_values=p_values)
+    reports = reports_of(s.evaluate(dragomir04_batch))
     rhs2 = reports[1].rhs if p_values else None
     return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)
 
@@ -335,16 +322,6 @@ def dragomir04_corollaries_batch(s: BoundStats) -> list[BatchReport]:
     return reports
 
 
-def dragomir04_corollary_reports(f: Family, p_values: Sequence[float]) -> list[BoundReport]:
-    """``dragomir04_cor1``, one ``dragomir04_cor2`` per exponent, ``dragomir04_cor3``.
-
-    Every exponent must exceed 1; with none, ``dragomir04_cor2`` is reported
-    once as skipped.  All reports are skipped when every coefficient is 0.
-    """
-    s = f.stats.bind(p_values=tuple(p_values))
-    return reports_of(s.evaluate(dragomir04_corollaries_batch))
-
-
 def dragomir04_corollaries(
     f: Family, p: float | None = None
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -354,4 +331,5 @@ def dragomir04_corollaries(
     the matching Gram expression.  Requires not all coefficients zero; the
     second quotient needs a finite ``p > 1`` and is skipped otherwise.
     """
-    return tuple(dragomir04_corollary_reports(f, (p,) if p is not None and is_exponent(p) else ()))
+    s = f.stats.bind(p_values=(p,) if p is not None and is_exponent(p) else ())
+    return tuple(reports_of(s.evaluate(dragomir04_corollaries_batch)))

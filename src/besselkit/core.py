@@ -133,8 +133,11 @@ def modulus(z: np.ndarray) -> np.ndarray:
     """``|z|`` elementwise through libm ``hypot``, as Python's ``abs`` of a complex computes it.
 
     ``np.abs`` on a complex array takes a vectorised path that can differ
-    in the last bit.
+    in the last bit.  A Python complex gives a numpy float, so that dividing
+    by it gives inf or NaN, as over an array, instead of raising.
     """
+    if type(z) is complex:
+        return np.float64(abs(z))
     return np.hypot(z.real, z.imag)
 
 
@@ -176,15 +179,19 @@ def _along(ws: np.ndarray, x: np.ndarray, xsq: np.ndarray) -> np.ndarray:
     return ((ws @ np.conj(x)[:, :, None])[:, :, 0] / xsq[:, None])[:, :, None] * x[:, None, :]
 
 
-def project_orthogonal(w: Iterable[complex], x: Iterable[complex]) -> np.ndarray:
-    """Component of ``w`` orthogonal to ``x`` (``x != 0``)."""
-    wa, xa = as_vector(w), as_vector(x)
-    if wa.shape != xa.shape:
+def project_orthogonal(w, x: Iterable[complex]) -> np.ndarray:
+    """Component of ``w`` orthogonal to ``x`` (``x != 0``); of each row when ``w`` is a list of vectors."""
+    xa = as_vector(x)
+    wa = np.asarray(w, dtype=np.complex128)
+    if wa.ndim not in (1, 2) or wa.shape[-1] != xa.size:
         raise DimensionMismatch("projection needs vectors of equal dimension")
+    if not np.isfinite(wa).all():
+        raise ValueError("vector entries must be finite")
     xsq = _sq_norms(xa[None])
     if xsq[0] == 0.0:
         raise DegenerateReference("cannot project against the zero vector")
-    return wa - _along(wa[None, None], xa[None], xsq)[0, 0]
+    rows = wa.reshape(1, -1, xa.size)
+    return (rows - _along(rows, xa[None], xsq)).reshape(wa.shape)
 
 
 def lift_stack(x: np.ndarray, zs: np.ndarray, ws: np.ndarray | None = None) -> np.ndarray:
@@ -255,11 +262,11 @@ class Stats:
     them at scalar speed.  The families are held in ``parts`` of one
     dimension each: ``(rows, x, ys)`` with ``x`` (k, d) and ``ys``
     (k, n, d) the reference and test vectors of the families at positions
-    ``rows``; a family alone is one part ``((), x, ys)``.  No array is
-    padded, so every statistic has the bits it has for each family alone.
-    Each statistic is computed on first access and kept, so a bound pays
-    only for what it reads; the few that read the vectors are computed part
-    by part (``_by_dim``).
+    ``rows``, as ``stack`` builds them; a family alone is one part
+    ``((), x, ys)``.  No array is padded, so every statistic has the bits it
+    has for each family alone.  Each statistic is computed on first access
+    and kept, so a bound pays only for what it reads; the few that read the
+    vectors are computed part by part (``_by_dim``).
 
     ``bind`` adds what the bounds read besides the families (a
     ``BoundStats``), and ``evaluate`` runs formulas with no inputs bound.
@@ -271,6 +278,26 @@ class Stats:
         self.parts, self.shape = parts, shape
         if parts:
             self.n = parts[0][2].shape[-2]
+
+    @classmethod
+    def stack(cls, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], zs=None) -> Stats:
+        """A stack of B families of one size n: ``xs[b]`` (d_b,) and ``ys[b]`` (n, d_b) are family b's.
+
+        With ``zs``, ``ys[b]`` are free components, lifted onto the
+        coefficients ``zs[b]`` (n,) by ``lift_stack``.  The families of
+        one dimension form one part.
+        """
+        by_dim: dict[int, list[int]] = {}
+        for b, x in enumerate(xs):
+            by_dim.setdefault(x.size, []).append(b)
+        parts = []
+        for rows in by_dim.values():
+            x = np.array([xs[r] for r in rows])
+            y = np.array([ys[r] for r in rows])
+            if zs is not None:
+                y = lift_stack(x, np.array([zs[r] for r in rows]), y)
+            parts.append((np.array(rows), x, y))
+        return cls(parts, (len(xs),))
 
     @classmethod
     def of_coefficients(cls, a: np.ndarray) -> Stats:
@@ -429,25 +456,28 @@ class Stats:
 class BoundStats(Stats):
     """A ``Stats`` stack with the inputs of one evaluation bound to it.
 
-    The inputs are the families' disks ``disks`` (a sequence of B, or
-    None), the weight rows ``weights`` (B, k, n), whose row 0 is the weight
-    vector ``c``, the exponents ``p_values`` and the tolerance ``tol``.
-    The family statistics live in the stack's own attribute dictionary,
-    which this shares, so every evaluation of a family computes them once;
-    what depends on the inputs is kept per evaluation (``kept``).
+    The inputs are the families' disks ``disks`` (a sequence of one disk
+    per family, or None), the weight rows ``weights`` (B, k, n), whose row 0
+    is the weight vector ``c``, the exponents ``p_values`` and the tolerance
+    ``tol``.  The disks are bound as their end points ``gamma`` and
+    ``Gamma`` (None without disks): arrays over a stack, and Python
+    complex numbers for a family alone, whose arithmetic is much faster
+    than that of numpy scalars.  The family statistics live in the stack's
+    own attribute dictionary, which this shares, so every evaluation of a
+    family computes them once; what depends on the inputs is kept per
+    evaluation (``kept``).
     """
 
-    __slots__ = ("stats", "disks", "weights", "p_values", "tol", "_kept")
+    __slots__ = ("gamma", "Gamma", "weights", "p_values", "tol", "_kept")
 
     def __init__(self, stats: Stats, disks, weights, p_values: tuple[float, ...], tol: float) -> None:
         self.__dict__ = stats.__dict__
-        self.stats, self.disks, self.weights = stats, disks, weights
-        self.p_values, self.tol = p_values, tol
+        self.weights, self.p_values, self.tol = weights, p_values, tol
+        self.gamma = self.Gamma = None
+        if disks is not None:
+            ends = [(d.gamma, d.Gamma) for d in disks]
+            self.gamma, self.Gamma = np.array(ends).T if self.shape else ends[0]
         self._kept: dict = {}
-
-    def bind(self, **inputs) -> BoundStats:
-        """The stack with other inputs."""
-        return self.stats.bind(**inputs)
 
     def evaluate(self, *formulas) -> list:
         """The ``BatchReport``s of each formula in turn.

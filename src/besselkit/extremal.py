@@ -177,25 +177,19 @@ def build(
     """
     xa = as_vector(x)
     spec = plan(target, n, d)
-    if not spec.feasible:
-        raise InfeasibleConstruction(spec.infeasible_reason)
-    thetas = solve_phases(spec)
+    thetas = solve_phases(spec)  # raises InfeasibleConstruction for an infeasible spec
     zs = d.center + d.radius * np.exp(1j * thetas)
-    if ws is not None:
-        warr = np.asarray(ws, dtype=np.complex128)
-        if warr.shape != (n, xa.size):
-            raise DimensionMismatch(
-                f"ws must have shape {(n, xa.size)}, got {warr.shape}"
-            )
-        projected = np.stack([project_orthogonal(w, xa) for w in warr])
-        drift = float(np.linalg.norm(projected.sum(axis=0)))
-        scale = max(1.0, float(np.abs(warr).max()))
-        if drift > 1e-9 * scale:
-            raise ValueError(
-                "orthogonal components must sum to zero after projection; "
-                f"got residual norm {drift:.3g}"
-            )
-        ys = lift_stack(xa[None], zs[None], warr[None])[0]
-    else:
-        ys = lift_stack(xa[None], zs[None])[0]
-    return Family(xa, ys)
+    if ws is None:
+        return Family(xa, lift_stack(xa[None], zs[None])[0])
+    warr = np.asarray(ws, dtype=np.complex128)
+    if warr.shape != (n, xa.size):
+        raise DimensionMismatch(f"ws must have shape {(n, xa.size)}, got {warr.shape}")
+    projected = project_orthogonal(warr, xa)  # rejects non-finite entries
+    drift = float(np.linalg.norm(projected.sum(axis=0)))
+    scale = max(1.0, float(np.abs(warr).max()))
+    if drift > 1e-9 * scale:
+        raise ValueError(
+            "orthogonal components must sum to zero after projection; "
+            f"got residual norm {drift:.3g}"
+        )
+    return Family(xa, lift_stack(xa[None], zs[None])[0] + projected)

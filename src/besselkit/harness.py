@@ -16,10 +16,10 @@ once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disks, weights and
 exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
 ``tightness_compare`` draw each instance as arrays, stack the instances of
-a chunk that share a family size n, and reduce the reports of a stack with
-masks; ``check_all`` runs the same formulas on one family, a stack without
-the batch axis, and builds its ``BoundReport``s from them.  No array is
-padded, so a family's reports have the same bits in a stack as alone.
+a chunk that share a family size n (``Stats.stack``), and reduce a stack's
+reports with masks; ``check_all`` runs these formulas on one family, a
+stack without the batch axis, and builds its ``BoundReport``s.  No array
+is padded, so a family's reports have the same bits in a stack as alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values, lift_stack
+from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values
 from .extremal import ExtremalTarget, plan, solve_phases
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of
 from .sharp import (
@@ -161,10 +161,6 @@ def _draw_fields(rng: np.random.Generator, shapes: list[tuple[int, ...]], mode: 
     return fields
 
 
-def _draw_matrix(rng: np.random.Generator, n: int, d: int, mode: str) -> np.ndarray:
-    return _draw_fields(rng, [(n, d)], mode)[0]
-
-
 def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
@@ -178,8 +174,7 @@ def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool
             g = complex(scale * rng.standard_normal())
             G = complex(scale * rng.standard_normal())
         else:
-            vals = _draw_matrix(rng, 1, 2, "complex")[0] * scale
-            g, G = complex(vals[0]), complex(vals[1])
+            g, G = (_draw_fields(rng, [(2,)], "complex")[0] * scale).tolist()
         d = Disk(g, G)
         if abs(d.center) <= 1e-6 * scale:
             continue
@@ -224,7 +219,7 @@ def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw
     n, d_dim = _draw_sizes(rng, cfg)
     mode = cfg.field_mode
     while True:
-        x = _draw_matrix(rng, 1, d_dim, mode)[0]
+        x = _draw_fields(rng, [(d_dim,)], mode)[0]
         if x.any():
             break
     disk = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
@@ -251,11 +246,11 @@ def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> 
         q, _ = np.linalg.qr(rng.standard_normal((dim, n)))
         es = q.T.astype(np.complex128)
     else:
-        q, _ = np.linalg.qr(_draw_matrix(rng, dim, n, "complex"))
+        q, _ = np.linalg.qr(_draw_fields(rng, [(dim, n)], "complex")[0])
         es = q.T.copy()  # rows are orthonormal
     x = coeffs @ es
     if dim > n:
-        extra = _draw_matrix(rng, 1, dim, cfg.field_mode)[0]
+        extra = _draw_fields(rng, [(dim,)], cfg.field_mode)[0]
         extra = extra - (es.conj() @ extra) @ es
         x = x + extra
     return Draw(x, es, None, disk, None)
@@ -309,39 +304,13 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
     return _family(cfg, index, "orthonormal")
 
 
-class _Stack(NamedTuple):
-    indices: list[int]  # the instance index of each family
-    stats: Stats  # no inputs bound yet
-    disks: list[Disk] | None  # None for an ensemble without disks
-    c: np.ndarray | None  # (B, n) weights
-
-
-def _stack(members: list[tuple[int, Draw]]) -> _Stack:
-    """Draws of one family size n as one stack, in parts of one dimension, lifted where due."""
-    draws = [dr for _, dr in members]
-    by_dim: dict[int, list[int]] = {}
-    for b, dr in enumerate(draws):
-        by_dim.setdefault(dr.x.size, []).append(b)
-    parts = []
-    for rows in by_dim.values():
-        x = np.array([draws[r].x for r in rows])
-        ys = np.array([draws[r].ys for r in rows])
-        if draws[0].zs is not None:
-            ys = lift_stack(x, np.array([draws[r].zs for r in rows]), ys)
-        parts.append((np.array(rows), x, ys))
-    return _Stack(
-        [i for i, _ in members],
-        Stats(parts, (len(draws),)),
-        None if draws[0].disk is None else [dr.disk for dr in draws],
-        None if draws[0].c is None else np.array([dr.c for dr in draws]),
-    )
-
-
-def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[_Stack]:
+def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple[list[int], BoundStats]]:
     """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
 
-    A stack holds at most 64 families, fewer when they are large, so that
-    its arrays stay near 1 MB; each is built when the previous one is done.
+    Yields each stack's instance indices and the stack with the draws'
+    disks and weights and ``cfg``'s exponents and tolerance bound.  A stack
+    holds at most 64 families, fewer when they are large, so that its
+    arrays stay near 1 MB; each is built when the previous one is done.
     """
     by_n: dict[int, list[tuple[int, Draw]]] = {}
     for index in range(start, stop):
@@ -350,7 +319,15 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[_Stac
     for n, members in sorted(by_n.items()):
         size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
         for k in range(0, len(members), size):
-            yield _stack(members[k : k + size])
+            indices, draws = zip(*members[k : k + size])
+            xs, ys, zs, disks, cs = zip(*draws)  # the fields of the Draws, each over the stack
+            s = Stats.stack(xs, ys, None if zs[0] is None else zs)
+            yield list(indices), s.bind(
+                disks=None if disks[0] is None else disks,
+                weights=None if cs[0] is None else np.array(cs)[:, None],
+                p_values=cfg.p_values,
+                tol=cfg.tolerance,
+            )
 
 
 class Bound(NamedTuple):
@@ -464,11 +441,11 @@ class FuzzSummary:
         return asdict(self)
 
 
-def _winners(reports: list[BatchReport]) -> np.ndarray:
-    """Per family, the position in ``_COMPETITORS`` of the smallest ``rhs ** competes``; -1 for none.
+def _winners(reports: list[BatchReport]) -> dict[str, int]:
+    """Per competing bound, the families whose smallest ``rhs ** competes`` it gives.
 
-    A later entry wins only when strictly smaller, so ties go to the
-    earlier one, and a NaN never displaces a winner.
+    A later entry of ``_COMPETITORS`` wins only when strictly smaller, so
+    ties go to the earlier one, and a NaN never displaces a winner.
     """
     by_id = {r.bound_id: r for r in reports}
     win = np.full(reports[0].ok.shape, -1)
@@ -481,76 +458,83 @@ def _winners(reports: list[BatchReport]) -> np.ndarray:
         take = r.ok & ((win < 0) | (val < best))
         best = np.where(take, val, best)
         win = np.where(take, k, win)
-    return win
+    return {b.ids[0]: int(np.count_nonzero(win == k)) for k, b in enumerate(_COMPETITORS)}
 
 
-def _count(counts: dict[str, int], key: str, value: int) -> None:
-    if value:
-        counts[key] = counts.get(key, 0) + value
+@cache
+def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``ids`` in order of appearance, and (K, U) whether ``ids[k]`` is the u-th."""
+    keys = list(dict.fromkeys(ids))
+    return keys, np.array([[i == key for key in keys] for i in ids])
 
 
-def _tally(part: FuzzSummary, reports: list[BatchReport], sampler: str, indices: list[int]) -> None:
-    """Add a stack's reports and tightness winners to ``part``."""
-    tol = part.config.tolerance
+def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: list[int]) -> FuzzSummary:
+    """The summary of one stack's reports and tightness winners.
+
+    The reports of one bound id (one per weight row or exponent) are
+    counted together.  A NaN slack (a side beyond the double range) is
+    checked, but never tight, never a violation and never the least slack.
+    """
+    tol = cfg.tolerance
     ok = np.array([r.ok for r in reports])
     rhs = np.array([r.rhs for r in reports])
     rel = (rhs - np.array([r.lhs for r in reports])) / np.maximum(1.0, np.abs(rhs))
-    # a NaN slack (a side beyond the double range) is checked, but never
-    # tight, never a violation and never the least slack
     slack = ok & ~np.isnan(rel)
-    least = np.where(slack, rel, np.inf).min(axis=1).tolist()
-    checked = ok.sum(axis=1).tolist()
-    tight = (ok & (np.abs(rel) <= tol)).sum(axis=1).tolist()
-    has_least = slack.any(axis=1).tolist()
+    keys, group = _groups(tuple(r.bound_id for r in reports))
+    least = np.where(group, np.where(slack, rel, np.inf).min(axis=1)[:, None], np.inf).min(axis=0)
     bad = ok & (rel < -tol)
-    for k, r in enumerate(reports):
-        _count(part.checked, r.bound_id, checked[k])
-        _count(part.tight, r.bound_id, tight[k])
-        if has_least[k]:
-            prev = part.min_slack.get(r.bound_id)
-            if prev is None or least[k] < prev:
-                part.min_slack[r.bound_id] = least[k]
-    for b, k in np.argwhere(bad.T):  # instance by instance, reports in order
-        part.violations.append(
+    return FuzzSummary(
+        cfg,
+        checked=dict(zip(keys, (ok.sum(axis=1) @ group).tolist())),
+        violations=[
             {
                 "bound_id": reports[k].bound_id,
                 "sampler": sampler,
                 "instance_seed": indices[b],
                 "slack": float(rel[k, b]),
             }
-        )
-    win = _winners(reports)
-    for k, b in enumerate(_COMPETITORS):
-        _count(part.tightness_wins, b.ids[0], int(np.count_nonzero(win == k)))
+            for b, k in np.argwhere(bad.T)  # instance by instance, reports in order
+        ],
+        min_slack={key: v for key, v, has in zip(keys, least.tolist(), slack.any(axis=1) @ group) if has},
+        tight=dict(zip(keys, ((ok & (np.abs(rel) <= tol)).sum(axis=1) @ group).tolist())),
+        tightness_wins=_winners(reports),
+    )
+
+
+def _merge(total: FuzzSummary, part: FuzzSummary) -> FuzzSummary:
+    """``total`` with ``part`` added: counts add, violations extend, each bound keeps its least slack.
+
+    A count of 0 adds no key, so a summary names only what happened.
+    """
+    for name in ("checked", "tight", "tightness_wins"):
+        counts = getattr(total, name)
+        for key, val in getattr(part, name).items():
+            if val:
+                counts[key] = counts.get(key, 0) + val
+    total.violations.extend(part.violations)
+    for key, val in part.min_slack.items():
+        if key not in total.min_slack or val < total.min_slack[key]:
+            total.min_slack[key] = val
+    return total
 
 
 def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     cfg, start, stop = args
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
-        for stack in _stacks(cfg, sampler, start, stop):
-            s = stack.stats.bind(
-                disks=stack.disks,
-                weights=stack.c[:, None],
-                p_values=cfg.p_values,
-                tol=cfg.tolerance,
-            )
-            reports = s.evaluate(*_formulas(True, stack.disks is not None, False))
+        for indices, s in _stacks(cfg, sampler, start, stop):
+            reports = s.evaluate(*_formulas(True, s.gamma is not None, False))
             with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
                 # the three classical weight choices, after every other report; they
                 # are their own stack of rows, since a row of a k-row product can
                 # differ in its last bit from the same row in a 1-row product
                 reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                _tally(part, reports, sampler, stack.indices)
+                _merge(part, _tally(cfg, reports, sampler, indices))
     return part
 
 
-def _chunks(instances: int) -> list[tuple[int, int]]:
-    return [(a, min(a + _CHUNK, instances)) for a in range(0, instances, _CHUNK)]
-
-
 def _map_chunks(fn, cfg: FuzzConfig, workers: int) -> list:
-    tasks = [(cfg, a, b) for a, b in _chunks(cfg.instances)]
+    tasks = [(cfg, a, min(a + _CHUNK, cfg.instances)) for a in range(0, cfg.instances, _CHUNK)]
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -564,16 +548,7 @@ def fuzz(cfg: FuzzConfig, workers: int = 1) -> FuzzSummary:
     any ``workers`` value because instances are independent and chunk
     results merge in index order.
     """
-    total = FuzzSummary(cfg, {}, [], {}, {}, {})
-    for part in _map_chunks(_fuzz_chunk, cfg, workers):
-        for name in ("checked", "tight", "tightness_wins"):
-            counts = getattr(total, name)
-            for key, val in getattr(part, name).items():
-                counts[key] = counts.get(key, 0) + val
-        total.violations.extend(part.violations)
-        for key, val in part.min_slack.items():
-            if key not in total.min_slack or val < total.min_slack[key]:
-                total.min_slack[key] = val
+    total = reduce(_merge, _map_chunks(_fuzz_chunk, cfg, workers), FuzzSummary(cfg, {}, [], {}, {}, {}))
     total.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
     return total
 
@@ -596,13 +571,11 @@ def _compare_chunk(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str
     wins = dict.fromkeys(ids, 0)
     ratios = {bid: np.zeros(stop - start) for bid in ids}
     used = {bid: np.zeros(stop - start, dtype=bool) for bid in ids}
-    for stack in _stacks(cfg, ensemble, start, stop):
-        s = stack.stats.bind(disks=stack.disks, tol=cfg.tolerance)
-        reports = s.evaluate(*_formulas(False, stack.disks is not None, True))
-        win = _winners(reports)
-        for k, bid in enumerate(ids):
-            wins[bid] += int(np.count_nonzero(win == k))
-        at = np.array(stack.indices) - start
+    for indices, s in _stacks(cfg, ensemble, start, stop):
+        reports = s.evaluate(*_formulas(False, s.gamma is not None, True))
+        for bid, count in _winners(reports).items():
+            wins[bid] += count
+        at = np.array(indices) - start
         for r in reports:
             use = r.ok & (r.rhs > 0.0)
             ratios[r.bound_id][at[use]] = r.lhs[use] / r.rhs[use]

@@ -25,8 +25,8 @@ coarser than the plain Bessel inequality; it shares the disk terms of the
 two kernels.
 
 As in ``classical``, each bound is an array formula ``<bound>_batch(s)``
-over a stack whose disks are bound (``core.BoundStats``), and the function
-of the bound's own name runs it on one family.
+over a stack whose disks are bound as the arrays ``s.gamma``, ``s.Gamma``
+(``core.BoundStats``), and the function of its own name runs it on one family.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .core import (
     PreconditionError,
     Stats,
     as_vector,
+    libm_pow,
+    modulus,
 )
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, reports_of
 
@@ -63,7 +65,6 @@ __all__ = [
     "lemma_eq6",
     "lemma_eq6_batch",
     "orthonormal_remark",
-    "orthonormal_family_remark",
     "orthonormal_batch",
     "triangle_reverse_l2",
     "triangle_reverse_l2_batch",
@@ -119,7 +120,6 @@ def disk_condition_re(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     the product).  Accepts scalars or numpy arrays of ``z``.
     """
     g, G = d.gamma, d.Gamma
-    z = np.asarray(z) if not np.isscalar(z) else z
     re_z, im_z = np.real(z), np.imag(z)
     value = (G.real - re_z) * (re_z - g.real) + (G.imag - im_z) * (im_z - g.imag)
     return value >= -tol * max(1.0, d.radius) ** 2
@@ -131,7 +131,7 @@ def disk_condition_abs(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     Equivalent to ``disk_condition_re`` up to tolerance at the boundary.
     Accepts scalars or numpy arrays of ``z``.
     """
-    return np.abs(np.asarray(z) - d.center) <= _reach(d, tol)
+    return np.abs(np.asarray(z) - d.center) <= d.radius + tol * max(1.0, d.radius)
 
 
 def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
@@ -141,7 +141,6 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     tolerance.  Whenever it holds, ``disk_condition_re`` holds too.
     """
     g, G = d.gamma, d.Gamma
-    z = np.asarray(z) if not np.isscalar(z) else z
     re_z, im_z = np.real(z), np.imag(z)
     slack = tol * max(1.0, d.radius)
     return (
@@ -152,16 +151,15 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     )
 
 
-def _reach(d: Disk, tol: float) -> float:
-    """How far from the center a point of the disk may lie at tolerance ``tol``."""
-    return d.radius + tol * max(1.0, d.radius)
-
-
 class _DiskTerms(NamedTuple):
-    """The scalars of a family's disk that the sharp bounds read, one entry per family."""
+    """The scalars of each family's disk that the sharp bounds read.
+
+    Over a stack each is an array with one entry per family; for a family
+    alone, each is a Python or numpy scalar.
+    """
 
     center: np.ndarray
-    reach: np.ndarray  # see _reach
+    reach: np.ndarray  # how far from the center a coefficient may lie, as in disk_condition_abs
     centered: np.ndarray  # Gamma != -gamma
     re_product: np.ndarray
     penalty: np.ndarray  # (sqrt(n)/4) |G - g|^2 / |G + g|, the disk term of Theorem 2.1
@@ -172,47 +170,34 @@ class _DiskTerms(NamedTuple):
     sum: np.ndarray  # Gamma + gamma
 
 
-def _guarded(term) -> float:
-    """``term()``; NaN where it divides by zero, inf where it leaves the double range."""
-    try:
-        return term()
-    except ZeroDivisionError:
-        return math.nan
-    except OverflowError:
-        return math.inf
-
-
-def _centered(d: Disk) -> bool:
-    return abs(d.Gamma + d.gamma) != 0.0
-
-
-def _terms_of(d: Disk, n: int, tol: float) -> tuple:
-    """The ``_DiskTerms`` of ``d`` for families of n vectors, in Python floats."""
-    center, radius, re = d.center, d.radius, d.re_product
-    total = d.Gamma + d.gamma
-    sum_abs = abs(total)
-    return (
-        center,
-        _reach(d, tol),
-        sum_abs != 0.0,
-        re,
-        _guarded(lambda: (math.sqrt(n) / 4.0) * abs(d.Gamma - d.gamma) ** 2 / sum_abs),
-        _guarded(lambda: sum_abs**2 / (4.0 * re * n)),
-        _guarded(lambda: sum_abs**2 / (4.0 * re)),
-        _guarded(lambda: n * abs(center) ** 2),
-        _guarded(lambda: n * radius**2),
-        total,
-    )
-
-
 def _disk_terms(s: BoundStats) -> _DiskTerms:
-    """Each family's ``_DiskTerms``: arrays over a stack, Python scalars for a family alone."""
+    """The ``_DiskTerms`` of the disks bound to ``s``, from their end points ``s.gamma``, ``s.Gamma``.
+
+    A term of a disk a bound does not apply to (a centerless disk for
+    Theorem 2.1, ``Re(Gamma conj(gamma)) <= 0`` for Theorem 2.2) may be
+    inf or NaN; the bound's preconditions mask it.
+    """
 
     def compute() -> _DiskTerms:
-        rows = [_terms_of(d, s.n, s.tol) for d in s.disks]
-        if not s.shape:
-            return _DiskTerms(*rows[0])
-        return _DiskTerms(*(np.array(column) for column in zip(*rows)))
+        g, G, n = s.gamma, s.Gamma, s.n
+        total = G + g
+        center = total / 2.0
+        span, sum_abs = modulus(G - g), modulus(total)
+        radius = span / 2.0
+        re = G.real * g.real + G.imag * g.imag
+        sum_sq = libm_pow(sum_abs, 2)
+        return _DiskTerms(
+            center=center,
+            reach=radius + s.tol * np.maximum(1.0, radius),
+            centered=sum_abs != 0.0,
+            re_product=re,
+            penalty=(math.sqrt(n) / 4.0) * libm_pow(span, 2) / sum_abs,
+            factor=sum_sq / (4.0 * re * n),
+            factor1=sum_sq / (4.0 * re),
+            n_center_sq=n * libm_pow(modulus(center), 2),
+            n_radius_sq=n * libm_pow(radius, 2),
+            sum=total,
+        )
 
     return s.kept("disk", compute)
 
@@ -222,16 +207,10 @@ def _inside(s: BoundStats) -> np.ndarray:
 
     def compute() -> np.ndarray:
         t = _disk_terms(s)
-        if not s.shape:
-            return np.abs(s.a - t.center) <= t.reach
-        return np.abs(s.a - t.center[:, None]) <= t.reach[:, None]
+        # the coefficient axis first, so that the terms, one per family, broadcast over it
+        return (np.abs(s.a.T - t.center) <= t.reach).T
 
     return s.kept("inside", compute)
-
-
-def _disk_of(s: BoundStats, b) -> Disk:
-    """Family ``b``'s disk (``b = ()`` for a family alone)."""
-    return s.disks[b] if s.shape else s.disks[0]
 
 
 def _all_inside(s: BoundStats) -> np.ndarray:
@@ -254,7 +233,7 @@ def _outside(inside: np.ndarray) -> str:
 
 
 def _require_center(d: Disk) -> None:
-    if not _centered(d):
+    if abs(d.Gamma + d.gamma) == 0.0:
         raise ParameterError(_CENTERLESS)
 
 
@@ -263,18 +242,13 @@ def _require_positive_re(d: Disk) -> None:
         raise ParameterError(_not_positive(d.re_product))
 
 
-def _bind(s: Stats, d: Disk, tol: float) -> BoundStats:
-    """The family alone ``s`` with the disk ``d`` bound."""
-    return s.bind(disks=(d,), tol=tol)
-
-
 def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> BatchReport:
     """Theorem 2.1 on the coefficients and Bessel sum of ``s``, with ``||x||`` and ``||sum y_j||^2``."""
     t = _disk_terms(s)
     rhs = x_norm * np.sqrt(sum_sq) / math.sqrt(s.n) + t.penalty
 
     def why(b) -> str:
-        return _outside(_inside(s)[b]) if _centered(_disk_of(s, b)) else _CENTERLESS
+        return _outside(_inside(s)[b]) if t.centered[b] else _CENTERLESS
 
     return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & _all_inside(s), why)
 
@@ -284,7 +258,7 @@ def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> B
     t = _disk_terms(s)
 
     def why(b) -> str:
-        re = _disk_of(s, b).re_product
+        re = np.asarray(t.re_product)[b]  # a Python float for a family alone
         return _outside(_inside(s)[b]) if re > 0.0 else _not_positive(re)
 
     ok = (t.re_product > 0.0) & _all_inside(s)
@@ -309,7 +283,7 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     precondition when some coefficient leaves the disk.
     """
     _require_center(d)
-    return reports_of(_bind(f.stats, d, tol).evaluate(theorem21_batch))[0]
+    return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem21_batch))[0]
 
 
 def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -318,7 +292,7 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
     _require_positive_re(d)
-    return reports_of(_bind(f.stats, d, tol).evaluate(theorem22_batch))[0]
+    return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem22_batch))[0]
 
 
 @dataclass
@@ -392,7 +366,7 @@ def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float
     ``lhs <= rhs`` whenever all coefficients lie in the disk, with equality
     exactly when every coefficient is on the boundary.
     """
-    rep = _bind(f.stats, d, tol).evaluate(lemma_eq6_batch)[0]
+    rep = f.stats.bind(disks=(d,), tol=tol).evaluate(lemma_eq6_batch)[0]
     if not rep.ok:
         raise PreconditionError(rep.why(()))
     return float(rep.lhs), float(rep.rhs)
@@ -414,7 +388,7 @@ def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
     ok = t.centered & (s.ortho_dev <= s.tol) & _all_inside(s)
 
     def why30(b) -> str:
-        if not _centered(_disk_of(s, b)):
+        if not t.centered[b]:
             return _CENTERLESS
         if s.ortho_dev[b] > s.tol:
             return f"family is not orthonormal (max Gram deviation {s.ortho_dev[b]:.3g})"
@@ -444,15 +418,9 @@ def orthonormal_remark(
     parent bound).  ``coarser_than_bessel`` records that each computed rhs
     dominates the plain Bessel right side.
     """
-    return orthonormal_family_remark(Family(x, es), d, tol)
-
-
-def orthonormal_family_remark(
-    f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE
-) -> OrthonormalRemark:
-    """``orthonormal_remark`` on a family already built, with ``f.ys`` as the e_j."""
+    f = Family(x, es)
     _require_center(d)
-    rep30, rep31 = reports_of(_bind(f.stats, d, tol).evaluate(orthonormal_batch))
+    rep30, rep31 = reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(orthonormal_batch))
     if not rep30.preconditions_met:
         return OrthonormalRemark(rep30, rep31, False)
     coarser = rep30.rhs >= f.x_norm - tol * max(1.0, f.x_norm)
@@ -473,7 +441,7 @@ def triangle_reverse_sq_batch(s: BoundStats) -> list[BatchReport]:
 
 def _scalars(zs: Sequence[complex], d: Disk, tol: float) -> BoundStats:
     """The family alone with coefficients ``zs``, and the disk ``d`` bound."""
-    return _bind(Stats.of_coefficients(as_vector(zs)), d, tol)
+    return Stats.of_coefficients(as_vector(zs)).bind(disks=(d,), tol=tol)
 
 
 def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:

@@ -122,6 +122,36 @@ class TestFamilyFile:
             assert main(["eval", "--input", str(path)]) == 1
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"x": []}, r"x: expected a non-empty list"),
+            ({"x": [1.0, 0.0]}, r"x\[0\]: expected a finite \[re, im\] pair"),
+            ({"ys": []}, r"ys must be a non-empty list"),
+            ({"ys": [[1.0, 0.0]]}, r"ys\[0\]\[0\]: expected a finite"),
+            ({"ys": [[]]}, r"ys\[0\]: expected a non-empty list"),
+            ({"field_mode": "quaternion"}, r"field_mode must be 'real' or 'complex'"),
+            ({"coeffs": [[1.0, 0.0]]}, r"coeffs has length 1, family has 2 vectors"),
+            ({"p": 1.5}, r"p must be a list"),
+            ({"p": [1.5, 1.0]}, r"p\[1\]: expected a finite number > 1"),
+        ],
+        ids=["x-empty", "x-pair", "ys-empty", "ys-vector", "ys-row-empty", "mode", "coeffs", "p-list", "p-value"],
+    )
+    def test_malformed_content_located(self, tmp_path, capsys, change, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(ORTHO_FILE, **change)))
+        with pytest.raises(CliInputError, match=rf"bad\.json: {match}"):
+            read_family_file(str(path))
+        assert main(["eval", "--input", str(path)]) == 1
+        assert "bad.json" in capsys.readouterr().err
+
+    def test_top_level_must_be_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for text in ("[]", "1.5", '"family"'):
+            path.write_text(text)
+            with pytest.raises(CliInputError, match="top level must be a JSON object"):
+                read_family_file(str(path))
+
     def test_gamma_requires_big_gamma(self, tmp_path):
         payload = dict(ORTHO_FILE)
         payload["gamma"] = [1.0, 0.0]
@@ -336,6 +366,10 @@ class TestExtremalCommand:
             ["extremal", "--target", "thm21", "--gamma", "huh", "--Gamma", "3", "--n", "2"]
         )
         assert code == 1
+        for sizes in (["--n", "0"], ["--n", "2", "--dim", "0"]):
+            code = main(["extremal", "--target", "thm21", "--gamma", "1", "--Gamma", "3", *sizes])
+            assert code == 1
+            assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestFuzzCommand:
@@ -367,6 +401,10 @@ class TestFuzzCommand:
         for key in ("config", "checked", "violations", "min_slack", "tight", "tightness_wins"):
             assert key in data
         assert data["config"]["master_seed"] == 3
+        # a single integer is a range of one value
+        assert main(["fuzz", "--instances", "4", "--n", "5", "--dim", "2", "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["n_range"], config["d_range"]) == ([5, 5], [2, 2])
 
     def test_unwritable_output_exit_one(self, capsys):
         code = main(["fuzz", "--instances", "5", "--output", "/nonexistent/dir/out.json"])
@@ -378,8 +416,11 @@ class TestFuzzCommand:
             assert main(argv + ["--output", "/nonexistent/dir/out"]) == 1
             assert "cannot write output" in capsys.readouterr().err
 
-    def test_bad_range_exit_one(self, capsys):
+    def test_bad_range_exit_one(self, tmp_path, capsys):
         assert main(["fuzz", "--instances", "5", "--n", "x:y", "--output", "/tmp/o.json"]) == 1
+        for argv in (["--n", "1:2:3"], ["--n", "0:3"], ["--dim", "4:2"], ["--instances", "-1"]):
+            assert main(["fuzz", *argv, "--output", str(tmp_path / "o.json")]) == 1, argv
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompareCommand:

@@ -44,6 +44,9 @@ class TestInner:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             inner([1, 0], [1, 0, 0])
+        for u in ([], [[1, 0]]):  # a vector is non-empty and 1-D
+            with pytest.raises(DimensionMismatch, match="1-D vector"):
+                inner(u, u)
 
     def test_self_inner_is_real_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -56,6 +59,8 @@ class TestInner:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             inner([np.nan, 0], [1, 0])
+        with pytest.raises(ValueError, match="finite"):
+            inner([1, 0], [np.inf, 0])
 
 
 class TestNorm:
@@ -97,6 +102,11 @@ class TestGram:
     def test_ragged_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             gram([[1, 0], [1, 0, 0]])
+        for ys in ([], [[]], [1, 2], [[[1, 0]]]):  # a non-empty list of non-empty vectors
+            with pytest.raises(DimensionMismatch, match="non-empty"):
+                gram(ys)
+        with pytest.raises(ValueError, match="finite"):
+            gram([[1, 0], [0, np.nan]])
 
 
 class TestLift:
@@ -135,6 +145,10 @@ class TestLift:
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             p = project_orthogonal(w, x)
             assert abs(inner(x, p)) <= 1e-12 * norm(x) * norm(w)
+            # a list of vectors is projected row by row
+            rows = project_orthogonal([w, 2.0 * w, x], x)
+            scale = 1e-12 * norm(w)
+            assert np.abs(rows - [p, 2.0 * p, np.zeros(4)]).max() <= scale
 
     def test_zero_reference_rejected(self):
         with pytest.raises(DegenerateReference):
@@ -145,6 +159,11 @@ class TestLift:
     def test_ws_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lift_gram_values(E1, [1, 2], [[1, 0]])
+        for w in ([1, 0, 0], [[1, 0, 0]], [], [[[1, 0]]]):
+            with pytest.raises(DimensionMismatch, match="equal dimension"):
+                project_orthogonal(w, E1)
+        with pytest.raises(ValueError, match="finite"):
+            project_orthogonal([[1, 0], [np.nan, 1]], E1)
 
 
 class TestCauchySchwarz:

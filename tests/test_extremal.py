@@ -12,6 +12,7 @@ import pytest
 
 from besselkit import (
     DegenerateReference,
+    DimensionMismatch,
     Disk,
     ExtremalTarget,
     Family,
@@ -241,6 +242,14 @@ class TestBuild:
         x = np.array([1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
             build(ExtremalTarget.THM21, x, 2, Disk(1.0, 3.0), ws=ws)
+        # components must be finite, one per vector, of the dimension of x
+        for bad in (np.inf, np.nan):
+            ws[1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                build(ExtremalTarget.THM21, x, 2, Disk(1.0, 3.0), ws=ws)
+        for shape in ((3, 3), (2, 2), (6,)):
+            with pytest.raises(DimensionMismatch, match="ws must have shape"):
+                build(ExtremalTarget.THM21, x, 2, Disk(1.0, 3.0), ws=np.zeros(shape))
 
     def test_degenerate_x_rejected(self):
         with pytest.raises(DegenerateReference):

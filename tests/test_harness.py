@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from besselkit import harness
 from besselkit import (
     Disk,
     DiskSampler,
@@ -31,9 +32,10 @@ from besselkit.classical import (
     pecaric_batch,
     pecaric_reports,
 )
+from besselkit.cli import main
 from besselkit.core import Stats
-from besselkit.harness import BOUNDS, DEFAULT_P_VALUES
-from besselkit.report import reports_of
+from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
+from besselkit.report import BatchReport, reports_of
 
 HEAVY = DiskSampler(boundary_fraction=0.9, extremal_fraction=0.5)
 
@@ -308,15 +310,52 @@ class TestFuzz:
         assert json.dumps(s1.as_dict(), sort_keys=True) == text2
 
 
-def _stack(families):
-    """The families, all of one size n, as one ``Stats`` stack in parts of one dimension."""
-    dims = np.array([f.dim for f in families])
-    parts = []
-    for d in np.unique(dims):
-        rows = np.flatnonzero(dims == d)
-        x = np.array([families[r].x for r in rows])
-        parts.append((rows, x, np.array([families[r].ys for r in rows])))
-    return Stats(parts, (len(families),))
+@pytest.fixture
+def planted(monkeypatch):
+    """``BOUNDS`` entries ``planted_b`` and ``planted_a``, violated where ``|a_0| > 1`` and ``2 |a_0| > 1``.
+
+    Their ids sort in the reverse of their table order.
+    """
+
+    def formula(bound_id, factor):
+        def batch(s):
+            return [BatchReport(bound_id, factor * s.abs_a[..., 0], np.ones(s.shape), s.always)]
+
+        return batch
+
+    entries = (Bound(("planted_b",), "family", formula("planted_b", 1.0)),)
+    entries += (Bound(("planted_a",), "family", formula("planted_a", 2.0)),)
+    monkeypatch.setattr(harness, "BOUNDS", harness.BOUNDS + entries)
+    harness._formulas.cache_clear()
+    yield
+    monkeypatch.undo()
+    harness._formulas.cache_clear()
+
+
+class TestFuzzViolations:
+    def test_violations_recorded_in_order(self, planted):
+        cfg = small_cfg(instances=300)  # two chunks
+        expected = []
+        for i in range(cfg.instances):
+            for sampler, f in (("disk", sample_disk_family(cfg, i)[0]), ("generic", sample_family(cfg, i))):
+                for bound_id, factor in (("planted_a", 2.0), ("planted_b", 1.0)):
+                    slack = 1.0 - factor * f.abs_coefficients[0]
+                    if slack < -cfg.tolerance:
+                        expected.append(
+                            {"bound_id": bound_id, "sampler": sampler, "instance_seed": i, "slack": slack}
+                        )
+        summary = fuzz(cfg)
+        assert 0 < len(summary.violations) < 4 * cfg.instances
+        assert summary.violations == expected
+        assert all(list(v) == ["bound_id", "sampler", "instance_seed", "slack"] for v in summary.violations)
+        assert all(type(v["slack"]) is float for v in summary.violations)
+        assert summary.checked["planted_a"] == summary.checked["planted_b"] == 2 * cfg.instances
+        assert summary.min_slack["planted_a"] == min(v["slack"] for v in expected)
+
+    def test_cli_exits_two(self, planted, tmp_path):
+        out = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--seed", "3", "--instances", "40", "--output", str(out)]) == 2
+        assert json.loads(out.read_text())["violations"]
 
 
 class TestStackMatchesFamilyAlone:
@@ -335,7 +374,7 @@ class TestStackMatchesFamilyAlone:
             weights = [rng.standard_normal(f.n) + imag * rng.standard_normal(f.n) for f, _ in drawn]
             for n in {f.n for f, _ in drawn}:
                 members = [k for k, (f, _) in enumerate(drawn) if f.n == n]
-                s = _stack([drawn[k][0] for k in members]).bind(
+                s = Stats.stack([drawn[k][0].x for k in members], [drawn[k][0].ys for k in members]).bind(
                     disks=[drawn[k][1] for k in members] if disk else None,
                     weights=np.array([weights[k] for k in members])[:, None],
                     p_values=DEFAULT_P_VALUES,
@@ -435,6 +474,10 @@ class TestConfigValidation:
             FuzzConfig(n_range=(0, 3))
         with pytest.raises(ValueError):
             FuzzConfig(d_range=(5, 2))
+        with pytest.raises(ValueError, match="instances"):
+            FuzzConfig(instances=-1)
+        with pytest.raises(ValueError, match="field_mode"):
+            FuzzConfig(field_mode="quaternion")
 
     def test_bad_p_values(self):
         for p in (1.0, float("nan"), float("inf")):
