@@ -11,8 +11,12 @@ characterisation translates into
 These closed forms are derived here, not quoted from anywhere; the test
 suite validates them through the residual oracles before they are trusted
 as fixtures.  ``solve_phases`` realises a prescribed ``S`` with at most two
-distinct angles around ``arg(S)``, and ``build`` lifts the resulting
-boundary values to an actual family with ``inner(x, y_j) = z_j``.
+distinct angles around ``arg(S)``, ``equality_coefficients`` turns them
+into the boundary values ``z_j``, and ``build`` lifts those to an actual
+family with ``inner(x, y_j) = z_j``.  The disk's center, radius and
+``Re(Gamma conj(gamma))``, and the checks of the two theorems' hypotheses
+(``Disk.require_center``, ``Disk.require_positive_re``), are read from
+``sharp.Disk``; none is computed here.
 
 Feasibility is narrower than ``|S| <= n``.  Equality in the sqrt-form
 bound also forces ``Re[(conj(Gamma) + conj(gamma)) inner(x, sum y_j)]`` to
@@ -24,13 +28,16 @@ up to ``2 |center|`` the mean characterisation can be satisfied while the
 bound stays strict, so such requests are refused.  The squared-form target
 is always attainable under its ``Re(Gamma conj(gamma)) > 0`` hypothesis.
 ``n = 1`` additionally needs ``|S| = 1`` exactly, since a single unit
-phase cannot have modulus below one.  Infeasible requests fail loudly; no
+phase cannot have modulus below one.  A disk whose ``|center|^2``
+underflows to 0 or overflows to inf in double precision is infeasible too:
+no phase sum is formed from it.  Infeasible requests fail loudly; no
 best-effort family is returned.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +60,7 @@ __all__ = [
     "InfeasibleConstruction",
     "plan",
     "solve_phases",
+    "equality_coefficients",
     "build",
 ]
 
@@ -85,30 +93,32 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
 
     Raises ``ParameterError`` for parameters the parent bounds exclude
     (``Gamma = -gamma`` for ``theorem21``, ``Re(Gamma conj(gamma)) <= 0``
-    for ``theorem22``); infeasibility of the equality case itself is
-    reported through the ``feasible`` flag.
+    for ``theorem22``), by the checks those bounds make; infeasibility of
+    the equality case itself is reported through the ``feasible`` flag,
+    with a NaN ``phase_sum`` where ``|center|^2`` leaves the double range.
     """
     target = ExtremalTarget(target)
     if n < 1:
         raise ParameterError(f"family size must be >= 1, got {n}")
-    center, radius = d.center, d.radius
-    if target is ExtremalTarget.THM21:
-        if abs(center) == 0.0:
-            raise ParameterError("Gamma = -gamma gives a centerless constraint; not allowed")
-        phase_sum = -n * radius * center / (2.0 * abs(center) ** 2)
+    thm21 = target is ExtremalTarget.THM21
+    if thm21:
+        d.require_center()
     else:
-        if d.re_product <= 0.0:
-            raise ParameterError(
-                f"Re(Gamma * conj(gamma)) must be positive, got {d.re_product}"
-            )
-        phase_sum = -n * radius * center / abs(center) ** 2
+        d.require_positive_re()
+    center, radius = d.center, d.radius
+    try:
+        center_sq = abs(center) ** 2
+    except OverflowError:
+        center_sq = math.inf
+    if center_sq in (0.0, math.inf):
+        reason = f"|center| = {abs(center)} squares to {center_sq}, outside the double range"
+        return ExtremalSpec(target, n, d, complex(math.nan, math.nan), False, reason)
+    phase_sum = -n * radius * center / ((2.0 if thm21 else 1.0) * center_sq)
     s = abs(phase_sum)
     feasible, reason = True, ""
     if radius == 0.0:
         pass  # all boundary points coincide with the center; phases are free
-    elif target is ExtremalTarget.THM21 and radius > np.sqrt(2.0) * abs(center) * (
-        1.0 + _FEAS_TOL
-    ):
+    elif thm21 and radius > np.sqrt(2.0) * abs(center) * (1.0 + _FEAS_TOL):
         # equality would force a negative real part where the proof chain
         # needs a modulus; no family attains the bound in this band
         feasible = False
@@ -160,6 +170,14 @@ def solve_phases(spec: ExtremalSpec) -> np.ndarray:
     )
 
 
+def equality_coefficients(spec: ExtremalSpec) -> np.ndarray:
+    """The equality coefficients ``center + radius * exp(i theta_j)``, with phases from ``solve_phases``.
+
+    Raises ``InfeasibleConstruction`` for an infeasible ``spec``.
+    """
+    return spec.disk.center + spec.disk.radius * np.exp(1j * solve_phases(spec))
+
+
 def build(
     target: ExtremalTarget,
     x,
@@ -176,9 +194,7 @@ def build(
     violating inputs are rejected.
     """
     xa = as_vector(x)
-    spec = plan(target, n, d)
-    thetas = solve_phases(spec)  # raises InfeasibleConstruction for an infeasible spec
-    zs = d.center + d.radius * np.exp(1j * thetas)
+    zs = equality_coefficients(plan(target, n, d))
     if ws is None:
         return Family(xa, lift_stack(xa[None], zs[None])[0])
     warr = np.asarray(ws, dtype=np.complex128)

@@ -46,7 +46,7 @@ from .classical import (
     selberg_batch,
 )
 from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values
-from .extremal import ExtremalTarget, plan, solve_phases
+from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of
 from .sharp import (
     Disk,
@@ -88,10 +88,14 @@ _STACK_ENTRIES = 64 * 12 * 12
 class DiskSampler:
     """Parameters for drawing (gamma, Gamma) pairs and in-disk coefficients.
 
+    A disk is ``scale`` times a unit draw, which is tested for a center and
+    the sign of ``Re(Gamma conj(gamma))`` before it is scaled, so the draws
+    at scales 1 and ``2**k`` differ by the factor alone.
     ``boundary_fraction`` is the per-coefficient probability of placing a
     value exactly on the disk boundary; ``extremal_fraction`` is the
     per-instance probability of using the equality-case phase allocation
-    instead of independent draws (complex mode only).
+    instead of independent draws (complex mode only, where ``extremal.plan``
+    finds it feasible).
     """
 
     scale: float = 1.0
@@ -168,19 +172,15 @@ def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
 
 
 def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> Disk:
-    scale = cfg.disk_sampler.scale
     while True:
         if cfg.field_mode == "real":
-            g = complex(scale * rng.standard_normal())
-            G = complex(scale * rng.standard_normal())
+            g, G = rng.standard_normal(), rng.standard_normal()
         else:
-            g, G = (_draw_fields(rng, [(2,)], "complex")[0] * scale).tolist()
-        d = Disk(g, G)
-        if abs(d.center) <= 1e-6 * scale:
-            continue
-        if want_positive_re and d.re_product <= 0.0:
-            continue
-        return d
+            g, G = _draw_fields(rng, [(2,)], "complex")[0].tolist()
+        unit = Disk(g, G)
+        if abs(unit.center) > 1e-6 and (unit.re_product > 0.0 or not want_positive_re):
+            scale = cfg.disk_sampler.scale
+            return unit if scale == 1.0 else Disk(scale * g, scale * G)
 
 
 def _draw_disk_points(
@@ -229,7 +229,7 @@ def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw
         target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
         spec = plan(target, n, disk)
         if spec.feasible:
-            zs = disk.center + disk.radius * np.exp(1j * solve_phases(spec))
+            zs = equality_coefficients(spec)
     if zs is None:
         zs = _draw_disk_points(rng, disk, n, cfg.disk_sampler.boundary_fraction, mode)
     ws, c = _draw_fields(rng, [(n, d_dim), (n,)], mode)
@@ -288,7 +288,8 @@ def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
     """Family whose coefficients lie in a sampled disk, plus that disk.
 
     The disk center is never zero, and even-indexed instances force
-    ``Re(Gamma conj(gamma)) > 0`` so both sharp bounds are exercised.
+    ``Re(Gamma conj(gamma)) > 0`` on the unit draw (see ``DiskSampler``) so
+    both sharp bounds are exercised.
     Free components orthogonal to ``x`` are added to every test vector.
     """
     return _family(cfg, index, "disk")

@@ -27,13 +27,23 @@ two kernels.
 As in ``classical``, each bound is an array formula ``<bound>_batch(s)``
 over a stack whose disks are bound as the arrays ``s.gamma``, ``s.Gamma``
 (``core.BoundStats``), and the function of its own name runs it on one family.
+
+Every disk decision has one owner here.  ``_ends`` writes ``Gamma + gamma``,
+the center, the radius, ``Re(Gamma conj(gamma))`` and the centered
+predicate ``Gamma + gamma != 0`` once: a ``Disk`` evaluates it on Python
+numbers when built, the bounds on the arrays of a stack.  Membership is one
+expression, ``_within``, for ``disk_condition_abs`` and the bounds'
+preconditions.  ``Disk.require_center`` and ``Disk.require_positive_re``,
+with their messages, check the hypotheses of the two theorems for the
+bounds, the residuals and ``extremal.plan``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,10 +84,28 @@ __all__ = [
 ]
 
 
+def _ends(g, G, absolute=abs) -> tuple:
+    """The first five ``_DiskTerms`` of the disks with end points ``g``, ``G``, each written once here.
+
+    Python numbers for a ``Disk``; arrays with one entry per family over a
+    stack, with ``absolute = core.modulus``.
+    """
+    total = G + g
+    return total, total / 2.0, absolute(G - g) / 2.0, G.real * g.real + G.imag * g.imag, total != 0
+
+
+def _within(z, center, radius, tol: float):
+    """Disk membership, ``|z - center| <= radius`` up to ``tol * max(1, radius)``."""
+    return np.abs(z - center) <= radius + tol * np.maximum(1.0, radius)
+
+
 @dataclass(frozen=True)
 class Disk:
     """The scalar pair (gamma, Gamma) and the disk it spans.
 
+    ``center``, ``radius``, ``re_product`` and ``centered`` are computed
+    once, as the sharp bounds compute them; ``require_center`` and
+    ``require_positive_re`` check the hypotheses of Theorems 2.1 and 2.2.
     ``equality_constant`` is ``|Gamma|^2 + 6 Re(Gamma conj(gamma)) +
     |gamma|^2``; it equals ``8 |center|^2 - 4 radius^2`` and fixes the mean
     vector of equality configurations of ``theorem21``.
@@ -85,31 +113,41 @@ class Disk:
 
     gamma: complex
     Gamma: complex
+    center: complex = field(init=False, repr=False, compare=False)
+    radius: float = field(init=False, repr=False, compare=False)
+    re_product: float = field(init=False, repr=False, compare=False)
+    centered: bool = field(init=False, repr=False, compare=False)
+
+    CENTERLESS: ClassVar[str] = "Gamma = -gamma gives a centerless constraint; not allowed"
 
     def __post_init__(self) -> None:
         g, G = complex(self.gamma), complex(self.Gamma)
         for name, value in (("gamma", g), ("Gamma", G)):
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "Gamma", G)
-
-    @property
-    def center(self) -> complex:
-        return (self.gamma + self.Gamma) / 2.0
-
-    @property
-    def radius(self) -> float:
-        return abs(self.Gamma - self.gamma) / 2.0
-
-    @property
-    def re_product(self) -> float:
-        """``Re(Gamma * conj(gamma))``; equals ``|center|^2 - radius^2``."""
-        return (self.Gamma * self.gamma.conjugate()).real
+        _, center, radius, re_product, centered = _ends(g, G)
+        # frozen: the fields are set in the instance dictionary
+        self.__dict__.update(
+            gamma=g, Gamma=G, center=center, radius=radius, re_product=re_product, centered=centered
+        )
 
     @property
     def equality_constant(self) -> float:
         return abs(self.Gamma) ** 2 + 6.0 * self.re_product + abs(self.gamma) ** 2
+
+    @staticmethod
+    def not_positive(re_product: float) -> str:
+        return f"Re(Gamma * conj(gamma)) must be positive, got {re_product}"
+
+    def require_center(self) -> None:
+        """Raise ``ParameterError`` unless ``Gamma + gamma != 0`` (Theorem 2.1)."""
+        if not self.centered:
+            raise ParameterError(Disk.CENTERLESS)
+
+    def require_positive_re(self) -> None:
+        """Raise ``ParameterError`` unless ``Re(Gamma conj(gamma)) > 0`` (Theorem 2.2)."""
+        if self.re_product <= 0.0:
+            raise ParameterError(Disk.not_positive(self.re_product))
 
 
 def disk_condition_re(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
@@ -131,7 +169,7 @@ def disk_condition_abs(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     Equivalent to ``disk_condition_re`` up to tolerance at the boundary.
     Accepts scalars or numpy arrays of ``z``.
     """
-    return np.abs(np.asarray(z) - d.center) <= d.radius + tol * max(1.0, d.radius)
+    return _within(np.asarray(z), d.center, d.radius, tol)
 
 
 def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
@@ -152,22 +190,22 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
 
 
 class _DiskTerms(NamedTuple):
-    """The scalars of each family's disk that the sharp bounds read.
+    """The scalars of each family's disk that the sharp bounds read: its ``_ends`` and terms from them.
 
     Over a stack each is an array with one entry per family; for a family
     alone, each is a Python or numpy scalar.
     """
 
+    sum: np.ndarray  # Gamma + gamma
     center: np.ndarray
-    reach: np.ndarray  # how far from the center a coefficient may lie, as in disk_condition_abs
-    centered: np.ndarray  # Gamma != -gamma
-    re_product: np.ndarray
+    radius: np.ndarray
+    re_product: np.ndarray  # Re(Gamma conj(gamma))
+    centered: np.ndarray  # Gamma + gamma != 0, the hypothesis of Theorem 2.1
     penalty: np.ndarray  # (sqrt(n)/4) |G - g|^2 / |G + g|, the disk term of Theorem 2.1
     factor: np.ndarray  # |G + g|^2 / (4 n Re(G conj(g))), the disk factor of Theorem 2.2
     factor1: np.ndarray  # the same at n = 1
     n_center_sq: np.ndarray  # n |center|^2
     n_radius_sq: np.ndarray  # n radius^2
-    sum: np.ndarray  # Gamma + gamma
 
 
 def _disk_terms(s: BoundStats) -> _DiskTerms:
@@ -179,24 +217,17 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
     """
 
     def compute() -> _DiskTerms:
-        g, G, n = s.gamma, s.Gamma, s.n
-        total = G + g
-        center = total / 2.0
-        span, sum_abs = modulus(G - g), modulus(total)
-        radius = span / 2.0
-        re = G.real * g.real + G.imag * g.imag
+        n, ends = s.n, _ends(s.gamma, s.Gamma, modulus)
+        total, center, radius, re, _ = ends
+        sum_abs = modulus(total)
         sum_sq = libm_pow(sum_abs, 2)
         return _DiskTerms(
-            center=center,
-            reach=radius + s.tol * np.maximum(1.0, radius),
-            centered=sum_abs != 0.0,
-            re_product=re,
-            penalty=(math.sqrt(n) / 4.0) * libm_pow(span, 2) / sum_abs,
+            *ends,
+            penalty=(math.sqrt(n) / 4.0) * libm_pow(2.0 * radius, 2) / sum_abs,  # 2 radius = |G - g|
             factor=sum_sq / (4.0 * re * n),
             factor1=sum_sq / (4.0 * re),
             n_center_sq=n * libm_pow(modulus(center), 2),
             n_radius_sq=n * libm_pow(radius, 2),
-            sum=total,
         )
 
     return s.kept("disk", compute)
@@ -208,7 +239,7 @@ def _inside(s: BoundStats) -> np.ndarray:
     def compute() -> np.ndarray:
         t = _disk_terms(s)
         # the coefficient axis first, so that the terms, one per family, broadcast over it
-        return (np.abs(s.a.T - t.center) <= t.reach).T
+        return _within(s.a.T, t.center, t.radius, s.tol).T
 
     return s.kept("inside", compute)
 
@@ -218,28 +249,11 @@ def _all_inside(s: BoundStats) -> np.ndarray:
     return s.kept("all_inside", lambda: np.logical_and.reduce(_inside(s), axis=-1))
 
 
-_CENTERLESS = "Gamma = -gamma gives a centerless constraint; not allowed"
-
-
-def _not_positive(re_product: float) -> str:
-    return f"Re(Gamma * conj(gamma)) must be positive, got {re_product}"
-
-
 def _outside(inside: np.ndarray) -> str:
     """Why coefficients break the disk condition, given their membership; "" when they meet it."""
     if inside.all():
         return ""
     return f"coefficient {int(np.argmin(inside))} lies outside the disk"
-
-
-def _require_center(d: Disk) -> None:
-    if abs(d.Gamma + d.gamma) == 0.0:
-        raise ParameterError(_CENTERLESS)
-
-
-def _require_positive_re(d: Disk) -> None:
-    if d.re_product <= 0.0:
-        raise ParameterError(_not_positive(d.re_product))
 
 
 def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> BatchReport:
@@ -248,7 +262,7 @@ def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> Batc
     rhs = x_norm * np.sqrt(sum_sq) / math.sqrt(s.n) + t.penalty
 
     def why(b) -> str:
-        return _outside(_inside(s)[b]) if t.centered[b] else _CENTERLESS
+        return _outside(_inside(s)[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
 
     return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & _all_inside(s), why)
 
@@ -259,7 +273,7 @@ def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> B
 
     def why(b) -> str:
         re = np.asarray(t.re_product)[b]  # a Python float for a family alone
-        return _outside(_inside(s)[b]) if re > 0.0 else _not_positive(re)
+        return _outside(_inside(s)[b]) if re > 0.0 else Disk.not_positive(re)
 
     ok = (t.re_product > 0.0) & _all_inside(s)
     return BatchReport(bound_id, s.bessel, t.factor * sum_sq * x_norm_sq, ok, why)
@@ -282,7 +296,7 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     Raises ``ParameterError`` when ``Gamma = -gamma``; reports a failed
     precondition when some coefficient leaves the disk.
     """
-    _require_center(d)
+    d.require_center()
     return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem21_batch))[0]
 
 
@@ -291,7 +305,7 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
 
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
-    _require_positive_re(d)
+    d.require_positive_re()
     return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem22_batch))[0]
 
 
@@ -332,7 +346,7 @@ def theorem21_residuals(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> E
     times ``x / ||x||^2``; equality in the bound corresponds to
     ``max_residual`` vanishing.
     """
-    _require_center(d)
+    d.require_center()
     scale = d.equality_constant / (4.0 * (d.Gamma + d.gamma))
     return _residuals(f, d, scale, tol)
 
@@ -343,7 +357,7 @@ def theorem22_residuals(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> E
     The characterised mean is ``2 Re(Gamma conj(gamma)) / (Gamma + gamma)``
     times ``x / ||x||^2``.
     """
-    _require_positive_re(d)
+    d.require_positive_re()
     scale = 2.0 * d.re_product / (d.Gamma + d.gamma)
     return _residuals(f, d, scale, tol)
 
@@ -388,8 +402,8 @@ def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
     ok = t.centered & (s.ortho_dev <= s.tol) & _all_inside(s)
 
     def why30(b) -> str:
-        if not t.centered[b]:
-            return _CENTERLESS
+        if not np.asarray(t.centered)[b]:
+            return Disk.CENTERLESS
         if s.ortho_dev[b] > s.tol:
             return f"family is not orthonormal (max Gram deviation {s.ortho_dev[b]:.3g})"
         return _outside(_inside(s)[b])
@@ -419,7 +433,7 @@ def orthonormal_remark(
     dominates the plain Bessel right side.
     """
     f = Family(x, es)
-    _require_center(d)
+    d.require_center()
     rep30, rep31 = reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(orthonormal_batch))
     if not rep30.preconditions_met:
         return OrthonormalRemark(rep30, rep31, False)
@@ -451,12 +465,12 @@ def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOL
     ``y_j = conj(z_j)``, evaluated by the same kernel.
     """
     s = _scalars(zs, d, tol)
-    _require_center(d)
+    d.require_center()
     return reports_of(s.evaluate(triangle_reverse_l2_batch))[0]
 
 
 def triangle_reverse_sq(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Reverse bound ``sum |z_j|^2`` vs ``|sum z_j|^2`` scaled; scalar ``theorem22``."""
     s = _scalars(zs, d, tol)
-    _require_positive_re(d)
+    d.require_positive_re()
     return reports_of(s.evaluate(triangle_reverse_sq_batch))[0]

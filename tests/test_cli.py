@@ -354,6 +354,10 @@ class TestExtremalCommand:
         )
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+        # centered (Gamma + gamma != 0), but |center|^2 underflows
+        for ends in (["--gamma", "1e-170", "--Gamma", "3e-170"], ["--gamma", "5e-324", "--Gamma", "0"]):
+            assert main(["extremal", "--target", "thm21", "--n", "3", *ends]) == 2
+            assert "double range" in capsys.readouterr().err
 
     def test_infeasible_band_exit_two(self, capsys):
         code = main(

@@ -5,6 +5,7 @@ algebra, so each derived formula is validated here against the residual
 oracles and the directly evaluated bounds before being trusted anywhere.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from besselkit import (
     theorem22,
     theorem22_residuals,
 )
+from besselkit.extremal import equality_coefficients
 
 E1 = [1.0, 0.0]
 
@@ -83,6 +85,30 @@ class TestPlan:
             plan(ExtremalTarget.THM22, 2, Disk(-1.0, 2.0))
         with pytest.raises(ParameterError):
             plan(ExtremalTarget.THM21, 0, Disk(1.0, 3.0))
+
+    def test_centered_as_theorem21_at_subnormal_disk(self):
+        # Gamma + gamma = 5e-324: centered, as theorem21 has it, but |center|^2 underflows
+        d = Disk(5e-324, 0.0)
+        spec = plan(ExtremalTarget.THM21, 2, d)
+        assert not spec.feasible and "double range" in spec.infeasible_reason
+        with pytest.raises(InfeasibleConstruction, match="double range"):
+            build(ExtremalTarget.THM21, E1, 2, d)
+        assert theorem21(Family(E1, [[0.0, 0.0], [0.0, 1.0]]), d).preconditions_met
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_center_squared_beyond_double_range_infeasible(self, scale):
+        d = Disk(scale, 3.0 * scale)
+        # Re(Gamma conj(gamma)) underflows to 0 at 1e-170, so Theorem 2.2 does not apply
+        targets = [ExtremalTarget.THM21] if scale < 1.0 else list(ExtremalTarget)
+        for target in targets:
+            spec = plan(target, 3, d)
+            assert not spec.feasible and "double range" in spec.infeasible_reason
+            assert cmath.isnan(spec.phase_sum)
+            with pytest.raises(InfeasibleConstruction):
+                build(target, E1, 3, d)
+        if scale < 1.0:
+            with pytest.raises(ParameterError):
+                plan(ExtremalTarget.THM22, 3, d)
 
     def test_phase_sum_magnitude_formulas(self):
         rng = np.random.default_rng(31)
@@ -164,6 +190,15 @@ class TestSolvePhases:
 
 
 class TestBuild:
+    def test_coefficients_are_the_equality_coefficients(self):
+        rng = np.random.default_rng(35)
+        for target in ExtremalTarget:
+            spec = random_feasible_case(rng, target)
+            zs = equality_coefficients(spec)
+            assert np.allclose(np.abs(zs - spec.disk.center), spec.disk.radius, rtol=0.0, atol=1e-12)
+            fam = build(target, [1.0, 0.5j], spec.n, spec.disk)
+            assert np.allclose(fam.coefficients, zs, rtol=0.0, atol=1e-12)
+
     def test_worked_equality_sqrt_form(self):
         d = Disk(1.0, 3.0)
         fam = build(ExtremalTarget.THM21, [1.0, 0.0], 2, d)

@@ -129,10 +129,21 @@ class TestSampleDiskFamily:
         assert summary.min_slack["lemma_eq6"] <= 1e-9
 
     def test_small_scale_disk_has_a_center(self):
-        cfg = small_cfg(instances=8, disk_sampler=DiskSampler(scale=1e-7))
-        for i in range(8):
-            _, d = sample_disk_family(cfg, i)
-            assert d.center != 0.0
+        for scale in (1e-7, 1e-170):  # at 1e-170 Re(Gamma conj(gamma)) underflows to 0
+            cfg = small_cfg(instances=8, disk_sampler=DiskSampler(scale=scale))
+            for i in range(8):
+                _, d = sample_disk_family(cfg, i)
+                assert d.center != 0.0
+
+    def test_power_of_two_scales_the_unit_disks(self):
+        unit = small_cfg(instances=16)
+        for k in (-600, -1, 1, 500):
+            scale = math.ldexp(1.0, k)
+            cfg = small_cfg(instances=16, disk_sampler=DiskSampler(scale=scale))
+            for sample in (sample_disk_family, sample_orthonormal_family):
+                for i in range(16):
+                    d1, dk = sample(unit, i)[1], sample(cfg, i)[1]
+                    assert (dk.gamma, dk.Gamma) == (scale * d1.gamma, scale * d1.Gamma)
 
 
 class TestSampleOrthonormal:
@@ -298,16 +309,20 @@ class TestFuzz:
         s = fuzz(small_cfg(instances=60, field_mode="real"))
         assert s.violations == []
 
-    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e170, 1e-170])
     def test_sides_beyond_double_range(self, scale):
         # at 1e80 the classical-weight Pecaric sides overflow, at 1e160 the
-        # sharp bounds' too; a NaN slack is checked but never enters min_slack
-        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=scale))
-        s1 = fuzz(cfg, workers=1)
-        assert not any(math.isnan(v) for v in s1.min_slack.values())
-        assert set(s1.min_slack) <= set(s1.checked)
-        text2 = json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True)
-        assert json.dumps(s1.as_dict(), sort_keys=True) == text2
+        # sharp bounds' too; a NaN slack is checked but never enters min_slack.
+        # From 1e160 up and at 1e-170, |center|^2 leaves the double range, so
+        # the equality case is infeasible and the disk gets independent points.
+        for extremal_fraction in (0.0, 1.0):
+            sampler = DiskSampler(scale=scale, extremal_fraction=extremal_fraction)
+            cfg = FuzzConfig(instances=64, disk_sampler=sampler)
+            s1 = fuzz(cfg, workers=1)
+            assert not any(math.isnan(v) for v in s1.min_slack.values())
+            assert set(s1.min_slack) <= set(s1.checked)
+            text2 = json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True)
+            assert json.dumps(s1.as_dict(), sort_keys=True) == text2
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ class TestDisk:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Disk(complex("inf"), 1.0)
+
+    def test_quantities_are_python_scalars(self):
+        d = Disk(1 + 2j, 3 - 1j)
+        assert (type(d.center), type(d.radius), type(d.re_product)) == (complex, float, float)
+        assert d.centered is True
+        assert Disk(1.0, -1.0).centered is False
+
+    def test_admissibility_checks(self):
+        Disk(1.0, 3.0).require_center()
+        Disk(1.0, 3.0).require_positive_re()
+        with pytest.raises(ParameterError, match=re.escape(Disk.CENTERLESS)):
+            Disk(1.0, -1.0).require_center()
+        with pytest.raises(ParameterError, match=re.escape(Disk.not_positive(-3.0))):
+            Disk(-1.0, 3.0).require_positive_re()
 
 
 class TestDiskConditions:
@@ -202,6 +217,14 @@ class TestTheorem21:
     def test_centerless_parameter_error(self):
         with pytest.raises(ParameterError):
             theorem21(Family(E1, [E1]), Disk(1.0, -1.0))
+
+    def test_subnormal_sum_is_centered(self):
+        # Gamma + gamma = 5e-324 is not 0, though the center (Gamma + gamma) / 2 underflows to 0
+        d = Disk(5e-324, 0.0)
+        assert d.centered and d.center == 0.0
+        rep = theorem21(Family(E1, [[0.0, 0.0], E2]), d)
+        assert rep.preconditions_met
+        assert rep.rhs == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
 class TestTheorem21Residuals:
