@@ -286,10 +286,9 @@ def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Drago
     None when ``p`` is absent or not finite and > 1), branch 3 the max
     Gram entry.
     """
-    p_values = (p,) if p is not None and is_exponent(p) else ()
-    s = f.stats.bind(weights=as_weights(f, c, 1)[None], p_values=p_values)
+    s = f.stats.bind(weights=as_weights(f, c, 1)[None], p_values=() if p is None else (p,))
     reports = reports_of(s.evaluate(dragomir04_batch))
-    rhs2 = reports[1].rhs if p_values else None
+    rhs2 = reports[1].rhs if s.p_values else None
     return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)
 
 
@@ -331,5 +330,5 @@ def dragomir04_corollaries(
     the matching Gram expression.  Requires not all coefficients zero; the
     second quotient needs a finite ``p > 1`` and is skipped otherwise.
     """
-    s = f.stats.bind(p_values=(p,) if p is not None and is_exponent(p) else ())
+    s = f.stats.bind(p_values=() if p is None else (p,))
     return tuple(reports_of(s.evaluate(dragomir04_corollaries_batch)))

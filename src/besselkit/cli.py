@@ -20,7 +20,8 @@ which every subcommand takes, must be finite and positive.  All randomness
 comes in through the ``--seed`` flag; no command ever consults the clock.
 
 Exit codes: 0 success (also ``--help``), 1 malformed input (file, flag or
-usage) or I/O failure, 2 a violated inequality (eval, fuzz) or an
+usage) or I/O failure, 2 a violated inequality (eval, fuzz; judged by
+``report.verdict``, so a side beyond the double range is none) or an
 infeasible construction (extremal).
 """
 
@@ -48,7 +49,7 @@ from .harness import (
     fuzz,
     tightness_compare,
 )
-from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, is_exponent
+from .report import DEFAULT_TOLERANCE, BoundReport, check_tolerance, is_exponent, verdict
 from .sharp import Disk, theorem21, theorem21_residuals, theorem22, theorem22_residuals
 
 __all__ = ["main", "parse_complex", "read_family_file", "write_family_file"]
@@ -225,7 +226,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.tolerance,
     )
     _emit(_reports_text(reports, args.format), args.output)
-    return 2 if any(not r.holds(args.tolerance) for r in reports) else 0
+    sides = np.array([(r.lhs, r.rhs) for r in reports if r.preconditions_met]).reshape(-1, 2).T
+    return 2 if verdict(*sides, args.tolerance)[1].any() else 0
 
 
 def _parse_range(text: str, name: str) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .report import DEFAULT_TOLERANCE
+from .report import DEFAULT_TOLERANCE, check_tolerance, is_exponent
 
 __all__ = [
     "BesselkitError",
@@ -314,8 +314,12 @@ class Stats:
         p_values: tuple[float, ...] = (),
         tol: float = DEFAULT_TOLERANCE,
     ) -> BoundStats:
-        """This stack with the inputs of one evaluation."""
-        return BoundStats(self, disks, weights, p_values, tol)
+        """This stack with the inputs of one evaluation.
+
+        Exponents that are not finite and > 1 (``report.is_exponent``) are
+        dropped; ``tol`` must pass ``report.check_tolerance``.
+        """
+        return BoundStats(self, disks, weights, tuple(filter(is_exponent, p_values)), check_tolerance(tol))
 
     def evaluate(self, *formulas) -> list:
         """The ``BatchReport``s of ``formulas`` with no inputs bound; see ``BoundStats.evaluate``."""

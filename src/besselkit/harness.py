@@ -47,7 +47,7 @@ from .classical import (
 )
 from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values
 from .extremal import ExtremalTarget, equality_coefficients, plan
-from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of
+from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
     Disk,
     lemma_eq6_batch,
@@ -415,13 +415,14 @@ def check_all(
     bounds run only when ``d`` is given; the weighted bounds only when the
     coefficient list ``c`` is given; the orthonormal specialisations only
     when the family is orthonormal within ``tol``.  Exponents that are not
-    finite and > 1 are dropped.  The formulas are those ``fuzz`` runs, on
+    finite and > 1 are dropped, and a bad ``tol`` raises ValueError
+    (``core.Stats.bind``).  The formulas are those ``fuzz`` runs, on
     the family alone (a stack without the batch axis).
     """
     s = f.stats.bind(
         disks=None if d is None else (d,),
         weights=None if c is None else as_weights(f, c, 1)[None],
-        p_values=tuple(filter(is_exponent, p_values)),
+        p_values=p_values,
         tol=tol,
     )
     return reports_of(s.evaluate(*_formulas(c is not None, d is not None, False)))
@@ -470,20 +471,20 @@ def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
 
 
 def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: list[int]) -> FuzzSummary:
-    """The summary of one stack's reports and tightness winners.
+    """The summary of one stack's reports and tightness winners, judged by ``report.verdict``.
 
     The reports of one bound id (one per weight row or exponent) are
     counted together.  A NaN slack (a side beyond the double range) is
-    checked, but never tight, never a violation and never the least slack.
+    checked, but never the least slack.
     """
-    tol = cfg.tolerance
     ok = np.array([r.ok for r in reports])
-    rhs = np.array([r.rhs for r in reports])
-    rel = (rhs - np.array([r.lhs for r in reports])) / np.maximum(1.0, np.abs(rhs))
+    rel, violated, tight = verdict(
+        np.array([r.lhs for r in reports]), np.array([r.rhs for r in reports]), cfg.tolerance
+    )
     slack = ok & ~np.isnan(rel)
     keys, group = _groups(tuple(r.bound_id for r in reports))
     least = np.where(group, np.where(slack, rel, np.inf).min(axis=1)[:, None], np.inf).min(axis=0)
-    bad = ok & (rel < -tol)
+    bad = ok & violated
     return FuzzSummary(
         cfg,
         checked=dict(zip(keys, (ok.sum(axis=1) @ group).tolist())),
@@ -497,7 +498,7 @@ def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: l
             for b, k in np.argwhere(bad.T)  # instance by instance, reports in order
         ],
         min_slack={key: v for key, v, has in zip(keys, least.tolist(), slack.any(axis=1) @ group) if has},
-        tight=dict(zip(keys, ((ok & (np.abs(rel) <= tol)).sum(axis=1) @ group).tolist())),
+        tight=dict(zip(keys, ((ok & tight).sum(axis=1) @ group).tolist())),
         tightness_wins=_winners(reports),
     )
 

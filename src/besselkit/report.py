@@ -2,10 +2,16 @@
 
 Every bound evaluation produces a ``BoundReport`` holding both sides of the
 inequality, the slack ``rhs - lhs`` and the tightness ratio ``lhs / rhs``.
-Comparisons use a combined absolute/relative tolerance: a report violates
-its inequality when ``slack < -tol * max(1, |rhs|)``.  A bound evaluated
-over a stack of families gives a ``BatchReport`` per report; ``reports_of``
-turns one family's share of them into ``BoundReport``s.
+A bound evaluated over a stack of families gives a ``BatchReport`` per
+report; ``reports_of`` turns one family's share of them into ``BoundReport``s.
+
+``verdict`` is the one rule that judges an evaluated inequality
+``lhs <= rhs``, for ``BoundReport``, ``fuzz`` and ``besselkit eval`` alike.
+Its relative slack is ``(rhs - lhs) / max(1, |rhs|)``; the inequality is
+violated when that is below ``-tol`` and tight when its modulus is at most
+``tol``.  A NaN relative slack (a side beyond the double range) is neither
+violated nor tight.  ``tol`` must pass ``check_tolerance``, or ValueError
+is raised.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "is_exponent",
     "reports_of",
     "skipped",
+    "verdict",
 ]
 
 
@@ -42,6 +49,17 @@ def is_exponent(p: float) -> bool:
     return math.isfinite(p) and p > 1.0
 
 
+def verdict(lhs, rhs, tol: float) -> tuple:
+    """``(relative slack, violated, tight)`` of ``lhs <= rhs`` by the rule above.
+
+    Takes floats (and gives numpy scalars) or arrays alike.
+    """
+    check_tolerance(tol)
+    with np.errstate(all="ignore"):  # a side beyond the double range gives a NaN, silently
+        rel = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+    return rel, rel < -tol, np.abs(rel) <= tol
+
+
 @dataclass(slots=True)
 class BoundReport:
     bound_id: str
@@ -52,21 +70,27 @@ class BoundReport:
     preconditions_met: bool
     reason: str = ""
 
-    def relative_slack(self) -> float | None:
-        """Slack scaled by ``max(1, |rhs|)``; None when not evaluated."""
+    def _verdict(self, tol: float) -> tuple | None:
+        """The ``verdict`` of this report; None when not evaluated (``tol`` is checked even then)."""
         if not self.preconditions_met or self.slack is None:
+            check_tolerance(tol)
             return None
-        return self.slack / max(1.0, abs(self.rhs))
+        return verdict(self.lhs, self.rhs, tol)
+
+    def relative_slack(self) -> float | None:
+        """The relative slack of ``verdict``; None when not evaluated."""
+        v = self._verdict(DEFAULT_TOLERANCE)
+        return None if v is None else float(v[0])
 
     def holds(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        """True unless the inequality is violated beyond tolerance."""
-        rel = self.relative_slack()
-        return rel is None or rel >= -tol
+        """True unless ``verdict`` finds the inequality violated."""
+        v = self._verdict(tol)
+        return v is None or not v[1]
 
     def is_tight(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        """True when lhs and rhs agree within tolerance."""
-        rel = self.relative_slack()
-        return rel is not None and abs(rel) <= tol
+        """True when ``verdict`` finds lhs and rhs agree within tolerance."""
+        v = self._verdict(tol)
+        return v is not None and bool(v[2])
 
     def as_dict(self) -> dict:
         """The fields by name, in declaration order."""

@@ -108,7 +108,8 @@ class Disk:
     ``require_positive_re`` check the hypotheses of Theorems 2.1 and 2.2.
     ``equality_constant`` is ``|Gamma|^2 + 6 Re(Gamma conj(gamma)) +
     |gamma|^2``; it equals ``8 |center|^2 - 4 radius^2`` and fixes the mean
-    vector of equality configurations of ``theorem21``.
+    vector of equality configurations of ``theorem21``.  Once ``|Gamma|^2``
+    or ``|gamma|^2`` leaves the double range it is inf, with that sign.
     """
 
     gamma: complex
@@ -133,7 +134,10 @@ class Disk:
 
     @property
     def equality_constant(self) -> float:
-        return abs(self.Gamma) ** 2 + 6.0 * self.re_product + abs(self.gamma) ** 2
+        try:
+            return abs(self.Gamma) ** 2 + 6.0 * self.re_product + abs(self.gamma) ** 2
+        except OverflowError:  # the sign of 8 |center|^2 - 4 radius^2
+            return math.copysign(math.inf, math.sqrt(2.0) * abs(self.center) - self.radius)
 
     @staticmethod
     def not_positive(re_product: float) -> str:
@@ -324,13 +328,21 @@ class EqualityResiduals:
 
 
 def _residuals(f: Family, d: Disk, target_scale: complex, tol: float) -> EqualityResiduals:
+    """The residuals from the mean vector ``target_scale x / ||x||^2``.
+
+    Raises ``ParameterError`` where that vector leaves the double range, as
+    ``extremal.plan`` refuses such disks.
+    """
     if f.x_norm_sq == 0.0:
         raise DegenerateReference("equality residuals need a nonzero x")
     reason = _outside(disk_condition_abs(f.coefficients, d, tol))
     if reason:
         raise PreconditionError(reason)
+    scale = target_scale / f.x_norm_sq
+    if not cmath.isfinite(scale):
+        raise ParameterError(f"the equality mean vector for {d} is outside the double range")
     per_j = np.abs(np.abs(f.coefficients - d.center) - d.radius)
-    mean_target = (target_scale / f.x_norm_sq) * f.x
+    mean_target = scale * f.x
     mean_residual = float(np.linalg.norm(f.ys_sum / f.n - mean_target))
     return EqualityResiduals(
         per_j_boundary=per_j,

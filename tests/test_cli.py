@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from besselkit import Disk, Family, theorem21
+from besselkit import Disk, DiskSampler, Family, FuzzConfig, fuzz, sample_disk_family, theorem21
 from besselkit.cli import (
     CliInputError,
     family_payload,
@@ -300,6 +300,17 @@ class TestEval:
         assert not reports["theorem21"]["preconditions_met"]
         assert "0" in reports["theorem21"]["reason"]
         assert reports["boas_bellman"]["preconditions_met"]
+
+    def test_sides_beyond_double_range_exit_zero(self, tmp_path, capsys):
+        # disk instance 0 at scale 1e160: its sharp sides overflow to NaN slacks, which
+        # eval prints and, as fuzz does, does not count as a violation
+        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e160))
+        fam, disk = sample_disk_family(cfg, 0)
+        path = self.write(tmp_path, family_payload(fam, disk))
+        assert main(["eval", "--input", path]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert any(r["preconditions_met"] and math.isnan(r["slack"]) for r in reports)
+        assert not [v for v in fuzz(cfg).violations if v["sampler"] == "disk" and v["instance_seed"] == 0]
 
     def test_violation_exit_code_wiring(self, tmp_path, monkeypatch, capsys):
         # no real family violates a theorem; force one through the dispatcher

@@ -32,7 +32,7 @@ from besselkit.classical import (
     pecaric_batch,
     pecaric_reports,
 )
-from besselkit.cli import main
+from besselkit.cli import family_payload, main
 from besselkit.core import Stats
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
 from besselkit.report import BatchReport, reports_of
@@ -327,9 +327,10 @@ class TestFuzz:
 
 @pytest.fixture
 def planted(monkeypatch):
-    """``BOUNDS`` entries ``planted_b`` and ``planted_a``, violated where ``|a_0| > 1`` and ``2 |a_0| > 1``.
+    """``BOUNDS`` entries ``planted_b`` and ``planted_a``, violated where ``|a_0| > 1`` and ``2 |a_0| > 1``,
+    and ``planted_nan``, whose lhs is NaN where ``|a_0| < 1/4`` and 0 elsewhere.
 
-    Their ids sort in the reverse of their table order.
+    The ids of the first two sort in the reverse of their table order.
     """
 
     def formula(bound_id, factor):
@@ -338,8 +339,13 @@ def planted(monkeypatch):
 
         return batch
 
+    def nan_batch(s):
+        lhs = np.where(s.abs_a[..., 0] < 0.25, np.nan, 0.0)
+        return [BatchReport("planted_nan", lhs, np.ones(s.shape), s.always)]
+
     entries = (Bound(("planted_b",), "family", formula("planted_b", 1.0)),)
     entries += (Bound(("planted_a",), "family", formula("planted_a", 2.0)),)
+    entries += (Bound(("planted_nan",), "family", nan_batch),)
     monkeypatch.setattr(harness, "BOUNDS", harness.BOUNDS + entries)
     harness._formulas.cache_clear()
     yield
@@ -371,6 +377,30 @@ class TestFuzzViolations:
         out = tmp_path / "fuzz.json"
         assert main(["fuzz", "--seed", "3", "--instances", "40", "--output", str(out)]) == 2
         assert json.loads(out.read_text())["violations"]
+
+    def test_nan_side_is_checked_never_violated(self, planted, tmp_path, capsys):
+        # one verdict rule: fuzz, check_all and eval all let a NaN relative slack pass
+        cfg = small_cfg(instances=40)
+        out = tmp_path / "fuzz.json"
+        main(["fuzz", "--seed", "123", "--instances", "40", "--n", "1:6", "--dim", "1:5", "--output", str(out)])
+        summary = json.loads(out.read_text())
+        assert summary == json.loads(json.dumps(fuzz(cfg).as_dict()))
+        assert summary["checked"]["planted_nan"] == 2 * cfg.instances
+        # a NaN relative slack is neither the least slack nor tight
+        assert summary["min_slack"]["planted_nan"] == 1.0 and "planted_nan" not in summary["tight"]
+        flagged = {(v["sampler"], v["instance_seed"]) for v in summary["violations"]}
+        nan_families = [i for i in range(cfg.instances) if sample_family(cfg, i).abs_coefficients[0] < 0.25]
+        assert nan_families
+        for i in nan_families:
+            f = sample_family(cfg, i)
+            (rep,) = [r for r in check_all(f) if r.bound_id == "planted_nan"]
+            assert math.isnan(rep.relative_slack()) and rep.holds() and not rep.is_tight()
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps(family_payload(f)))
+            code = main(["eval", "--input", str(path)])
+            reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert any(r["bound_id"] == "planted_nan" and math.isnan(r["lhs"]) for r in reports)
+            assert ("generic", i) not in flagged and code == 0
 
 
 class TestStackMatchesFamilyAlone:

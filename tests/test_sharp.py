@@ -10,10 +10,13 @@ import pytest
 from besselkit import (
     DegenerateReference,
     Disk,
+    ExtremalTarget,
     Family,
     ParameterError,
     PreconditionError,
     bessel_sum,
+    build,
+    check_all,
     disk_condition_abs,
     disk_condition_re,
     lemma_eq6,
@@ -97,6 +100,12 @@ class TestDisk:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Disk(complex("inf"), 1.0)
+
+    def test_equality_constant_beyond_double_range(self):
+        # ends beyond about 1.34e154 square past the double range: inf, signed as 8 |c|^2 - 4 r^2
+        assert Disk(1e170, 3e170).equality_constant == math.inf
+        assert Disk(1e170, -3e170).equality_constant == -math.inf
+        assert Disk(1e150, 3e150).equality_constant == 2.8000000000000004e301
 
     def test_quantities_are_python_scalars(self):
         d = Disk(1 + 2j, 3 - 1j)
@@ -254,6 +263,34 @@ class TestTheorem21Residuals:
     def test_outside_disk_raises(self):
         with pytest.raises(PreconditionError):
             theorem21_residuals(Family(E1, [[9.0, 0.0]]), worked_disk())
+        with pytest.raises(PreconditionError):
+            theorem21_residuals(Family(E1, [E1, [0.7, 0.7]]), Disk(1e170, 3e170))
+
+    @pytest.mark.parametrize("residuals", [theorem21_residuals, theorem22_residuals])
+    def test_mean_beyond_double_range_raises(self, residuals):
+        # coefficients 2e170 at the center; |Gamma|^2 and Re(Gamma conj(gamma)) overflow
+        with pytest.raises(ParameterError, match="double range"):
+            residuals(Family(E1, [[2e170, 0.0], [2e170, 1.0]]), Disk(1e170, 3e170))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_tolerance_raises_in_every_bound(tol):
+    d = worked_disk()
+    fam = build(ExtremalTarget.THM21, E1, 3, d)
+    for call in (
+        lambda: theorem21(fam, d, tol),
+        lambda: theorem22(fam, d, tol),
+        lambda: lemma_eq6(fam, d, tol),
+        lambda: check_all(fam, d, tol=tol),
+        lambda: orthonormal_remark(E1, [E1], d, tol),
+        lambda: triangle_reverse_l2([2.0], d, tol),
+        lambda: triangle_reverse_sq([2.0], d, tol),
+    ):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call()
+    # the membership helpers keep taking tol = 0
+    for inside in (disk_condition_abs, disk_condition_re, sufficient_condition_box):
+        assert inside(2.0, d, tol=0.0) and not inside(4.0, d, tol=0.0)
 
 
 class TestTheorem22:
