@@ -280,24 +280,22 @@ class Stats:
             self.n = parts[0][2].shape[-2]
 
     @classmethod
-    def stack(cls, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], zs=None) -> Stats:
-        """A stack of B families of one size n: ``xs[b]`` (d_b,) and ``ys[b]`` (n, d_b) are family b's.
+    def stack(cls, parts: Sequence[tuple]) -> Stats:
+        """A stack of families of one size n, given in parts of one dimension d each.
 
-        With ``zs``, ``ys[b]`` are free components, lifted onto the
-        coefficients ``zs[b]`` (n,) by ``lift_stack``.  The families of
-        one dimension form one part.
+        A part ``(rows, x, ys, zs)`` holds the families at stack positions
+        ``rows``: ``x`` (k, d) and ``ys`` (k, n, d); with ``zs`` (k, n) not
+        None, ``ys`` are free components, lifted onto the coefficients ``zs``
+        by ``lift_stack``.  The arrays are held row-major, as ``Family``
+        holds its own, so that every product takes one BLAS path.
         """
-        by_dim: dict[int, list[int]] = {}
-        for b, x in enumerate(xs):
-            by_dim.setdefault(x.size, []).append(b)
-        parts = []
-        for rows in by_dim.values():
-            x = np.array([xs[r] for r in rows])
-            y = np.array([ys[r] for r in rows])
+        stacked = []
+        for rows, x, ys, zs in parts:
+            x = np.ascontiguousarray(x)
             if zs is not None:
-                y = lift_stack(x, np.array([zs[r] for r in rows]), y)
-            parts.append((np.array(rows), x, y))
-        return cls(parts, (len(xs),))
+                ys = lift_stack(x, zs, ys)
+            stacked.append((np.array(rows), x, np.ascontiguousarray(ys)))
+        return cls(stacked, (sum(len(rows) for rows, _, _ in stacked),))
 
     @classmethod
     def of_coefficients(cls, a: np.ndarray) -> Stats:

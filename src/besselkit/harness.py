@@ -1,25 +1,31 @@
 """Reproducible randomized verification of every bound in the package.
 
 Instance generation is a pure function of ``(master_seed, index)``: each
-instance derives its own generator from that pair through numpy's
-``SeedSequence``, so results never depend on execution order or on the
-number of workers.  Aggregation merges fixed-size index chunks in index
-order, which keeps floating-point accumulations byte-stable as well.
+instance derives its own generator from that pair (and its ensemble's
+lane) through numpy's ``SeedSequence`` spawn keys, so results never depend
+on execution order or on the number of workers.  The public samplers call
+``SeedSequence`` itself; a chunk computes the seeds of all its instances
+in one pass of the same algorithm on arrays (``_seed_states``).
+Aggregation merges fixed-size index chunks in index order, which keeps
+floating-point accumulations byte-stable as well.
 
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
-that contains their coefficients.
+that contains their coefficients.  Each draws an instance's raw numbers (a
+``Raw``) and turns those of many instances of one size into arrays at once;
+a public sampler does the same for one instance.
 
 The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disks, weights and
 exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
-``tightness_compare`` draw each instance as arrays, stack the instances of
-a chunk that share a family size n (``Stats.stack``), and reduce a stack's
-reports with masks; ``check_all`` runs these formulas on one family, a
-stack without the batch axis, and builds its ``BoundReport``s.  No array
-is padded, so a family's reports have the same bits in a stack as alone.
+``tightness_compare`` draw a chunk as arrays (``_stacks``), stack the
+instances that share a family size n (``Stats.stack``), and reduce a
+stack's reports with masks; ``check_all`` runs these formulas on one
+family, a stack without the batch axis, and builds its ``BoundReport``s.
+No array is padded, so a family's reports have the same bits in a stack as
+alone.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +52,7 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_gram_values
+from .core import BoundStats, Family, Stats, libm_pow, lift_stack
 from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
@@ -136,33 +143,139 @@ class FuzzConfig:
 
 
 def _rng(cfg: FuzzConfig, index: int, lane: int) -> np.random.Generator:
+    """The generator of stream ``(master_seed, index, lane)``, seeded by numpy's ``SeedSequence``."""
     seed = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, lane))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _field(v: np.ndarray, shape: tuple[int, ...], mode: str) -> np.ndarray:
-    """Standard normals ``v`` as entries of ``shape``; complex ones take their
-    real parts from the first half of ``v`` and imaginary parts from the second."""
+# numpy's SeedSequence hash constants; NEP 19 keeps its algorithm fixed across releases
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hashmix(v, h: int, mult: int = _MULT_A) -> tuple:
+    """SeedSequence's ``hashmix`` of the word ``v`` under the hash constant ``h``, and the next constant.
+
+    ``v`` is a Python int below 2**32 or a uint32 array; both wrap modulo 2**32.
+    """
+    h_next = h * mult & _M32
+    v = (v ^ h) * h_next & _M32
+    return v ^ v >> 16, h_next
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words."""
+    r = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return r ^ r >> 16
+
+
+def _seed_states(master_seed: int, indices: np.ndarray, lane: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``_rng`` gives each of ``indices`` (all below 2**32), in one pass.
+
+    This is numpy's ``SeedSequence(entropy=master_seed & (2**64 - 1),
+    spawn_key=(index, lane)).generate_state(4, np.uint64)``, then PCG64's
+    seeding: on Python ints while the words depend on the seed alone, on
+    uint32 arrays once the index enters.  The hash constants follow a fixed
+    sequence, whatever the words.
+    """
+    seed = master_seed & (2**64 - 1)
+    entropy = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
+    entropy += [0] * (4 - len(entropy))  # a spawn key pads the seed's words to the pool size
+    # the pool: hash the seed's words, mix every pair, then mix in each spawn-key word
+    h, pool = _INIT_A, []
+    for word in entropy:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for word in (indices.astype(np.uint32), lane):
+        for dst in range(4):
+            v, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], v)
+    # generate_state: eight words from the cycled pool, read as four little-endian uint64
+    words, h = [], _INIT_B
+    for k in range(8):
+        v, h = _hashmix(pool[k % 4], h, _MULT_B)
+        words.append(v)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in np.stack(words, axis=-1).astype("<u4").view("<u8").tolist():
+        # PCG64 takes the seed s and the stream q: inc = 2 q + 1, state = (s + inc) MULT + inc
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _M128, inc))
+    return states
+
+
+def _streams(cfg: FuzzConfig, lane: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """The generators that ``_rng`` gives instances ``start`` to ``stop - 1`` of ``lane``, in turn.
+
+    Below index 2**32 one generator serves them all: its state is set to
+    each instance's from ``_seed_states``, so each is valid until the next
+    is yielded.  A larger index takes a second spawn-key word and numpy's
+    own ``SeedSequence``.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state, inc in _seed_states(cfg.master_seed, np.arange(start, min(stop, 2**32)), lane):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+    for index in range(max(start, 2**32), stop):
+        yield _rng(cfg, index, lane)
+
+
+def _normals(rng: np.random.Generator, cfg: FuzzConfig, entries: int) -> np.ndarray:
+    """The standard normals of ``entries`` field entries: one per real entry, two per complex one."""
+    return rng.standard_normal(entries if cfg.field_mode == "real" else 2 * entries)
+
+
+def _layout(shapes: tuple[tuple[int, ...], ...], mode: str) -> tuple[np.ndarray | None, tuple[slice, ...]]:
+    """Where the arrays of these shapes lie in a row of normals.
+
+    A row holds the arrays in turn; a complex array of ``m`` entries takes
+    ``2 m`` normals, the real parts and then the imaginary parts.  Returns
+    each array's slice of the entries and, in complex mode, the order of
+    the row that puts each entry's two parts side by side.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = list(accumulate(sizes, initial=0))
+    slices = tuple(map(slice, starts, starts[1:]))
     if mode == "real":
-        return v.reshape(shape).astype(np.complex128)
-    z = np.empty(shape, dtype=np.complex128)
-    z.real, z.imag = v.reshape(2, *shape)
-    z /= _SQRT2  # the bits of (re + 1j * im) / sqrt(2)
-    return z
+        return None, slices
+    # the real part of entry e of an array that starts at entry s is normal 2 s + (e - s)
+    re = np.arange(starts[-1]) + np.repeat(starts[:-1], sizes)
+    order = np.empty(2 * starts[-1], dtype=np.intp)
+    order[0::2], order[1::2] = re, re + np.repeat(sizes, sizes)
+    order.flags.writeable = False  # shared by every caller
+    return order, slices
 
 
-def _draw_fields(rng: np.random.Generator, shapes: list[tuple[int, ...]], mode: str) -> list[np.ndarray]:
-    """Arrays of these shapes in turn, from one normal draw: it gives the numbers that
-    drawing them one by one would."""
-    k = 1 if mode == "real" else 2
-    z = rng.standard_normal(k * sum(math.prod(shape) for shape in shapes))
-    fields, start = [], 0
-    for shape in shapes:
-        stop = start + k * math.prod(shape)
-        fields.append(_field(z[start:stop], shape, mode))
-        start = stop
-    return fields
+# The layouts of rows of at most 1024 normals (every shape of the default size ranges) are
+# kept, 8 MB at most; a longer row's layout costs little next to its arrays.
+_kept_layout = lru_cache(maxsize=1024)(_layout)
+
+
+def _fields(v: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -> list[np.ndarray]:
+    """Rows of standard normals ``v`` as arrays of these shapes (``_layout``), each (B, *shape).
+
+    The arrays are views of one complex array.
+    """
+    order, slices = (_kept_layout if v.shape[1] <= 1024 else _layout)(shapes, mode)
+    if mode == "real":
+        z = v.astype(np.complex128)
+    else:
+        z = v.take(order, axis=1).view(np.complex128)
+        z /= _SQRT2  # the bits of (re + 1j * im) / sqrt(2)
+    return [z[:, part].reshape(len(v), *shape) for part, shape in zip(slices, shapes)]
 
 
 def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
@@ -174,109 +287,159 @@ def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
 def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> Disk:
     while True:
         if cfg.field_mode == "real":
-            g, G = rng.standard_normal(), rng.standard_normal()
+            g, G = rng.standard_normal(2).tolist()
         else:
-            g, G = _draw_fields(rng, [(2,)], "complex")[0].tolist()
+            # one complex row of two entries, as ``_fields`` forms it, without its per-call cost
+            order, _ = _kept_layout(((2,),), "complex")
+            g, G = (rng.standard_normal(4).take(order).view(np.complex128) / _SQRT2).tolist()
         unit = Disk(g, G)
         if abs(unit.center) > 1e-6 and (unit.re_product > 0.0 or not want_positive_re):
             scale = cfg.disk_sampler.scale
             return unit if scale == 1.0 else Disk(scale * g, scale * G)
 
 
-def _draw_disk_points(
-    rng: np.random.Generator, d: Disk, n: int, boundary_fraction: float, mode: str
+def _draw_points(rng: np.random.Generator, cfg: FuzzConfig, n: int) -> tuple[np.ndarray, ...]:
+    """The uniform draws of ``n`` disk points, all drawn so that the stream layout is fixed.
+
+    Real mode: the boundary test, a point of (-1, 1), a sign.  Complex mode:
+    the boundary test, the radial draw and the angle, in one call of ``3 n``.
+    """
+    if cfg.field_mode == "real":
+        return rng.random(n), rng.uniform(-1.0, 1.0, n), rng.integers(0, 2, n)
+    return (rng.random(3 * n),)
+
+
+def _disk_points(
+    center: np.ndarray, radius: np.ndarray, draws: list[np.ndarray], cfg: FuzzConfig
 ) -> np.ndarray:
-    # draw all randomness unconditionally so the stream layout is fixed
-    on_boundary = rng.random(n) < boundary_fraction
-    if mode == "real":
-        interior = rng.uniform(-1.0, 1.0, n)
-        signs = rng.integers(0, 2, n) * 2.0 - 1.0
-        t = np.where(on_boundary, signs, interior)
-        return d.center + d.radius * t.astype(np.complex128)
-    u = rng.random(n)
-    ang = rng.uniform(0.0, 2.0 * np.pi, n)
-    rho = d.radius * np.where(on_boundary, 1.0, np.sqrt(u))
-    return d.center + rho * np.exp(1j * ang)
+    """(k, n) points of the disks with ``center`` and ``radius`` (k, 1), from rows of their ``_draw_points``.
+
+    A point lies on the boundary with probability ``boundary_fraction``;
+    otherwise it is uniform on the real diameter (real mode) or in the disk.
+    """
+    bf = cfg.disk_sampler.boundary_fraction
+    if cfg.field_mode == "real":
+        u, interior, signs = draws
+        return center + radius * np.where(u < bf, np.where(signs, 1.0, -1.0), interior)
+    n = draws[0].shape[1] // 3
+    u, r, turn = draws[0][:, :n], draws[0][:, n : 2 * n], draws[0][:, 2 * n :]
+    rho = radius * np.where(u < bf, 1.0, np.sqrt(r))
+    return center + rho * np.exp(2j * np.pi * turn)  # the bits of exp(1j * uniform(0, 2 pi))
 
 
-class Draw(NamedTuple):
-    """One instance as arrays; ``Family`` objects are built only by the public samplers."""
+class Raw(NamedTuple):
+    """One instance's generator output, in draw order; its ensemble's ``assemble`` turns the
+    ``Raw``s of one family size and dimension into arrays."""
 
-    x: np.ndarray  # (d,)
-    ys: np.ndarray  # (n, d): the test vectors, or the free components lifted onto zs
-    zs: np.ndarray | None  # the coefficients inner(x, y_j) the ys are lifted to
-    disk: Disk | None
-    c: np.ndarray | None  # weights (n,); the instance's stream continues with them
+    n: int
+    d: int  # the family's dimension
+    normals: np.ndarray  # its normal draws in turn, laid out as ``assemble`` reads them
+    disk: Disk | None = None
+    points: tuple[np.ndarray, ...] | None = None  # the ``_draw_points`` of its coefficients
+    zs: np.ndarray | None = None  # equality coefficients, taken in place of disk points
 
 
-def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
+def _coefficients(cfg: FuzzConfig, raws: Sequence[Raw]) -> np.ndarray:
+    """(k, n): each instance's equality coefficients, or else its disk points."""
+    drawn = [r for r in raws if r.zs is None]
+    zs = []
+    if drawn:
+        center = np.array([[r.disk.center] for r in drawn])
+        radius = np.array([[r.disk.radius] for r in drawn])
+        draws = [np.array(column) for column in zip(*[r.points for r in drawn])]
+        zs = _disk_points(center, radius, draws, cfg)
+    if len(drawn) < len(raws):
+        points = iter(zs)
+        zs = np.array([next(points) if r.zs is None else r.zs for r in raws])
+    return zs
+
+
+def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
     n, d = _draw_sizes(rng, cfg)
-    x, ys, c = _draw_fields(rng, [(d,), (n, d), (n,)], cfg.field_mode)
-    return Draw(x, ys, None, None, c)
+    return Raw(n, d, _normals(rng, cfg, d + n * d + n))
 
 
-def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
-    n, d_dim = _draw_sizes(rng, cfg)
-    mode = cfg.field_mode
+def _assemble_generic(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
+    n, d = raws[0].n, raws[0].d
+    x, ys, c = _fields(np.array([r.normals for r in raws]), ((d,), (n, d), (n,)), cfg.field_mode)
+    return x, ys, None, c
+
+
+def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
+    n, d = _draw_sizes(rng, cfg)
     while True:
-        x = _draw_fields(rng, [(d_dim,)], mode)[0]
-        if x.any():
+        x = _normals(rng, cfg, d)
+        if x.any():  # x is nonzero where its normals are
             break
     disk = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
     use_extremal = rng.random() < cfg.disk_sampler.extremal_fraction
-    zs = None
-    if use_extremal and mode == "complex" and disk.re_product > 0.0:
+    zs = points = None
+    if use_extremal and cfg.field_mode == "complex" and disk.re_product > 0.0:
         target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
         spec = plan(target, n, disk)
         if spec.feasible:
             zs = equality_coefficients(spec)
     if zs is None:
-        zs = _draw_disk_points(rng, disk, n, cfg.disk_sampler.boundary_fraction, mode)
-    ws, c = _draw_fields(rng, [(n, d_dim), (n,)], mode)
-    return Draw(x, ws, zs, disk, c)
+        points = _draw_points(rng, cfg, n)
+    return Raw(n, d, np.concatenate((x, _normals(rng, cfg, n * d + n))), disk, points, zs)
 
 
-def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Draw:
+def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
+    x, ws, _, c = _assemble_generic(cfg, raws)  # x, then the free components and the weights
+    return x, ws, _coefficients(cfg, raws), c
+
+
+def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
     n, d_draw = _draw_sizes(rng, cfg)
     dim = max(d_draw, n)
     disk = _draw_disk(rng, cfg, want_positive_re=True)
-    coeffs = _draw_disk_points(rng, disk, n, cfg.disk_sampler.boundary_fraction, cfg.field_mode)
-    if cfg.field_mode == "real":
+    points = _draw_points(rng, cfg, n)
+    # the matrix whose QR gives the e_j, then, when dim > n, a component outside their span
+    return Raw(n, dim, _normals(rng, cfg, dim * n + (dim if dim > n else 0)), disk, points)
+
+
+def _assemble_orthonormal(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
+    n, dim, mode = raws[0].n, raws[0].d, cfg.field_mode
+    v = np.array([r.normals for r in raws])
+    m, *extra = _fields(v, ((dim, n),) + ((dim,),) * (dim > n), mode)
+    if mode == "real":
         # QR in real arithmetic keeps imaginary parts exactly zero
-        q, _ = np.linalg.qr(rng.standard_normal((dim, n)))
-        es = q.T.astype(np.complex128)
+        es = np.linalg.qr(m.real)[0].swapaxes(-1, -2).astype(np.complex128)
     else:
-        q, _ = np.linalg.qr(_draw_fields(rng, [(dim, n)], "complex")[0])
-        es = q.T.copy()  # rows are orthonormal
-    x = coeffs @ es
-    if dim > n:
-        extra = _draw_fields(rng, [(dim,)], cfg.field_mode)[0]
-        extra = extra - (es.conj() @ extra) @ es
-        x = x + extra
-    return Draw(x, es, None, disk, None)
+        es = np.linalg.qr(m)[0].swapaxes(-1, -2).copy()  # rows are orthonormal
+    x = (_coefficients(cfg, raws)[:, None, :] @ es)[:, 0]
+    for w in extra:  # the component outside the span of the e_j
+        x = x + (w - ((es.conj() @ w[:, :, None])[:, :, 0][:, None, :] @ es)[:, 0])
+    return x, es, None, None
 
 
-# The ensembles: name -> (lane, draw(rng, cfg, index) -> Draw).  Instance ``index`` is
+# The ensembles: name -> (lane, draw(rng, cfg, index) -> Raw, assemble(cfg, raws)).
+# ``assemble`` turns the Raws of k instances of one size n and dimension d into
+# (x, ys, zs, c): x (k, d); ys (k, n, d), the test vectors, or free components that
+# ``Stats.stack`` lifts onto the coefficients zs (k, n); and the weights c (k, n), with
+# which the instance's stream continues.  zs and c may be None.  Instance ``index`` is
 # drawn from the stream (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
-    "generic": (0, _draw_generic),
-    "disk": (1, _draw_in_disk),
-    "orthonormal": (4, _draw_orthonormal),
+    "generic": (0, _draw_generic, _assemble_generic),
+    "disk": (1, _draw_in_disk, _assemble_in_disk),
+    "orthonormal": (4, _draw_orthonormal, _assemble_orthonormal),
 }
 
 
-def _draw(cfg: FuzzConfig, index: int, name: str) -> Draw:
-    """Instance ``index`` of ensemble ``name``."""
+def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
+    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays, a part of one family."""
     if not 0 <= index < cfg.instances:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
-    lane, draw = ENSEMBLES[name]
-    return draw(_rng(cfg, index, lane), cfg, index)
+    lane, draw, assemble = ENSEMBLES[name]
+    raw = draw(_rng(cfg, index, lane), cfg, index)
+    return raw, assemble(cfg, [raw])
 
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
-    draw = _draw(cfg, index, name)
-    ys = draw.ys if draw.zs is None else lift_gram_values(draw.x, draw.zs, draw.ys)
-    return Family(draw.x, ys, cfg.field_mode), draw.disk
+    raw, (x, ys, zs, _) = _draw(cfg, index, name)
+    if zs is not None:
+        ys = lift_stack(x, zs, ys)
+    return Family(x[0], ys[0], cfg.field_mode), raw.disk
 
 
 def sample_family(cfg: FuzzConfig, index: int) -> Family:
@@ -308,24 +471,38 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
 def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple[list[int], BoundStats]]:
     """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
 
-    Yields each stack's instance indices and the stack with the draws'
-    disks and weights and ``cfg``'s exponents and tolerance bound.  A stack
-    holds at most 64 families, fewer when they are large, so that its
-    arrays stay near 1 MB; each is built when the previous one is done.
+    The instances are drawn in three steps, with the bits the public
+    samplers give: the seeds of all of them in one pass (``_streams``);
+    each instance's generator calls, in its ensemble's order (a ``Raw``);
+    and the arrays of each part of a stack (its families of one dimension)
+    in one pass, by the ensemble's ``assemble``.  Yields each stack's
+    instance indices and the stack with the draws' disks and weights and
+    ``cfg``'s exponents and tolerance bound.  A stack holds at most 64
+    families, fewer when they are large, so that its arrays stay near 1 MB;
+    each is built when the previous one is done.
     """
-    by_n: dict[int, list[tuple[int, Draw]]] = {}
-    for index in range(start, stop):
-        draw = _draw(cfg, index, name)
-        by_n.setdefault(draw.ys.shape[0], []).append((index, draw))
+    lane, draw, assemble = ENSEMBLES[name]
+    by_n: dict[int, list[tuple[int, Raw]]] = {}
+    for index, rng in zip(range(start, stop), _streams(cfg, lane, start, stop)):
+        raw = draw(rng, cfg, index)
+        by_n.setdefault(raw.n, []).append((index, raw))
     for n, members in sorted(by_n.items()):
         size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
         for k in range(0, len(members), size):
-            indices, draws = zip(*members[k : k + size])
-            xs, ys, zs, disks, cs = zip(*draws)  # the fields of the Draws, each over the stack
-            s = Stats.stack(xs, ys, None if zs[0] is None else zs)
-            yield list(indices), s.bind(
-                disks=None if disks[0] is None else disks,
-                weights=None if cs[0] is None else np.array(cs)[:, None],
+            indices, raws = zip(*members[k : k + size])
+            by_dim: dict[int, list[int]] = {}
+            for b, raw in enumerate(raws):
+                by_dim.setdefault(raw.d, []).append(b)
+            parts = [(rows, *assemble(cfg, [raws[b] for b in rows])) for rows in by_dim.values()]
+            weights = None
+            if parts[0][4] is not None:
+                weights = np.empty((len(raws), n), dtype=np.complex128)
+                for rows, *_, c in parts:
+                    weights[rows] = c
+                weights = weights[:, None]  # (B, 1, n): one weight row per family
+            yield list(indices), Stats.stack([part[:4] for part in parts]).bind(
+                disks=None if raws[0].disk is None else [r.disk for r in raws],
+                weights=weights,
                 p_values=cfg.p_values,
                 tol=cfg.tolerance,
             )

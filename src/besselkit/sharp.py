@@ -197,7 +197,8 @@ class _DiskTerms(NamedTuple):
     """The scalars of each family's disk that the sharp bounds read: its ``_ends`` and terms from them.
 
     Over a stack each is an array with one entry per family; for a family
-    alone, each is a Python or numpy scalar.
+    alone, each is a Python or numpy scalar, and the two hypotheses are
+    numpy booleans, since a Python bool ``&`` a numpy bool costs about 0.8 us.
     """
 
     sum: np.ndarray  # Gamma + gamma
@@ -205,6 +206,7 @@ class _DiskTerms(NamedTuple):
     radius: np.ndarray
     re_product: np.ndarray  # Re(Gamma conj(gamma))
     centered: np.ndarray  # Gamma + gamma != 0, the hypothesis of Theorem 2.1
+    positive: np.ndarray  # Re(Gamma conj(gamma)) > 0, the hypothesis of Theorem 2.2
     penalty: np.ndarray  # (sqrt(n)/4) |G - g|^2 / |G + g|, the disk term of Theorem 2.1
     factor: np.ndarray  # |G + g|^2 / (4 n Re(G conj(g))), the disk factor of Theorem 2.2
     factor1: np.ndarray  # the same at n = 1
@@ -221,12 +223,17 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
     """
 
     def compute() -> _DiskTerms:
-        n, ends = s.n, _ends(s.gamma, s.Gamma, modulus)
-        total, center, radius, re, _ = ends
+        n = s.n
+        total, center, radius, re, centered = _ends(s.gamma, s.Gamma, modulus)
         sum_abs = modulus(total)
         sum_sq = libm_pow(sum_abs, 2)
         return _DiskTerms(
-            *ends,
+            total,
+            center,
+            radius,
+            re,
+            centered=np.bool_(centered),
+            positive=np.bool_(re > 0.0),
             penalty=(math.sqrt(n) / 4.0) * libm_pow(2.0 * radius, 2) / sum_abs,  # 2 radius = |G - g|
             factor=sum_sq / (4.0 * re * n),
             factor1=sum_sq / (4.0 * re),
@@ -279,7 +286,7 @@ def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> B
         re = np.asarray(t.re_product)[b]  # a Python float for a family alone
         return _outside(_inside(s)[b]) if re > 0.0 else Disk.not_positive(re)
 
-    ok = (t.re_product > 0.0) & _all_inside(s)
+    ok = t.positive & _all_inside(s)
     return BatchReport(bound_id, s.bessel, t.factor * sum_sq * x_norm_sq, ok, why)
 
 
@@ -425,7 +432,7 @@ def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
 
     return [
         BatchReport("orthonormal30", np.sqrt(s.bessel), s.x_norm + t.penalty, ok, why30),
-        BatchReport("orthonormal31", s.bessel, t.factor1 * s.xsq, ok & (t.re_product > 0.0), why31),
+        BatchReport("orthonormal31", s.bessel, t.factor1 * s.xsq, ok & t.positive, why31),
     ]
 
 

@@ -46,6 +46,18 @@ def small_cfg(**kw):
     return FuzzConfig(**base)
 
 
+def stack_of(families):
+    """``Stats.stack`` of families of one size, one part per dimension in order of first appearance."""
+    by_dim = {}
+    for b, f in enumerate(families):
+        by_dim.setdefault(f.dim, []).append(b)
+    parts = []
+    for rows in by_dim.values():
+        x, ys = np.array([families[b].x for b in rows]), np.array([families[b].ys for b in rows])
+        parts.append((rows, x, ys, None))
+    return Stats.stack(parts)
+
+
 class TestSampleFamily:
     def test_deterministic(self):
         cfg = small_cfg()
@@ -419,7 +431,7 @@ class TestStackMatchesFamilyAlone:
             weights = [rng.standard_normal(f.n) + imag * rng.standard_normal(f.n) for f, _ in drawn]
             for n in {f.n for f, _ in drawn}:
                 members = [k for k, (f, _) in enumerate(drawn) if f.n == n]
-                s = Stats.stack([drawn[k][0].x for k in members], [drawn[k][0].ys for k in members]).bind(
+                s = stack_of([drawn[k][0] for k in members]).bind(
                     disks=[drawn[k][1] for k in members] if disk else None,
                     weights=np.array([weights[k] for k in members])[:, None],
                     p_values=DEFAULT_P_VALUES,
@@ -432,6 +444,85 @@ class TestStackMatchesFamilyAlone:
                     alone = check_all(f, d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
                     alone += pecaric_reports(f, classical_weights(f))
                     assert [r.as_dict() for r in reports_of(batch, b)] == [r.as_dict() for r in alone]
+
+
+class TestSeedStreams:
+    """A chunk's seeds, computed in one pass, give the generators numpy's ``SeedSequence`` gives."""
+
+    @staticmethod
+    def numpy_rng(seed, index, lane):
+        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(index, lane))
+        return np.random.Generator(np.random.PCG64(ss))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 20050808])
+    def test_first_draws_equal_numpy(self, seed):
+        cfg = FuzzConfig(master_seed=seed, instances=2**33)
+        draws = (
+            lambda g: g.standard_normal(3),
+            lambda g: g.random(3),
+            lambda g: g.integers(0, 2**40, 3),
+        )
+        for lane in (0, 1, 4):
+            for index in (0, 255, 256, 10**6, 2**32 - 1, 2**32):
+                # a window around the index; those next to 2**32 cross to numpy's own seeding
+                start, stop = max(0, index - 2), index + 3
+                for i, rng in zip(range(start, stop), harness._streams(cfg, lane, start, stop)):
+                    ref = self.numpy_rng(seed, i, lane)
+                    for draw in draws:
+                        assert draw(rng).tobytes() == draw(ref).tobytes(), (seed, lane, i)
+
+    def test_whole_chunk(self):
+        cfg = FuzzConfig(master_seed=7, instances=600)
+        for lane in (0, 1, 4):
+            for i, rng in zip(range(256, 512), harness._streams(cfg, lane, 256, 512)):
+                ref = self.numpy_rng(7, i, lane)
+                assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+
+
+class TestChunkMatchesSamplers:
+    """Every stack of a chunk holds the bits the public samplers give its instances alone."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("sampler", [DiskSampler(), HEAVY, DiskSampler(scale=2**-40)])
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_stacks(self, ensemble, sampler, mode):
+        cfg = FuzzConfig(master_seed=29, instances=300, field_mode=mode, disk_sampler=sampler)
+        self.check(cfg, ensemble, 44, 300)
+        if ensemble == "disk" and mode == "complex" and sampler is HEAVY:
+            # the equality-case branch ran
+            assert any(harness._draw(cfg, i, "disk")[0].zs is not None for i in range(44, 300))
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_rows_longer_than_the_kept_layouts(self, ensemble):
+        # rows of more than 1024 normals take a layout computed per call
+        cfg = FuzzConfig(master_seed=31, instances=24, n_range=(20, 24), d_range=(24, 30), disk_sampler=HEAVY)
+        self.check(cfg, ensemble, 0, 24)
+
+    @staticmethod
+    def check(cfg, ensemble, start, stop):
+        public = {
+            "generic": lambda i: (sample_family(cfg, i), None),
+            "disk": lambda i: sample_disk_family(cfg, i),
+            "orthonormal": lambda i: sample_orthonormal_family(cfg, i),
+        }[ensemble]
+        seen = []
+        for indices, s in harness._stacks(cfg, ensemble, start, stop):
+            drawn = [public(i) for i in indices]
+            # the weights of each instance alone: its stream continues with them
+            cs = [harness._draw(cfg, i, ensemble)[1][3] for i in indices]
+            ref = stack_of([f for f, _ in drawn]).bind(
+                disks=None if ensemble == "generic" else [d for _, d in drawn],
+                weights=None if cs[0] is None else np.array([c[0] for c in cs])[:, None],
+            )
+            assert len(s.parts) == len(ref.parts)
+            for part, ref_part in zip(s.parts, ref.parts):  # (rows, x, ys)
+                for a, b in zip(part, ref_part):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            for name in ("weights", "gamma", "Gamma"):
+                a, b = getattr(s, name), getattr(ref, name)
+                assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+            seen += indices
+        assert sorted(seen) == list(range(start, stop))
 
 
 class TestTightnessCompare:
