@@ -4,10 +4,12 @@ Instance generation is a pure function of ``(master_seed, index)``: each
 instance derives its own generator from that pair (and its ensemble's
 lane) through numpy's ``SeedSequence`` spawn keys, so results never depend
 on execution order or on the number of workers.  The public samplers call
-``SeedSequence`` itself; a chunk computes the seeds of all its instances
-in one pass of the same algorithm on arrays (``_seed_states``).
-Aggregation merges fixed-size index chunks in index order, which keeps
-floating-point accumulations byte-stable as well.
+``SeedSequence`` itself; a task computes the seeds of all its instances
+in one pass of the same algorithm on arrays (``_seed_states``).  No output
+depends on how the instances are split into tasks: fuzz summaries hold
+counts, extrema and violations sorted by instance, and ``compare`` sums all
+its ratios at once with ``math.fsum``, which is correctly rounded.  So the
+task size (``_task_size``) serves throughput alone.
 
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
@@ -20,8 +22,8 @@ The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disks, weights and
 exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
-``tightness_compare`` draw a chunk as arrays (``_stacks``), stack the
-instances that share a family size n (``Stats.stack``), and reduce a
+``tightness_compare`` draw a task's instances as arrays (``_stacks``),
+stack those that share a family size n (``Stats.stack``), and reduce a
 stack's reports with masks; ``check_all`` runs these formulas on one
 family, a stack without the batch axis, and builds its ``BoundReport``s.
 No array is padded, so a family's reports have the same bits in a stack as
@@ -84,11 +86,16 @@ __all__ = [
 
 DEFAULT_P_VALUES = (1.5, 3.0)
 
-_CHUNK = 256  # fixed chunk size; must not depend on the worker count
 _SQRT2 = np.sqrt(2.0)
 # Gram entries per stack, n * max(n, d) per family: 64 families at n = 12,
 # d <= 8, and one family from n = 96 up.
 _STACK_ENTRIES = 64 * 12 * 12
+# A task draws all its instances before it stacks them, so its size is capped in Gram
+# entries of its largest families: 64 full stacks, 4096 instances (about 8 MB of draws)
+# at the default sizes.  Tasks hold at least 256 instances, whatever the sizes, since
+# smaller ones spread a task's fixed costs (the seed pass, the stacks, the pool) over too few.
+_TASK_ENTRIES = 64 * _STACK_ENTRIES
+_TASK_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -697,7 +704,7 @@ def _merge(total: FuzzSummary, part: FuzzSummary) -> FuzzSummary:
     return total
 
 
-def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
+def _fuzz_task(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     cfg, start, stop = args
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
@@ -712,8 +719,19 @@ def _fuzz_chunk(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     return part
 
 
-def _map_chunks(fn, cfg: FuzzConfig, workers: int) -> list:
-    tasks = [(cfg, a, min(a + _CHUNK, cfg.instances)) for a in range(0, cfg.instances, _CHUNK)]
+def _task_size(cfg: FuzzConfig, workers: int) -> int:
+    """Instances per task: as many as ``_TASK_ENTRIES`` allows on one worker, else about
+    ``4 * workers`` tasks, so that the pool stays busy, of at least ``_TASK_MIN``."""
+    n, d = cfg.n_range[1], cfg.d_range[1]
+    cap = max(_TASK_MIN, _TASK_ENTRIES // (n * max(n, d)))
+    if workers <= 1:
+        return cap
+    return min(cap, max(_TASK_MIN, -(-cfg.instances // (4 * workers))))
+
+
+def _map_tasks(fn, cfg: FuzzConfig, workers: int) -> list:
+    size = _task_size(cfg, workers)
+    tasks = [(cfg, a, min(a + size, cfg.instances)) for a in range(0, cfg.instances, size)]
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -724,10 +742,10 @@ def fuzz(cfg: FuzzConfig, workers: int = 1) -> FuzzSummary:
     """Check every bound over all seeded instances of both samplers.
 
     Violations are recorded, never raised.  The summary is identical for
-    any ``workers`` value because instances are independent and chunk
-    results merge in index order.
+    any ``workers`` value and any split into tasks: counts add, each bound
+    keeps its least slack, and violations are sorted by instance.
     """
-    total = reduce(_merge, _map_chunks(_fuzz_chunk, cfg, workers), FuzzSummary(cfg, {}, [], {}, {}, {}))
+    total = reduce(_merge, _map_tasks(_fuzz_task, cfg, workers), FuzzSummary(cfg, {}, [], {}, {}, {}))
     total.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
     return total
 
@@ -738,13 +756,8 @@ class TightnessRow(NamedTuple):
     mean_ratio: float
 
 
-def _running_sum(values: np.ndarray) -> float:
-    """``values`` added one at a time, in order (``np.sum`` adds them pairwise)."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
-
-
-def _compare_chunk(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, list]:
-    """Per competing bound: [wins, sum of ratios in index order, number of ratios]."""
+def _compare_task(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, tuple[int, list[float]]]:
+    """Per competing bound: its wins, and its ratios lhs / rhs in index order where it applies with rhs > 0."""
     cfg, start, stop = args
     ids = [b.ids[0] for b in _COMPETITORS]
     wins = dict.fromkeys(ids, 0)
@@ -759,9 +772,7 @@ def _compare_chunk(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str
             use = r.ok & (r.rhs > 0.0)
             ratios[r.bound_id][at[use]] = r.lhs[use] / r.rhs[use]
             used[r.bound_id][at[use]] = True
-    return {
-        bid: [wins[bid], _running_sum(ratios[bid][used[bid]]), int(used[bid].sum())] for bid in ids
-    }
+    return {bid: (wins[bid], ratios[bid][used[bid]].tolist()) for bid in ids}
 
 
 def tightness_compare(
@@ -773,15 +784,15 @@ def tightness_compare(
     set, and ties go to the earlier entry, so the sharp bounds only win
     when strictly smallest.  ``ensemble`` is a key of ``ENSEMBLES``.
     Returns one row per competing bound with its win count and mean
-    tightness ratio (NaN when the bound never applied).
+    tightness ratio (NaN when the bound never applied).  The ratios are
+    summed once, correctly rounded (``math.fsum``), so no split changes it.
     """
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    totals = {b.ids[0]: [0, 0.0, 0] for b in _COMPETITORS}
-    for part in _map_chunks(partial(_compare_chunk, ensemble), cfg, workers):
-        for bid, counts in part.items():
-            totals[bid] = [t + c for t, c in zip(totals[bid], counts)]
-    return [
-        TightnessRow(bid, wins, ratio_sum / count if count else float("nan"))
-        for bid, (wins, ratio_sum, count) in totals.items()
-    ]
+    results = _map_tasks(partial(_compare_task, ensemble), cfg, workers)
+    rows = []
+    for bid in (b.ids[0] for b in _COMPETITORS):
+        ratios = [v for result in results for v in result[bid][1]]
+        mean = math.fsum(ratios) / len(ratios) if ratios else float("nan")
+        rows.append(TightnessRow(bid, sum(result[bid][0] for result in results), mean))
+    return rows

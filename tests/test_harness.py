@@ -367,7 +367,7 @@ def planted(monkeypatch):
 
 class TestFuzzViolations:
     def test_violations_recorded_in_order(self, planted):
-        cfg = small_cfg(instances=300)  # two chunks
+        cfg = small_cfg(instances=300)  # stacked by family size, so violations arrive out of index order
         expected = []
         for i in range(cfg.instances):
             for sampler, f in (("disk", sample_disk_family(cfg, i)[0]), ("generic", sample_family(cfg, i))):
@@ -447,7 +447,7 @@ class TestStackMatchesFamilyAlone:
 
 
 class TestSeedStreams:
-    """A chunk's seeds, computed in one pass, give the generators numpy's ``SeedSequence`` gives."""
+    """A task's seeds, computed in one pass, give the generators numpy's ``SeedSequence`` gives."""
 
     @staticmethod
     def numpy_rng(seed, index, lane):
@@ -480,7 +480,7 @@ class TestSeedStreams:
 
 
 class TestChunkMatchesSamplers:
-    """Every stack of a chunk holds the bits the public samplers give its instances alone."""
+    """Every stack of a task holds the bits the public samplers give its instances alone."""
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("sampler", [DiskSampler(), HEAVY, DiskSampler(scale=2**-40)])
@@ -564,7 +564,7 @@ class TestTightnessCompare:
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
     def test_rows_match_families_alone(self, mode, ensemble):
-        # the winner scan and the running ratio sums, family by family
+        # the winner scan and the correctly rounded sum of all ratios, family by family
         cfg = small_cfg(instances=300, field_mode=mode, disk_sampler=HEAVY)
         sampler = {
             "generic": lambda c, i: (sample_family(c, i), None),
@@ -573,8 +573,7 @@ class TestTightnessCompare:
         }[ensemble]
         competing = [b for b in BOUNDS if b.competes]
         wins = {b.ids[0]: 0 for b in competing}
-        sums = {b.ids[0]: [0.0, 0.0] for b in competing}  # one per chunk of 256
-        counts = {b.ids[0]: 0 for b in competing}
+        ratios = {b.ids[0]: [] for b in competing}  # in index order
         for i in range(cfg.instances):
             f, d = sampler(cfg, i)
             reports = {r.bound_id: r for r in check_all(f, d, p_values=()) if r.preconditions_met}
@@ -586,11 +585,10 @@ class TestTightnessCompare:
                 if best is None or r.rhs**b.competes < best[1]:
                     best = (b.ids[0], r.rhs**b.competes)
                 if r.rhs > 0.0:
-                    sums[b.ids[0]][i // 256] += r.ratio
-                    counts[b.ids[0]] += 1
+                    ratios[b.ids[0]].append(r.ratio)
             wins[best[0]] += 1
         expected = [
-            (bid, wins[bid], (sums[bid][0] + sums[bid][1]) / counts[bid] if counts[bid] else math.nan)
+            (bid, wins[bid], math.fsum(ratios[bid]) / len(ratios[bid]) if ratios[bid] else math.nan)
             for bid in wins
         ]
         rows = tightness_compare(cfg, ensemble)
@@ -602,6 +600,21 @@ class TestTightnessCompare:
         for instances in (4, 0):
             with pytest.raises(ValueError):
                 tightness_compare(small_cfg(instances=instances), "bogus")
+
+
+class TestTaskSplit:
+    """No fuzz or compare output depends on how the instances are split into tasks or workers."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_outputs_byte_identical(self, mode, monkeypatch):
+        cfg = FuzzConfig(master_seed=41, instances=300, field_mode=mode, disk_sampler=HEAVY, tolerance=1e-9)
+        outputs = set()
+        for size in (64, 256, 4096):
+            monkeypatch.setattr(harness, "_task_size", lambda cfg, workers, size=size: size)
+            for workers in (1, 2):
+                text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
+                outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
+        assert len(outputs) == 1
 
 
 class TestConfigValidation:
