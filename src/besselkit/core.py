@@ -134,10 +134,14 @@ def modulus(z: np.ndarray) -> np.ndarray:
 
     ``np.abs`` on a complex array takes a vectorised path that can differ
     in the last bit.  A Python complex gives a numpy float, so that dividing
-    by it gives inf or NaN, as over an array, instead of raising.
+    by it gives inf or NaN, as over an array, instead of raising; a modulus
+    beyond the double range is inf, as ``np.hypot`` gives it.
     """
     if type(z) is complex:
-        return np.float64(abs(z))
+        try:
+            return np.float64(abs(z))
+        except OverflowError:
+            return np.float64(math.inf)
     return np.hypot(z.real, z.imag)
 
 
@@ -259,43 +263,34 @@ class Stats:
     A stack of B families has ``shape`` (B,), the leading axis of every
     statistic; a family alone has ``shape`` (), so its statistics are
     numpy scalars and (n,) or (n, n) arrays, and the same formulas read
-    them at scalar speed.  The families are held in ``parts`` of one
-    dimension each: ``(rows, x, ys)`` with ``x`` (k, d) and ``ys``
-    (k, n, d) the reference and test vectors of the families at positions
-    ``rows``, as ``stack`` builds them; a family alone is one part
-    ``((), x, ys)``.  No array is padded, so every statistic has the bits it
-    has for each family alone.  Each statistic is computed on first access
-    and kept, so a bound pays only for what it reads; the few that read the
-    vectors are computed part by part (``_by_dim``).
+    them at scalar speed.  The families are held in ``parts``, runs of
+    one dimension each in stack order: ``(x, ys)`` with ``x`` (k, d) and
+    ``ys`` (k, n, d) their reference and test vectors, as ``stack`` builds
+    them; a family alone is one part ``(x, ys)`` without the batch axis.
+    No array is padded, so every statistic has the bits it has for each
+    family alone.  Each statistic is computed on first access and kept, so
+    a bound pays only for what it reads; the few that read the vectors are
+    computed part by part and joined (``_by_dim``).
 
     ``bind`` adds what the bounds read besides the families (a
     ``BoundStats``), and ``evaluate`` runs formulas with no inputs bound.
     """
 
-    def __init__(
-        self, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, ...]
-    ) -> None:
+    def __init__(self, parts: list[tuple[np.ndarray, np.ndarray]], shape: tuple[int, ...]) -> None:
         self.parts, self.shape = parts, shape
         if parts:
-            self.n = parts[0][2].shape[-2]
+            self.n = parts[0][1].shape[-2]
 
     @classmethod
-    def stack(cls, parts: Sequence[tuple]) -> Stats:
-        """A stack of families of one size n, given in parts of one dimension d each.
+    def stack(cls, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> Stats:
+        """A stack of families of one size n, given in runs of one dimension d each.
 
-        A part ``(rows, x, ys, zs)`` holds the families at stack positions
-        ``rows``: ``x`` (k, d) and ``ys`` (k, n, d); with ``zs`` (k, n) not
-        None, ``ys`` are free components, lifted onto the coefficients ``zs``
-        by ``lift_stack``.  The arrays are held row-major, as ``Family``
-        holds its own, so that every product takes one BLAS path.
+        A part ``(x, ys)`` holds the next ``k`` families of the stack: ``x``
+        (k, d) and ``ys`` (k, n, d).  The arrays are held row-major, as
+        ``Family`` holds its own, so that every product takes one BLAS path.
         """
-        stacked = []
-        for rows, x, ys, zs in parts:
-            x = np.ascontiguousarray(x)
-            if zs is not None:
-                ys = lift_stack(x, zs, ys)
-            stacked.append((np.array(rows), x, np.ascontiguousarray(ys)))
-        return cls(stacked, (sum(len(rows) for rows, _, _ in stacked),))
+        parts = [(np.ascontiguousarray(x), np.ascontiguousarray(ys)) for x, ys in parts]
+        return cls(parts, (sum(len(x) for x, _ in parts),))
 
     @classmethod
     def of_coefficients(cls, a: np.ndarray) -> Stats:
@@ -324,16 +319,10 @@ class Stats:
         return self.bind().evaluate(*formulas)
 
     def _by_dim(self, fn):
-        """``fn(x, ys)`` of each part, as one array over the stack."""
+        """``fn(x, ys)`` of each part, joined into one array over the stack."""
         if len(self.parts) == 1:
-            return fn(*self.parts[0][1:])
-        out = None
-        for rows, x, ys in self.parts:
-            part = fn(x, ys)
-            if out is None:
-                out = np.empty(self.shape + part.shape[1:], part.dtype)
-            out[rows] = part
-        return out
+            return fn(*self.parts[0])
+        return np.concatenate([fn(x, ys) for x, ys in self.parts])
 
     @_lazy
     def dim(self) -> np.ndarray:
@@ -535,7 +524,7 @@ class Family:
     @_lazy
     def stats(self) -> Stats:
         """The family as a ``Stats`` stack without the batch axis."""
-        return Stats([((), self.x, self.ys)], ())
+        return Stats([(self.x, self.ys)], ())
 
     n = property(lambda self: self.ys.shape[0])
     dim = property(lambda self: self.x.size)

@@ -23,9 +23,10 @@ once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disks, weights and
 exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
 ``tightness_compare`` draw a task's instances as arrays (``_stacks``),
-stack those that share a family size n (``Stats.stack``), and reduce a
-stack's reports with masks; ``check_all`` runs these formulas on one
-family, a stack without the batch axis, and builds its ``BoundReport``s.
+stack those that share a family size n, sorted by dimension into runs of
+one dimension (``Stats.stack``), and reduce a stack's reports with masks;
+``check_all`` runs these formulas on one family, a stack without the batch
+axis, and builds its ``BoundReport``s.
 No array is padded, so a family's reports have the same bits in a stack as
 alone.
 """
@@ -36,7 +37,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache, lru_cache, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -368,8 +369,7 @@ def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
 
 def _assemble_generic(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
     n, d = raws[0].n, raws[0].d
-    x, ys, c = _fields(np.array([r.normals for r in raws]), ((d,), (n, d), (n,)), cfg.field_mode)
-    return x, ys, None, c
+    return tuple(_fields(np.array([r.normals for r in raws]), ((d,), (n, d), (n,)), cfg.field_mode))
 
 
 def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
@@ -392,8 +392,9 @@ def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
 
 
 def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
-    x, ws, _, c = _assemble_generic(cfg, raws)  # x, then the free components and the weights
-    return x, ws, _coefficients(cfg, raws), c
+    x, ws, c = _assemble_generic(cfg, raws)  # x, then the free components and the weights
+    x = np.ascontiguousarray(x)  # row-major, as ``Stats.stack`` holds it
+    return x, lift_stack(x, _coefficients(cfg, raws), ws), c
 
 
 def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
@@ -417,15 +418,14 @@ def _assemble_orthonormal(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
     x = (_coefficients(cfg, raws)[:, None, :] @ es)[:, 0]
     for w in extra:  # the component outside the span of the e_j
         x = x + (w - ((es.conj() @ w[:, :, None])[:, :, 0][:, None, :] @ es)[:, 0])
-    return x, es, None, None
+    return x, es, None
 
 
 # The ensembles: name -> (lane, draw(rng, cfg, index) -> Raw, assemble(cfg, raws)).
 # ``assemble`` turns the Raws of k instances of one size n and dimension d into
-# (x, ys, zs, c): x (k, d); ys (k, n, d), the test vectors, or free components that
-# ``Stats.stack`` lifts onto the coefficients zs (k, n); and the weights c (k, n), with
-# which the instance's stream continues.  zs and c may be None.  Instance ``index`` is
-# drawn from the stream (master_seed, index, lane), so a lane must never change.
+# (x, ys, c): x (k, d); ys (k, n, d), the test vectors; and the weights c (k, n), with
+# which the instance's stream continues, or None.  Instance ``index`` is drawn from
+# the stream (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic, _assemble_generic),
     "disk": (1, _draw_in_disk, _assemble_in_disk),
@@ -443,9 +443,7 @@ def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
 
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
-    raw, (x, ys, zs, _) = _draw(cfg, index, name)
-    if zs is not None:
-        ys = lift_stack(x, zs, ys)
+    raw, (x, ys, _) = _draw(cfg, index, name)
     return Family(x[0], ys[0], cfg.field_mode), raw.disk
 
 
@@ -481,12 +479,13 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
     The instances are drawn in three steps, with the bits the public
     samplers give: the seeds of all of them in one pass (``_streams``);
     each instance's generator calls, in its ensemble's order (a ``Raw``);
-    and the arrays of each part of a stack (its families of one dimension)
-    in one pass, by the ensemble's ``assemble``.  Yields each stack's
-    instance indices and the stack with the draws' disks and weights and
-    ``cfg``'s exponents and tolerance bound.  A stack holds at most 64
-    families, fewer when they are large, so that its arrays stay near 1 MB;
-    each is built when the previous one is done.
+    and the arrays of each part of a stack in one pass, by the ensemble's
+    ``assemble``.  The instances of one size are sorted by dimension, in
+    index order within a dimension, so a part is a run of the stack.
+    Yields each stack's instance indices and the stack with the draws'
+    disks and weights and ``cfg``'s exponents and tolerance bound.  A stack
+    holds at most 64 families, fewer when they are large, so that its
+    arrays stay near 1 MB; each is built when the previous one is done.
     """
     lane, draw, assemble = ENSEMBLES[name]
     by_n: dict[int, list[tuple[int, Raw]]] = {}
@@ -494,20 +493,15 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
         raw = draw(rng, cfg, index)
         by_n.setdefault(raw.n, []).append((index, raw))
     for n, members in sorted(by_n.items()):
+        members.sort(key=lambda member: member[1].d)  # stable: index order within a dimension
         size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
         for k in range(0, len(members), size):
             indices, raws = zip(*members[k : k + size])
-            by_dim: dict[int, list[int]] = {}
-            for b, raw in enumerate(raws):
-                by_dim.setdefault(raw.d, []).append(b)
-            parts = [(rows, *assemble(cfg, [raws[b] for b in rows])) for rows in by_dim.values()]
+            parts = [assemble(cfg, list(run)) for _, run in groupby(raws, key=lambda raw: raw.d)]
             weights = None
-            if parts[0][4] is not None:
-                weights = np.empty((len(raws), n), dtype=np.complex128)
-                for rows, *_, c in parts:
-                    weights[rows] = c
-                weights = weights[:, None]  # (B, 1, n): one weight row per family
-            yield list(indices), Stats.stack([part[:4] for part in parts]).bind(
+            if parts[0][2] is not None:
+                weights = np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n): one row per family
+            yield list(indices), Stats.stack([part[:2] for part in parts]).bind(
                 disks=None if raws[0].disk is None else [r.disk for r in raws],
                 weights=weights,
                 p_values=cfg.p_values,
@@ -730,6 +724,8 @@ def _task_size(cfg: FuzzConfig, workers: int) -> int:
 
 
 def _map_tasks(fn, cfg: FuzzConfig, workers: int) -> list:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     size = _task_size(cfg, workers)
     tasks = [(cfg, a, min(a + size, cfg.instances)) for a in range(0, cfg.instances, size)]
     if workers <= 1 or len(tasks) <= 1:
@@ -757,22 +753,18 @@ class TightnessRow(NamedTuple):
 
 
 def _compare_task(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, tuple[int, list[float]]]:
-    """Per competing bound: its wins, and its ratios lhs / rhs in index order where it applies with rhs > 0."""
+    """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in stack order."""
     cfg, start, stop = args
     ids = [b.ids[0] for b in _COMPETITORS]
-    wins = dict.fromkeys(ids, 0)
-    ratios = {bid: np.zeros(stop - start) for bid in ids}
-    used = {bid: np.zeros(stop - start, dtype=bool) for bid in ids}
-    for indices, s in _stacks(cfg, ensemble, start, stop):
+    wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
+    for _, s in _stacks(cfg, ensemble, start, stop):
         reports = s.evaluate(*_formulas(False, s.gamma is not None, True))
         for bid, count in _winners(reports).items():
             wins[bid] += count
-        at = np.array(indices) - start
         for r in reports:
             use = r.ok & (r.rhs > 0.0)
-            ratios[r.bound_id][at[use]] = r.lhs[use] / r.rhs[use]
-            used[r.bound_id][at[use]] = True
-    return {bid: (wins[bid], ratios[bid][used[bid]].tolist()) for bid in ids}
+            ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
+    return {bid: (wins[bid], ratios[bid]) for bid in ids}
 
 
 def tightness_compare(
@@ -785,7 +777,7 @@ def tightness_compare(
     when strictly smallest.  ``ensemble`` is a key of ``ENSEMBLES``.
     Returns one row per competing bound with its win count and mean
     tightness ratio (NaN when the bound never applied).  The ratios are
-    summed once, correctly rounded (``math.fsum``), so no split changes it.
+    summed once, correctly rounded (``math.fsum``), so no split or order changes it.
     """
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")

@@ -84,7 +84,15 @@ __all__ = [
 ]
 
 
-def _ends(g, G, absolute=abs) -> tuple:
+def _abs(z: complex) -> float:
+    """``abs(z)``, or inf beyond the double range, as ``core.modulus`` gives it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _ends(g, G, absolute=_abs) -> tuple:
     """The first five ``_DiskTerms`` of the disks with end points ``g``, ``G``, each written once here.
 
     Python numbers for a ``Disk``; arrays with one entry per family over a

@@ -311,6 +311,11 @@ class TestEval:
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(r["preconditions_met"] and math.isnan(r["slack"]) for r in reports)
         assert not [v for v in fuzz(cfg).violations if v["sampler"] == "disk" and v["instance_seed"] == 0]
+        # a disk whose |Gamma - gamma| leaves the double range gives NaN sides, judged alike
+        payload = {"x": [[1.0, 0.0]], "ys": [[[1.0, 0.0]]], "gamma": [1.5e308, 1.5e308], "Gamma": [0.0, 0.0]}
+        assert main(["eval", "--input", self.write(tmp_path, payload)]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert any(r["preconditions_met"] and math.isnan(r["slack"]) for r in reports)
 
     def test_violation_exit_code_wiring(self, tmp_path, monkeypatch, capsys):
         # no real family violates a theorem; force one through the dispatcher
@@ -366,7 +371,13 @@ class TestExtremalCommand:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
         # centered (Gamma + gamma != 0), but |center|^2 underflows
-        for ends in (["--gamma", "1e-170", "--Gamma", "3e-170"], ["--gamma", "5e-324", "--Gamma", "0"]):
+        # or |Gamma - gamma| leaves the double range
+        ends_cases = (
+            ["--gamma", "1e-170", "--Gamma", "3e-170"],
+            ["--gamma", "5e-324", "--Gamma", "0"],
+            ["--gamma", "1.5e308+1.5e308i", "--Gamma", "0"],
+        )
+        for ends in ends_cases:
             assert main(["extremal", "--target", "thm21", "--n", "3", *ends]) == 2
             assert "double range" in capsys.readouterr().err
 
@@ -436,6 +447,11 @@ class TestFuzzCommand:
         for argv in (["--n", "1:2:3"], ["--n", "0:3"], ["--dim", "4:2"], ["--instances", "-1"]):
             assert main(["fuzz", *argv, "--output", str(tmp_path / "o.json")]) == 1, argv
             assert capsys.readouterr().err.startswith("error: ")
+        for command in ("fuzz", "compare"):
+            for workers in ("0", "-3"):
+                argv = [command, "--instances", "5", "--workers", workers, "--output", str(tmp_path / "o")]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompareCommand:

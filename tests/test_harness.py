@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -47,15 +48,9 @@ def small_cfg(**kw):
 
 
 def stack_of(families):
-    """``Stats.stack`` of families of one size, one part per dimension in order of first appearance."""
-    by_dim = {}
-    for b, f in enumerate(families):
-        by_dim.setdefault(f.dim, []).append(b)
-    parts = []
-    for rows in by_dim.values():
-        x, ys = np.array([families[b].x for b in rows]), np.array([families[b].ys for b in rows])
-        parts.append((rows, x, ys, None))
-    return Stats.stack(parts)
+    """``Stats.stack`` of families of one size, one part per run of equal dimension."""
+    runs = [list(run) for _, run in groupby(families, key=lambda f: f.dim)]
+    return Stats.stack([(np.array([f.x for f in run]), np.array([f.ys for f in run])) for run in runs])
 
 
 class TestSampleFamily:
@@ -488,6 +483,9 @@ class TestChunkMatchesSamplers:
     def test_stacks(self, ensemble, sampler, mode):
         cfg = FuzzConfig(master_seed=29, instances=300, field_mode=mode, disk_sampler=sampler)
         self.check(cfg, ensemble, 44, 300)
+        # n = 3 alone: its one size group spans five stacks, sorted by dimension across them
+        one_size = FuzzConfig(master_seed=29, instances=300, n_range=(3, 3), field_mode=mode, disk_sampler=sampler)
+        self.check(one_size, ensemble, 0, 300)
         if ensemble == "disk" and mode == "complex" and sampler is HEAVY:
             # the equality-case branch ran
             assert any(harness._draw(cfg, i, "disk")[0].zs is not None for i in range(44, 300))
@@ -509,13 +507,13 @@ class TestChunkMatchesSamplers:
         for indices, s in harness._stacks(cfg, ensemble, start, stop):
             drawn = [public(i) for i in indices]
             # the weights of each instance alone: its stream continues with them
-            cs = [harness._draw(cfg, i, ensemble)[1][3] for i in indices]
+            cs = [harness._draw(cfg, i, ensemble)[1][2] for i in indices]
             ref = stack_of([f for f, _ in drawn]).bind(
                 disks=None if ensemble == "generic" else [d for _, d in drawn],
                 weights=None if cs[0] is None else np.array([c[0] for c in cs])[:, None],
             )
             assert len(s.parts) == len(ref.parts)
-            for part, ref_part in zip(s.parts, ref.parts):  # (rows, x, ys)
+            for part, ref_part in zip(s.parts, ref.parts):  # (x, ys)
                 for a, b in zip(part, ref_part):
                     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             for name in ("weights", "gamma", "Gamma"):

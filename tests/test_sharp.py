@@ -109,7 +109,11 @@ class TestDisk:
 
     def test_quantities_are_python_scalars(self):
         d = Disk(1 + 2j, 3 - 1j)
-        assert (type(d.center), type(d.radius), type(d.re_product)) == (complex, float, float)
+        # also when |Gamma - gamma| leaves the double range: the radius is inf, as over a stack
+        wide = Disk(1.5e308 * (1 + 1j), 0)
+        for e in (d, wide):
+            assert (type(e.center), type(e.radius), type(e.re_product)) == (complex, float, float)
+        assert wide.radius == math.inf
         assert d.centered is True
         assert Disk(1.0, -1.0).centered is False
 
