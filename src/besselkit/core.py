@@ -302,17 +302,17 @@ class Stats:
     def bind(
         self,
         *,
-        disks=None,
+        ends: tuple | None = None,
         weights: np.ndarray | None = None,
         p_values: tuple[float, ...] = (),
         tol: float = DEFAULT_TOLERANCE,
     ) -> BoundStats:
-        """This stack with the inputs of one evaluation.
+        """This stack with the inputs of one evaluation (see ``BoundStats``).
 
         Exponents that are not finite and > 1 (``report.is_exponent``) are
         dropped; ``tol`` must pass ``report.check_tolerance``.
         """
-        return BoundStats(self, disks, weights, tuple(filter(is_exponent, p_values)), check_tolerance(tol))
+        return BoundStats(self, ends, weights, tuple(filter(is_exponent, p_values)), check_tolerance(tol))
 
     def evaluate(self, *formulas) -> list:
         """The ``BatchReport``s of ``formulas`` with no inputs bound; see ``BoundStats.evaluate``."""
@@ -447,27 +447,23 @@ class Stats:
 class BoundStats(Stats):
     """A ``Stats`` stack with the inputs of one evaluation bound to it.
 
-    The inputs are the families' disks ``disks`` (a sequence of one disk
-    per family, or None), the weight rows ``weights`` (B, k, n), whose row 0
-    is the weight vector ``c``, the exponents ``p_values`` and the tolerance
-    ``tol``.  The disks are bound as their end points ``gamma`` and
-    ``Gamma`` (None without disks): arrays over a stack, and Python
-    complex numbers for a family alone, whose arithmetic is much faster
-    than that of numpy scalars.  The family statistics live in the stack's
-    own attribute dictionary, which this shares, so every evaluation of a
-    family computes them once; what depends on the inputs is kept per
-    evaluation (``kept``).
+    The inputs are the end points ``ends = (gamma, Gamma)`` of the families'
+    disks, the weight rows ``weights`` (B, k, n), whose row 0 is the weight
+    vector ``c``, the exponents ``p_values`` and the tolerance ``tol``.  The
+    end points are held as ``gamma`` and ``Gamma`` (None without disks):
+    arrays over a stack, and Python complex numbers for a family alone,
+    whose arithmetic is much faster than that of numpy scalars.  The family
+    statistics live in the stack's own attribute dictionary, which this
+    shares, so every evaluation of a family computes them once; what
+    depends on the inputs is kept per evaluation (``kept``).
     """
 
     __slots__ = ("gamma", "Gamma", "weights", "p_values", "tol", "_kept")
 
-    def __init__(self, stats: Stats, disks, weights, p_values: tuple[float, ...], tol: float) -> None:
+    def __init__(self, stats: Stats, ends, weights, p_values: tuple[float, ...], tol: float) -> None:
         self.__dict__ = stats.__dict__
+        self.gamma, self.Gamma = (None, None) if ends is None else ends
         self.weights, self.p_values, self.tol = weights, p_values, tol
-        self.gamma = self.Gamma = None
-        if disks is not None:
-            ends = [(d.gamma, d.Gamma) for d in disks]
-            self.gamma, self.Gamma = np.array(ends).T if self.shape else ends[0]
         self._kept: dict = {}
 
     def evaluate(self, *formulas) -> list:
@@ -530,26 +526,17 @@ class Family:
     dim = property(lambda self: self.x.size)
     coefficients = property(lambda self: self.stats.a, doc="The n values ``inner(x, y_j)``.")
     abs_coefficients = property(lambda self: self.stats.abs_a)
-    max_abs_coefficient = property(lambda self: float(self.stats.max_abs_a))
     coefficients_sq_sum = property(
         lambda self: float(self.stats.bessel), doc="``sum_j |inner(x, y_j)|^2``."
     )
-    coefficients_sum = property(lambda self: complex(self.stats.a_sum))
     gram = property(lambda self: self.stats.gram)
     abs_gram = property(lambda self: self.stats.abs_gram)
     gram_row_sums = property(
         lambda self: self.stats.row_sums, doc="Row sums of ``abs(gram)``, one per test vector."
     )
-    max_row_sum = property(lambda self: float(self.stats.row_sum_max))
-    max_abs_gram = property(lambda self: float(self.stats.abs_gram_max))
-    orthonormal_deviation = property(
-        lambda self: float(self.stats.ortho_dev),
-        doc="``max_ij |G_ij - delta_ij|``: how far the test vectors are from orthonormal.",
-    )
     x_norm_sq = property(lambda self: float(self.stats.xsq))
     x_norm = property(lambda self: float(self.stats.x_norm))
     ys_sum = property(lambda self: self.ys.sum(axis=0))
-    ys_sum_norm_sq = property(lambda self: float(self.stats.sum_sq))
 
     def row_q_norm_max(self, q: float) -> float:
         """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe."""

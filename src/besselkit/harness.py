@@ -15,18 +15,18 @@ The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
 that contains their coefficients.  Each draws an instance's raw numbers (a
-``Raw``) and turns those of many instances of one size into arrays at once;
-a public sampler does the same for one instance.
+``Raw``, with a disk as its end points) and turns those of many instances of
+one size into arrays at once; a public sampler does the same for one instance.
 
 The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
-coefficients, norms, Gram row sums and maxima, and the disks, weights and
-exponents bound to it) to one ``BatchReport`` per report.  ``fuzz`` and
-``tightness_compare`` draw a task's instances as arrays (``_stacks``),
-stack those that share a family size n, sorted by dimension into runs of
-one dimension (``Stats.stack``), and reduce a stack's reports with masks;
-``check_all`` runs these formulas on one family, a stack without the batch
-axis, and builds its ``BoundReport``s.
+coefficients, norms, Gram row sums and maxima, and the disk end points,
+weights and exponents bound to it) to one ``BatchReport`` per report.
+``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
+(``_stacks``), stack those that share a family size n, sorted by dimension
+into runs of one dimension (``Stats.stack``), and reduce a stack's reports
+with masks; ``check_all`` runs these formulas on one family, a stack
+without the batch axis, and builds its ``BoundReport``s.
 No array is padded, so a family's reports have the same bits in a stack as
 alone.
 """
@@ -55,11 +55,12 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_stack
+from .core import BoundStats, Family, Stats, libm_pow, lift_stack, modulus
 from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
     Disk,
+    disk_quantities,
     lemma_eq6_batch,
     orthonormal_batch,
     theorem21_batch,
@@ -292,18 +293,22 @@ def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
     return n, d
 
 
-def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> Disk:
+def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> tuple[complex, complex]:
+    """The end points ``(gamma, Gamma)`` of a disk, as Python complex numbers."""
     while True:
         if cfg.field_mode == "real":
-            g, G = rng.standard_normal(2).tolist()
+            g, G = map(complex, rng.standard_normal(2).tolist())
         else:
             # one complex row of two entries, as ``_fields`` forms it, without its per-call cost
             order, _ = _kept_layout(((2,),), "complex")
             g, G = (rng.standard_normal(4).take(order).view(np.complex128) / _SQRT2).tolist()
-        unit = Disk(g, G)
-        if abs(unit.center) > 1e-6 and (unit.re_product > 0.0 or not want_positive_re):
+        _, center, _, re_product, _ = disk_quantities(g, G)
+        if abs(center) > 1e-6 and (re_product > 0.0 or not want_positive_re):
             scale = cfg.disk_sampler.scale
-            return unit if scale == 1.0 else Disk(scale * g, scale * G)
+            if scale == 1.0:
+                return g, G
+            disk = Disk(scale * g, scale * G)  # raises ValueError where an end leaves the double range
+            return disk.gamma, disk.Gamma
 
 
 def _draw_points(rng: np.random.Generator, cfg: FuzzConfig, n: int) -> tuple[np.ndarray, ...]:
@@ -342,7 +347,7 @@ class Raw(NamedTuple):
     n: int
     d: int  # the family's dimension
     normals: np.ndarray  # its normal draws in turn, laid out as ``assemble`` reads them
-    disk: Disk | None = None
+    ends: tuple[complex, complex] | None = None  # its disk's (gamma, Gamma)
     points: tuple[np.ndarray, ...] | None = None  # the ``_draw_points`` of its coefficients
     zs: np.ndarray | None = None  # equality coefficients, taken in place of disk points
 
@@ -352,8 +357,9 @@ def _coefficients(cfg: FuzzConfig, raws: Sequence[Raw]) -> np.ndarray:
     drawn = [r for r in raws if r.zs is None]
     zs = []
     if drawn:
-        center = np.array([[r.disk.center] for r in drawn])
-        radius = np.array([[r.disk.radius] for r in drawn])
+        g, G = np.array([r.ends for r in drawn]).T[:, :, None]  # each (k, 1)
+        with np.errstate(all="ignore"):  # a center or radius beyond the double range is inf
+            _, center, radius, _, _ = disk_quantities(g, G, modulus)
         draws = [np.array(column) for column in zip(*[r.points for r in drawn])]
         zs = _disk_points(center, radius, draws, cfg)
     if len(drawn) < len(raws):
@@ -378,17 +384,19 @@ def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
         x = _normals(rng, cfg, d)
         if x.any():  # x is nonzero where its normals are
             break
-    disk = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
+    ends = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
     use_extremal = rng.random() < cfg.disk_sampler.extremal_fraction
     zs = points = None
-    if use_extremal and cfg.field_mode == "complex" and disk.re_product > 0.0:
-        target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
-        spec = plan(target, n, disk)
-        if spec.feasible:
-            zs = equality_coefficients(spec)
+    if use_extremal and cfg.field_mode == "complex":
+        disk = Disk(*ends)
+        if disk.re_product > 0.0:
+            target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
+            spec = plan(target, n, disk)
+            if spec.feasible:
+                zs = equality_coefficients(spec)
     if zs is None:
         points = _draw_points(rng, cfg, n)
-    return Raw(n, d, np.concatenate((x, _normals(rng, cfg, n * d + n))), disk, points, zs)
+    return Raw(n, d, np.concatenate((x, _normals(rng, cfg, n * d + n))), ends, points, zs)
 
 
 def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
@@ -400,10 +408,10 @@ def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
 def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
     n, d_draw = _draw_sizes(rng, cfg)
     dim = max(d_draw, n)
-    disk = _draw_disk(rng, cfg, want_positive_re=True)
+    ends = _draw_disk(rng, cfg, want_positive_re=True)
     points = _draw_points(rng, cfg, n)
     # the matrix whose QR gives the e_j, then, when dim > n, a component outside their span
-    return Raw(n, dim, _normals(rng, cfg, dim * n + (dim if dim > n else 0)), disk, points)
+    return Raw(n, dim, _normals(rng, cfg, dim * n + (dim if dim > n else 0)), ends, points)
 
 
 def _assemble_orthonormal(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
@@ -424,8 +432,9 @@ def _assemble_orthonormal(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
 # The ensembles: name -> (lane, draw(rng, cfg, index) -> Raw, assemble(cfg, raws)).
 # ``assemble`` turns the Raws of k instances of one size n and dimension d into
 # (x, ys, c): x (k, d); ys (k, n, d), the test vectors; and the weights c (k, n), with
-# which the instance's stream continues, or None.  Instance ``index`` is drawn from
-# the stream (master_seed, index, lane), so a lane must never change.
+# which the instance's stream continues, or None.  A disk is drawn as its end points,
+# ``Raw.ends``.  Instance ``index`` is drawn from the stream (master_seed, index, lane),
+# so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic, _assemble_generic),
     "disk": (1, _draw_in_disk, _assemble_in_disk),
@@ -444,7 +453,7 @@ def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
     raw, (x, ys, _) = _draw(cfg, index, name)
-    return Family(x[0], ys[0], cfg.field_mode), raw.disk
+    return Family(x[0], ys[0], cfg.field_mode), None if raw.ends is None else Disk(*raw.ends)
 
 
 def sample_family(cfg: FuzzConfig, index: int) -> Family:
@@ -483,9 +492,9 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
     ``assemble``.  The instances of one size are sorted by dimension, in
     index order within a dimension, so a part is a run of the stack.
     Yields each stack's instance indices and the stack with the draws'
-    disks and weights and ``cfg``'s exponents and tolerance bound.  A stack
-    holds at most 64 families, fewer when they are large, so that its
-    arrays stay near 1 MB; each is built when the previous one is done.
+    disk end points and weights and ``cfg``'s exponents and tolerance bound.
+    A stack holds at most 64 families, fewer when they are large, so that
+    its arrays stay near 1 MB; each is built when the previous one is done.
     """
     lane, draw, assemble = ENSEMBLES[name]
     by_n: dict[int, list[tuple[int, Raw]]] = {}
@@ -502,7 +511,7 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
             if parts[0][2] is not None:
                 weights = np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n): one row per family
             yield list(indices), Stats.stack([part[:2] for part in parts]).bind(
-                disks=None if raws[0].disk is None else [r.disk for r in raws],
+                ends=None if raws[0].ends is None else np.array([r.ends for r in raws]).T,
                 weights=weights,
                 p_values=cfg.p_values,
                 tol=cfg.tolerance,
@@ -515,7 +524,7 @@ class Bound(NamedTuple):
     ``formula(s)`` returns the entry's ``BatchReport``s on the stack ``s``,
     with ids from ``ids``.  ``needs`` names what it reads besides the
     family: "family" (nothing), "p" (``s.p_values``, always given),
-    "weights" (``s.weights``) or "disk" (``s.disks``, ``s.tol``);
+    "weights" (``s.weights``) or "disk" (``s.gamma``, ``s.Gamma``, ``s.tol``);
     an entry that needs weights or a disk runs only when they are given.  A
     bound with ``competes > 0`` competes in tightness through
     ``rhs ** competes``.
@@ -598,7 +607,7 @@ def check_all(
     the family alone (a stack without the batch axis).
     """
     s = f.stats.bind(
-        disks=None if d is None else (d,),
+        ends=None if d is None else (d.gamma, d.Gamma),
         weights=None if c is None else as_weights(f, c, 1)[None],
         p_values=p_values,
         tol=tol,

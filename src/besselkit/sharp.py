@@ -28,14 +28,15 @@ As in ``classical``, each bound is an array formula ``<bound>_batch(s)``
 over a stack whose disks are bound as the arrays ``s.gamma``, ``s.Gamma``
 (``core.BoundStats``), and the function of its own name runs it on one family.
 
-Every disk decision has one owner here.  ``_ends`` writes ``Gamma + gamma``,
-the center, the radius, ``Re(Gamma conj(gamma))`` and the centered
-predicate ``Gamma + gamma != 0`` once: a ``Disk`` evaluates it on Python
-numbers when built, the bounds on the arrays of a stack.  Membership is one
-expression, ``_within``, for ``disk_condition_abs`` and the bounds'
-preconditions.  ``Disk.require_center`` and ``Disk.require_positive_re``,
-with their messages, check the hypotheses of the two theorems for the
-bounds, the residuals and ``extremal.plan``.
+Every disk decision has one owner here.  ``disk_quantities`` writes
+``Gamma + gamma``, the center, the radius, ``Re(Gamma conj(gamma))`` and the
+centered predicate ``Gamma + gamma != 0`` once: a ``Disk`` and the
+samplers' rejection test evaluate it on Python numbers, the samplers'
+assembly and the bounds on arrays of the end points of many disks.
+Membership is one expression, ``_within``, for ``disk_condition_abs`` and
+the bounds' preconditions.  ``Disk.require_center`` and
+``Disk.require_positive_re``, with their messages, check the hypotheses of
+the two theorems for the bounds, the residuals and ``extremal.plan``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "OrthonormalRemark",
     "disk_condition_re",
     "disk_condition_abs",
+    "disk_quantities",
     "theorem21",
     "theorem21_batch",
     "theorem21_residuals",
@@ -92,14 +94,16 @@ def _abs(z: complex) -> float:
         return math.inf
 
 
-def _ends(g, G, absolute=_abs) -> tuple:
+def disk_quantities(g, G, absolute=_abs) -> tuple:
     """The first five ``_DiskTerms`` of the disks with end points ``g``, ``G``, each written once here.
 
-    Python numbers for a ``Disk``; arrays with one entry per family over a
-    stack, with ``absolute = core.modulus``.
+    Python numbers for a ``Disk`` and a unit draw; arrays with one entry per
+    disk, with ``absolute = core.modulus``.  The center and the radius are
+    formed from the halved end points, so they are inf only where they leave
+    the double range themselves.
     """
-    total = G + g
-    return total, total / 2.0, absolute(G - g) / 2.0, G.real * g.real + G.imag * g.imag, total != 0
+    total, g2, G2 = G + g, g / 2.0, G / 2.0
+    return total, G2 + g2, absolute(G2 - g2), G.real * g.real + G.imag * g.imag, total != 0
 
 
 def _within(z, center, radius, tol: float):
@@ -134,7 +138,7 @@ class Disk:
         for name, value in (("gamma", g), ("Gamma", G)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        _, center, radius, re_product, centered = _ends(g, G)
+        _, center, radius, re_product, centered = disk_quantities(g, G)
         # frozen: the fields are set in the instance dictionary
         self.__dict__.update(
             gamma=g, Gamma=G, center=center, radius=radius, re_product=re_product, centered=centered
@@ -202,7 +206,7 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
 
 
 class _DiskTerms(NamedTuple):
-    """The scalars of each family's disk that the sharp bounds read: its ``_ends`` and terms from them.
+    """What the sharp bounds read of each family's disk: its ``disk_quantities`` and terms from them.
 
     Over a stack each is an array with one entry per family; for a family
     alone, each is a Python or numpy scalar, and the two hypotheses are
@@ -232,7 +236,7 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
 
     def compute() -> _DiskTerms:
         n = s.n
-        total, center, radius, re, centered = _ends(s.gamma, s.Gamma, modulus)
+        total, center, radius, re, centered = disk_quantities(s.gamma, s.Gamma, modulus)
         sum_abs = modulus(total)
         sum_sq = libm_pow(sum_abs, 2)
         return _DiskTerms(
@@ -316,7 +320,7 @@ def theorem21(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     precondition when some coefficient leaves the disk.
     """
     d.require_center()
-    return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem21_batch))[0]
+    return reports_of(f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(theorem21_batch))[0]
 
 
 def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:
@@ -325,7 +329,7 @@ def theorem22(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport
     rhs is ``(1/n) |G + g|^2 / (4 Re(G conj(g))) ||sum y_j||^2 ||x||^2``.
     """
     d.require_positive_re()
-    return reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(theorem22_batch))[0]
+    return reports_of(f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(theorem22_batch))[0]
 
 
 @dataclass
@@ -407,7 +411,7 @@ def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float
     ``lhs <= rhs`` whenever all coefficients lie in the disk, with equality
     exactly when every coefficient is on the boundary.
     """
-    rep = f.stats.bind(disks=(d,), tol=tol).evaluate(lemma_eq6_batch)[0]
+    rep = f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(lemma_eq6_batch)[0]
     if not rep.ok:
         raise PreconditionError(rep.why(()))
     return float(rep.lhs), float(rep.rhs)
@@ -461,7 +465,7 @@ def orthonormal_remark(
     """
     f = Family(x, es)
     d.require_center()
-    rep30, rep31 = reports_of(f.stats.bind(disks=(d,), tol=tol).evaluate(orthonormal_batch))
+    rep30, rep31 = reports_of(f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(orthonormal_batch))
     if not rep30.preconditions_met:
         return OrthonormalRemark(rep30, rep31, False)
     coarser = rep30.rhs >= f.x_norm - tol * max(1.0, f.x_norm)
@@ -482,7 +486,7 @@ def triangle_reverse_sq_batch(s: BoundStats) -> list[BatchReport]:
 
 def _scalars(zs: Sequence[complex], d: Disk, tol: float) -> BoundStats:
     """The family alone with coefficients ``zs``, and the disk ``d`` bound."""
-    return Stats.of_coefficients(as_vector(zs)).bind(disks=(d,), tol=tol)
+    return Stats.of_coefficients(as_vector(zs)).bind(ends=(d.gamma, d.Gamma), tol=tol)
 
 
 def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:

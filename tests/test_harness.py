@@ -427,7 +427,7 @@ class TestStackMatchesFamilyAlone:
             for n in {f.n for f, _ in drawn}:
                 members = [k for k, (f, _) in enumerate(drawn) if f.n == n]
                 s = stack_of([drawn[k][0] for k in members]).bind(
-                    disks=[drawn[k][1] for k in members] if disk else None,
+                    ends=np.array([(drawn[k][1].gamma, drawn[k][1].Gamma) for k in members]).T if disk else None,
                     weights=np.array([weights[k] for k in members])[:, None],
                     p_values=DEFAULT_P_VALUES,
                     tol=cfg.tolerance,
@@ -509,7 +509,7 @@ class TestChunkMatchesSamplers:
             # the weights of each instance alone: its stream continues with them
             cs = [harness._draw(cfg, i, ensemble)[1][2] for i in indices]
             ref = stack_of([f for f, _ in drawn]).bind(
-                disks=None if ensemble == "generic" else [d for _, d in drawn],
+                ends=None if ensemble == "generic" else np.array([(d.gamma, d.Gamma) for _, d in drawn]).T,
                 weights=None if cs[0] is None else np.array([c[0] for c in cs])[:, None],
             )
             assert len(s.parts) == len(ref.parts)
@@ -644,3 +644,9 @@ class TestConfigValidation:
         for scale in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and positive"):
                 DiskSampler(scale=scale)
+
+    def test_scaled_ends_beyond_double_range(self):
+        # a valid scale whose scaled unit ends overflow: the draw raises, as a Disk does
+        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))
+        with pytest.raises(ValueError, match="must be finite"):
+            fuzz(cfg)

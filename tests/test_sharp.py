@@ -109,11 +109,15 @@ class TestDisk:
 
     def test_quantities_are_python_scalars(self):
         d = Disk(1 + 2j, 3 - 1j)
-        # also when |Gamma - gamma| leaves the double range: the radius is inf, as over a stack
+        # also when Gamma - gamma or Gamma + gamma leaves the double range: the radius and
+        # the center are formed from the halved ends, so they stay finite where they are
         wide = Disk(1.5e308 * (1 + 1j), 0)
-        for e in (d, wide):
+        far = Disk(1.5e308, 1.5e308)
+        for e in (d, wide, far):
             assert (type(e.center), type(e.radius), type(e.re_product)) == (complex, float, float)
-        assert wide.radius == math.inf
+        assert wide.radius == abs(complex(7.5e307, 7.5e307))
+        assert far.center == 1.5e308 and far.radius == 0.0
+        assert disk_condition_abs(1.5e308, far)
         assert d.centered is True
         assert Disk(1.0, -1.0).centered is False
 
