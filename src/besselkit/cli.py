@@ -86,20 +86,23 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _pair_to_complex(value, where: str) -> complex:
+def _pair_to_complex(value, where: str, real: bool) -> complex:
+    """The complex number of a ``[re, im]`` pair; ``real`` (a real-mode file) requires ``im == 0``."""
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(type(v) is float and math.isfinite(v) for v in value)
     ):
         raise CliInputError(f"{where}: expected a finite [re, im] pair, got {value!r}")
+    if real and value[1] != 0.0:
+        raise CliInputError(f"{where}: a real-mode file needs imaginary part 0.0, got {value!r}")
     return complex(value[0], value[1])
 
 
-def _vector(value, where: str) -> list[complex]:
+def _vector(value, where: str, real: bool) -> list[complex]:
     if not isinstance(value, list) or not value:
         raise CliInputError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return [_pair_to_complex(v, f"{where}[{k}]") for k, v in enumerate(value)]
+    return [_pair_to_complex(v, f"{where}[{k}]", real) for k, v in enumerate(value)]
 
 
 def read_family_file(path: str) -> dict:
@@ -123,11 +126,12 @@ def read_family_file(path: str) -> dict:
         raise CliInputError(f"{path}: field_mode must be 'real' or 'complex', got {mode!r}")
     if "x" not in raw or "ys" not in raw:
         raise CliInputError(f"{path}: missing required keys 'x' and 'ys'")
-    x = _vector(raw["x"], f"{path}: x")
+    real = mode == "real"
+    x = _vector(raw["x"], f"{path}: x", real)
     ys_raw = raw["ys"]
     if not isinstance(ys_raw, list) or not ys_raw:
         raise CliInputError(f"{path}: ys must be a non-empty list of vectors")
-    ys = [_vector(v, f"{path}: ys[{k}]") for k, v in enumerate(ys_raw)]
+    ys = [_vector(v, f"{path}: ys[{k}]", real) for k, v in enumerate(ys_raw)]
     try:
         family = Family(x, ys, mode)
     except (BesselkitError, ValueError) as exc:
@@ -137,12 +141,12 @@ def read_family_file(path: str) -> dict:
         raise CliInputError(f"{path}: gamma and Gamma must be given together")
     if "gamma" in raw:
         disk = Disk(
-            _pair_to_complex(raw["gamma"], f"{path}: gamma"),
-            _pair_to_complex(raw["Gamma"], f"{path}: Gamma"),
+            _pair_to_complex(raw["gamma"], f"{path}: gamma", real),
+            _pair_to_complex(raw["Gamma"], f"{path}: Gamma", real),
         )
     coeffs = None
     if "coeffs" in raw:
-        coeffs = np.array(_vector(raw["coeffs"], f"{path}: coeffs"), dtype=np.complex128)
+        coeffs = np.array(_vector(raw["coeffs"], f"{path}: coeffs", real), dtype=np.complex128)
         if coeffs.size != family.n:
             raise CliInputError(
                 f"{path}: coeffs has length {coeffs.size}, family has {family.n} vectors"

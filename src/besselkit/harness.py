@@ -9,7 +9,7 @@ in one pass of the same algorithm on arrays (``_seed_states``).  No output
 depends on how the instances are split into tasks: fuzz summaries hold
 counts, extrema and violations sorted by instance, and ``compare`` sums all
 its ratios at once with ``math.fsum``, which is correctly rounded.  So the
-task size (``_task_size``) serves throughput alone.
+task size (``_task_size``) serves throughput and a memory cap alone.
 
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
@@ -17,6 +17,9 @@ bounds apply by construction), and orthonormal families paired with a disk
 that contains their coefficients.  Each draws an instance's raw numbers (a
 ``Raw``, with a disk as its end points) and turns those of many instances of
 one size into arrays at once; a public sampler does the same for one instance.
+Every field entry drawn, of the vectors, the weights and the disk end points
+alike, comes from standard normals in one format, which ``_fields`` reads.
+Entries and ratios beyond the double range are inf or NaN, never a numpy warning.
 
 The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
@@ -36,8 +39,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache, lru_cache, partial, reduce
-from itertools import accumulate, groupby
+from functools import cache, partial, reduce
+from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -94,8 +97,9 @@ _SQRT2 = np.sqrt(2.0)
 _STACK_ENTRIES = 64 * 12 * 12
 # A task draws all its instances before it stacks them, so its size is capped in Gram
 # entries of its largest families: 64 full stacks, 4096 instances (about 8 MB of draws)
-# at the default sizes.  Tasks hold at least 256 instances, whatever the sizes, since
-# smaller ones spread a task's fixed costs (the seed pass, the stacks, the pool) over too few.
+# at the default sizes, down to one instance.  Split over workers, tasks hold at least
+# 256 instances under that cap, since smaller ones spread a task's fixed costs (the seed
+# pass, the stacks, the pool) over too few.
 _TASK_ENTRIES = 64 * _STACK_ENTRIES
 _TASK_MIN = 256
 
@@ -247,44 +251,24 @@ def _normals(rng: np.random.Generator, cfg: FuzzConfig, entries: int) -> np.ndar
     return rng.standard_normal(entries if cfg.field_mode == "real" else 2 * entries)
 
 
-def _layout(shapes: tuple[tuple[int, ...], ...], mode: str) -> tuple[np.ndarray | None, tuple[slice, ...]]:
-    """Where the arrays of these shapes lie in a row of normals.
-
-    A row holds the arrays in turn; a complex array of ``m`` entries takes
-    ``2 m`` normals, the real parts and then the imaginary parts.  Returns
-    each array's slice of the entries and, in complex mode, the order of
-    the row that puts each entry's two parts side by side.
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    starts = list(accumulate(sizes, initial=0))
-    slices = tuple(map(slice, starts, starts[1:]))
-    if mode == "real":
-        return None, slices
-    # the real part of entry e of an array that starts at entry s is normal 2 s + (e - s)
-    re = np.arange(starts[-1]) + np.repeat(starts[:-1], sizes)
-    order = np.empty(2 * starts[-1], dtype=np.intp)
-    order[0::2], order[1::2] = re, re + np.repeat(sizes, sizes)
-    order.flags.writeable = False  # shared by every caller
-    return order, slices
-
-
-# The layouts of rows of at most 1024 normals (every shape of the default size ranges) are
-# kept, 8 MB at most; a longer row's layout costs little next to its arrays.
-_kept_layout = lru_cache(maxsize=1024)(_layout)
-
-
 def _fields(v: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -> list[np.ndarray]:
-    """Rows of standard normals ``v`` as arrays of these shapes (``_layout``), each (B, *shape).
+    """Rows of standard normals ``v`` as contiguous complex arrays of these shapes, each (B, *shape).
 
-    The arrays are views of one complex array.
+    A row holds the arrays in turn.  A real array of ``m`` entries takes
+    ``m`` normals; a complex one takes ``2 m``, its real parts and then its
+    imaginary parts, and is ``(re + 1j * im) / sqrt(2)``.
     """
-    order, slices = (_kept_layout if v.shape[1] <= 1024 else _layout)(shapes, mode)
-    if mode == "real":
-        z = v.astype(np.complex128)
-    else:
-        z = v.take(order, axis=1).view(np.complex128)
-        z /= _SQRT2  # the bits of (re + 1j * im) / sqrt(2)
-    return [z[:, part].reshape(len(v), *shape) for part, shape in zip(slices, shapes)]
+    arrays, start = [], 0
+    for shape in shapes:
+        m = math.prod(shape)
+        z = v[:, start : start + m].astype(np.complex128)
+        start += m
+        if mode == "complex":
+            z.imag = v[:, start : start + m]
+            z /= _SQRT2
+            start += m
+        arrays.append(z.reshape(len(v), *shape))
+    return arrays
 
 
 def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
@@ -294,14 +278,13 @@ def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
 
 
 def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> tuple[complex, complex]:
-    """The end points ``(gamma, Gamma)`` of a disk, as Python complex numbers."""
+    """The end points ``(gamma, Gamma)`` of a disk, as Python complex numbers.
+
+    Each try draws one array of two field entries (``_fields``), until the
+    unit disk has a center and, if ``want_positive_re``, ``Re(Gamma conj(gamma)) > 0``.
+    """
     while True:
-        if cfg.field_mode == "real":
-            g, G = map(complex, rng.standard_normal(2).tolist())
-        else:
-            # one complex row of two entries, as ``_fields`` forms it, without its per-call cost
-            order, _ = _kept_layout(((2,),), "complex")
-            g, G = (rng.standard_normal(4).take(order).view(np.complex128) / _SQRT2).tolist()
+        g, G = _fields(_normals(rng, cfg, 2)[None], ((2,),), cfg.field_mode)[0][0].tolist()
         _, center, _, re_product, _ = disk_quantities(g, G)
         if abs(center) > 1e-6 and (re_product > 0.0 or not want_positive_re):
             scale = cfg.disk_sampler.scale
@@ -358,8 +341,7 @@ def _coefficients(cfg: FuzzConfig, raws: Sequence[Raw]) -> np.ndarray:
     zs = []
     if drawn:
         g, G = np.array([r.ends for r in drawn]).T[:, :, None]  # each (k, 1)
-        with np.errstate(all="ignore"):  # a center or radius beyond the double range is inf
-            _, center, radius, _, _ = disk_quantities(g, G, modulus)
+        _, center, radius, _, _ = disk_quantities(g, G, modulus)
         draws = [np.array(column) for column in zip(*[r.points for r in drawn])]
         zs = _disk_points(center, radius, draws, cfg)
     if len(drawn) < len(raws):
@@ -401,7 +383,6 @@ def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
 
 def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
     x, ws, c = _assemble_generic(cfg, raws)  # x, then the free components and the weights
-    x = np.ascontiguousarray(x)  # row-major, as ``Stats.stack`` holds it
     return x, lift_stack(x, _coefficients(cfg, raws), ws), c
 
 
@@ -448,7 +429,8 @@ def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
     lane, draw, assemble = ENSEMBLES[name]
     raw = draw(_rng(cfg, index, lane), cfg, index)
-    return raw, assemble(cfg, [raw])
+    with np.errstate(all="ignore"):  # as in ``_stacks``
+        return raw, assemble(cfg, [raw])
 
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
@@ -506,7 +488,8 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
         size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
         for k in range(0, len(members), size):
             indices, raws = zip(*members[k : k + size])
-            parts = [assemble(cfg, list(run)) for _, run in groupby(raws, key=lambda raw: raw.d)]
+            with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
+                parts = [assemble(cfg, list(run)) for _, run in groupby(raws, key=lambda raw: raw.d)]
             weights = None
             if parts[0][2] is not None:
                 weights = np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n): one row per family
@@ -724,9 +707,9 @@ def _fuzz_task(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
 
 def _task_size(cfg: FuzzConfig, workers: int) -> int:
     """Instances per task: as many as ``_TASK_ENTRIES`` allows on one worker, else about
-    ``4 * workers`` tasks, so that the pool stays busy, of at least ``_TASK_MIN``."""
+    ``4 * workers`` tasks, so that the pool stays busy, of at least ``_TASK_MIN`` under that cap."""
     n, d = cfg.n_range[1], cfg.d_range[1]
-    cap = max(_TASK_MIN, _TASK_ENTRIES // (n * max(n, d)))
+    cap = max(1, _TASK_ENTRIES // (n * max(n, d)))
     if workers <= 1:
         return cap
     return min(cap, max(_TASK_MIN, -(-cfg.instances // (4 * workers))))
@@ -770,9 +753,10 @@ def _compare_task(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str,
         reports = s.evaluate(*_formulas(False, s.gamma is not None, True))
         for bid, count in _winners(reports).items():
             wins[bid] += count
-        for r in reports:
-            use = r.ok & (r.rhs > 0.0)
-            ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
+        with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios
+            for r in reports:
+                use = r.ok & (r.rhs > 0.0)
+                ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
     return {bid: (wins[bid], ratios[bid]) for bid in ids}
 
 

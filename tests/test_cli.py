@@ -278,12 +278,16 @@ class TestEval:
         assert reports["dragomir_pq"]["preconditions_met"]
 
     def test_real_mode_file_with_imaginary_part_exit_one(self, tmp_path, capsys):
-        payload = {
-            "field_mode": "real",
-            "x": [[1.0, 0.5]],
-            "ys": [[[1.0, 0.0]]],
-        }
-        assert main(["eval", "--input", self.write(tmp_path, payload)]) == 1
+        base = {"field_mode": "real", "x": [[1.0, 0.0]], "ys": [[[1.0, 0.0]]]}
+        for where, extra in (
+            ("x[0]", {"x": [[1.0, 0.5]]}),
+            ("ys[0][0]", {"ys": [[[1.0, -2.0]]]}),
+            ("gamma", {"gamma": [1.0, 1.0], "Gamma": [3.0, 0.0]}),
+            ("Gamma", {"gamma": [1.0, 0.0], "Gamma": [3.0, 1e-300]}),
+            ("coeffs[0]", {"coeffs": [[1.0, 0.25]]}),
+        ):
+            assert main(["eval", "--input", self.write(tmp_path, {**base, **extra})]) == 1
+            assert f": {where}: a real-mode file needs imaginary part 0.0" in capsys.readouterr().err
 
     def test_coefficient_outside_disk_is_flagged_not_fatal(self, tmp_path, capsys):
         payload = {

@@ -331,6 +331,29 @@ class TestFuzz:
             text2 = json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True)
             assert json.dumps(s1.as_dict(), sort_keys=True) == text2
 
+    @staticmethod
+    def sample_all(cfg):
+        for i in range(cfg.instances):
+            try:
+                sample_disk_family(cfg, i)
+            except ValueError as exc:  # an entry beyond the double range
+                assert "must be finite" in str(exc)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: tightness_compare(FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e160)), "disk"),
+            lambda: tightness_compare(FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e160)), "orthonormal"),
+            lambda: fuzz(FuzzConfig(instances=256, disk_sampler=DiskSampler(scale=1e306))),
+            lambda: TestFuzz.sample_all(FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))),
+        ],
+        ids=["compare-disk-1e160", "compare-orthonormal-1e160", "fuzz-1e306", "sample-disk-1e308"],
+    )
+    def test_no_numpy_warnings_beyond_double_range(self, run):
+        # draws, stacks and ratios beyond the double range are inf or NaN, never a
+        # RuntimeWarning, which the test configuration turns into an error
+        run()
+
 
 @pytest.fixture
 def planted(monkeypatch):
@@ -491,8 +514,8 @@ class TestChunkMatchesSamplers:
             assert any(harness._draw(cfg, i, "disk")[0].zs is not None for i in range(44, 300))
 
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
-    def test_rows_longer_than_the_kept_layouts(self, ensemble):
-        # rows of more than 1024 normals take a layout computed per call
+    def test_long_rows(self, ensemble):
+        # 20 to 24 vectors in dimension 24 to 30: complex rows of 1008 to 1548 normals
         cfg = FuzzConfig(master_seed=31, instances=24, n_range=(20, 24), d_range=(24, 30), disk_sampler=HEAVY)
         self.check(cfg, ensemble, 0, 24)
 
@@ -521,6 +544,30 @@ class TestChunkMatchesSamplers:
                 assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
             seen += indices
         assert sorted(seen) == list(range(start, stop))
+
+
+class TestFieldFormat:
+    """``_fields`` reads each array from its own run of a row: its real parts, then in complex mode its imaginary parts."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize(
+        "shapes",
+        [((2,),), ((3,), (4, 3), (4,)), ((1,), (1, 1)), ((30, 24), (30,)), ((26,), (40, 26), (40,))],
+    )
+    def test_runs_of_normals(self, shapes, mode):
+        per_entry = 1 if mode == "real" else 2
+        v = np.random.default_rng(17).standard_normal((5, per_entry * sum(math.prod(s) for s in shapes)))
+        a = 0  # the entry the array starts at
+        for z, shape in zip(harness._fields(v, shapes, mode), shapes):
+            m = math.prod(shape)
+            if mode == "real":
+                ref = v[:, a : a + m].astype(complex)
+            else:
+                ref = (v[:, 2 * a : 2 * a + m] + 1j * v[:, 2 * a + m : 2 * a + 2 * m]) / np.sqrt(2)
+            ref = ref.reshape(len(v), *shape)
+            assert (z.dtype, z.shape, z.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+            a += m
+        assert per_entry * a == v.shape[1]
 
 
 class TestTightnessCompare:
@@ -613,6 +660,12 @@ class TestTaskSplit:
                 text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
                 outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
         assert len(outputs) == 1
+
+    def test_task_fits_its_entries_cap(self):
+        # 256 families of 200 vectors in dimension 200 are no one task's worth
+        cfg = FuzzConfig(instances=256, n_range=(200, 200), d_range=(200, 200))
+        for workers in (1, 2):
+            assert harness._task_size(cfg, workers) * 200 * 200 <= harness._TASK_ENTRIES
 
 
 class TestConfigValidation:
