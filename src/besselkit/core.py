@@ -62,8 +62,8 @@ class PreconditionError(BesselkitError, ValueError):
 
 
 def as_vector(u: Iterable[complex]) -> np.ndarray:
-    """Coerce ``u`` to a finite 1-D complex128 array."""
-    arr = np.asarray(u, dtype=np.complex128)
+    """Coerce ``u`` to a finite, contiguous 1-D complex128 array, whatever its strides (as ``_as_matrix``)."""
+    arr = np.asarray(u, dtype=np.complex128, order="C")
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch(
             f"expected a non-empty 1-D vector, got shape {arr.shape}"
@@ -129,19 +129,19 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ np.conj(x)[..., :, None])[..., 0, 0].real
 
 
-def modulus(z: np.ndarray) -> np.ndarray:
+def modulus(z):
     """``|z|`` elementwise through libm ``hypot``, as Python's ``abs`` of a complex computes it.
 
-    ``np.abs`` on a complex array takes a vectorised path that can differ
-    in the last bit.  A Python complex gives a numpy float, so that dividing
-    by it gives inf or NaN, as over an array, instead of raising; a modulus
-    beyond the double range is inf, as ``np.hypot`` gives it.
+    The one overflow-safe modulus: a modulus beyond the double range is inf,
+    for a Python complex (a Python float) as for an array (``np.hypot``).
+    ``np.abs`` on a complex array takes a vectorised path that can differ in
+    the last bit.
     """
     if type(z) is complex:
         try:
-            return np.float64(abs(z))
+            return abs(z)
         except OverflowError:
-            return np.float64(math.inf)
+            return math.inf
     return np.hypot(z.real, z.imag)
 
 
@@ -152,17 +152,19 @@ def _pow_or_inf(x: float, e: float) -> float:
         return math.inf
 
 
-def libm_pow(v: np.ndarray | np.float64, e: float):
+def libm_pow(v, e: float):
     """``v ** e`` elementwise for ``v >= 0`` through libm ``pow``, as Python floats compute it.
 
     numpy's vectorised power, and its squaring shortcut at ``e = 2``, can
     differ from libm in the last bit.  The bounds take every power of a
     single number (a squared modulus, the root of a p-norm) through this
     function, so a report has the same bits at any batch size.  A result
-    beyond the double range is inf.
+    beyond the double range is inf.  A scalar, Python or numpy, gives a
+    numpy float, so that dividing by it gives inf or NaN, as over an array,
+    instead of raising.
     """
-    if isinstance(v, np.float64):
-        return v**e  # numpy's scalar power is libm's, and gives inf past the range
+    if not isinstance(v, np.ndarray):
+        return np.float64(_pow_or_inf(v, e))
     flat = v.ravel().tolist()
     try:
         out = [x**e for x in flat]

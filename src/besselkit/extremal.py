@@ -49,7 +49,9 @@ from .core import (
     Family,
     ParameterError,
     as_vector,
+    libm_pow,
     lift_stack,
+    modulus,
     project_orthogonal,
 )
 from .sharp import Disk
@@ -106,24 +108,22 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
     else:
         d.require_positive_re()
     center, radius = d.center, d.radius
-    try:
-        center_sq = abs(center) ** 2
-    except OverflowError:
-        center_sq = math.inf
+    center_abs = modulus(center)
+    center_sq = libm_pow(center_abs, 2)
     if center_sq in (0.0, math.inf):
-        reason = f"|center| = {abs(center)} squares to {center_sq}, outside the double range"
+        reason = f"|center| = {center_abs} squares to {center_sq}, outside the double range"
         return ExtremalSpec(target, n, d, complex(math.nan, math.nan), False, reason)
     phase_sum = -n * radius * center / ((2.0 if thm21 else 1.0) * center_sq)
     s = abs(phase_sum)
     feasible, reason = True, ""
     if radius == 0.0:
         pass  # all boundary points coincide with the center; phases are free
-    elif thm21 and radius > np.sqrt(2.0) * abs(center) * (1.0 + _FEAS_TOL):
+    elif thm21 and radius > np.sqrt(2.0) * center_abs * (1.0 + _FEAS_TOL):
         # equality would force a negative real part where the proof chain
         # needs a modulus; no family attains the bound in this band
         feasible = False
         reason = (
-            f"radius {radius} exceeds sqrt(2) |center| = {np.sqrt(2.0) * abs(center)}; "
+            f"radius {radius} exceeds sqrt(2) |center| = {np.sqrt(2.0) * center_abs}; "
             "the sqrt-form bound is strict for every admissible family"
         )
     elif n == 1:

@@ -58,7 +58,7 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_stack, modulus
+from .core import BoundStats, Family, Stats, libm_pow, lift_stack
 from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
@@ -341,7 +341,7 @@ def _coefficients(cfg: FuzzConfig, raws: Sequence[Raw]) -> np.ndarray:
     zs = []
     if drawn:
         g, G = np.array([r.ends for r in drawn]).T[:, :, None]  # each (k, 1)
-        _, center, radius, _, _ = disk_quantities(g, G, modulus)
+        _, center, radius, _, _ = disk_quantities(g, G)
         draws = [np.array(column) for column in zip(*[r.points for r in drawn])]
         zs = _disk_points(center, radius, draws, cfg)
     if len(drawn) < len(raws):
@@ -505,11 +505,11 @@ class Bound(NamedTuple):
     """One entry of the catalogue ``BOUNDS``.
 
     ``formula(s)`` returns the entry's ``BatchReport``s on the stack ``s``,
-    with ids from ``ids``.  ``needs`` names what it reads besides the
-    family: "family" (nothing), "p" (``s.p_values``, always given),
-    "weights" (``s.weights``) or "disk" (``s.gamma``, ``s.Gamma``, ``s.tol``);
-    an entry that needs weights or a disk runs only when they are given.  A
-    bound with ``competes > 0`` competes in tightness through
+    with ids from ``ids``.  ``needs`` names what it needs bound besides the
+    family: "family" (nothing; the exponents ``s.p_values`` are always
+    bound), "weights" (``s.weights``) or "disk" (``s.gamma``, ``s.Gamma``);
+    an entry runs only on a stack that holds what it needs (``_evaluate``).
+    A bound with ``competes > 0`` competes in tightness through
     ``rhs ** competes``.
     """
 
@@ -519,21 +519,6 @@ class Bound(NamedTuple):
     competes: int = 0
 
 
-def _orthonormal(s: BoundStats) -> list[BatchReport]:
-    # only a family detected as orthonormal gets the specialised reports; n
-    # orthonormal vectors need n <= dim, which spares the Gram deviation
-    fits = s.n <= s.dim
-    if not fits.any():
-        return []
-    detected = fits & (s.ortho_dev <= s.tol)
-    if not detected.any():
-        return []
-    return [
-        r._replace(ok=r.ok & detected, why=lambda b, why=r.why: why(b) if detected[b] else None)
-        for r in orthonormal_batch(s)
-    ]
-
-
 # The catalogue.  Its order is the order of check_all's reports and the
 # tie-break priority of the tightness competition.
 BOUNDS = (
@@ -541,34 +526,28 @@ BOUNDS = (
     Bound(("bombieri",), "family", bombieri_batch, 1),
     Bound(("selberg",), "family", selberg_batch),
     Bound(("dragomir03",), "family", dragomir03_batch, 1),
-    Bound(("dragomir_pq",), "p", dragomir_pq_batch),
+    Bound(("dragomir_pq",), "family", dragomir_pq_batch),
     Bound(("heilbronn",), "family", heilbronn_batch),
     Bound(("pecaric_first", "pecaric_second"), "weights", pecaric_batch),
     Bound(("dragomir04_b1", "dragomir04_b2", "dragomir04_b3"), "weights", dragomir04_batch),
-    Bound(("dragomir04_cor1", "dragomir04_cor2", "dragomir04_cor3"), "p", dragomir04_corollaries_batch),
+    Bound(("dragomir04_cor1", "dragomir04_cor2", "dragomir04_cor3"), "family", dragomir04_corollaries_batch),
     Bound(("theorem21",), "disk", theorem21_batch, 2),
     Bound(("theorem22",), "disk", theorem22_batch, 1),
     Bound(("lemma_eq6",), "disk", lemma_eq6_batch),
     Bound(("triangle_reverse_l2",), "disk", triangle_reverse_l2_batch),
     Bound(("triangle_reverse_sq",), "disk", triangle_reverse_sq_batch),
-    Bound(("orthonormal30", "orthonormal31"), "disk", _orthonormal),
+    Bound(("orthonormal30", "orthonormal31"), "disk", orthonormal_batch),
 )
-
-
-@cache
-def _formulas(weights: bool, disk: bool, competing: bool) -> tuple[Callable, ...]:
-    """The formulas of the ``BOUNDS`` entries that run on these inputs, in table order."""
-    return tuple(
-        b.formula
-        for b in BOUNDS
-        if (weights or b.needs != "weights")
-        and (disk or b.needs != "disk")
-        and (b.competes or not competing)
-    )
 
 
 # the competing entries, in tie-break priority order
 _COMPETITORS = tuple(b for b in BOUNDS if b.competes)
+
+
+def _evaluate(s: BoundStats, entries: Sequence[Bound]) -> list[BatchReport]:
+    """The reports of those ``entries`` that run on what ``s`` holds, in their order."""
+    held = {"family": True, "weights": s.weights is not None, "disk": s.gamma is not None}
+    return s.evaluate(*(b.formula for b in entries if held[b.needs]))
 
 
 def check_all(
@@ -595,7 +574,7 @@ def check_all(
         p_values=p_values,
         tol=tol,
     )
-    return reports_of(s.evaluate(*_formulas(c is not None, d is not None, False)))
+    return reports_of(_evaluate(s, BOUNDS))
 
 
 @dataclass
@@ -617,7 +596,8 @@ def _winners(reports: list[BatchReport]) -> dict[str, int]:
     """Per competing bound, the families whose smallest ``rhs ** competes`` it gives.
 
     A later entry of ``_COMPETITORS`` wins only when strictly smaller, so
-    ties go to the earlier one, and a NaN never displaces a winner.
+    ties go to the earlier one.  A NaN (a side beyond the double range)
+    never wins: neither first nor by displacing a winner.
     """
     by_id = {r.bound_id: r for r in reports}
     win = np.full(reports[0].ok.shape, -1)
@@ -627,7 +607,7 @@ def _winners(reports: list[BatchReport]) -> dict[str, int]:
         if r is None:
             continue
         val = r.rhs if b.competes == 1 else libm_pow(r.rhs, b.competes)
-        take = r.ok & ((win < 0) | (val < best))
+        take = r.ok & ~np.isnan(val) & ((win < 0) | (val < best))
         best = np.where(take, val, best)
         win = np.where(take, k, win)
     return {b.ids[0]: int(np.count_nonzero(win == k)) for k, b in enumerate(_COMPETITORS)}
@@ -695,7 +675,7 @@ def _fuzz_task(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
         for indices, s in _stacks(cfg, sampler, start, stop):
-            reports = s.evaluate(*_formulas(True, s.gamma is not None, False))
+            reports = _evaluate(s, BOUNDS)
             with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
                 # the three classical weight choices, after every other report; they
                 # are their own stack of rows, since a row of a k-row product can
@@ -750,7 +730,7 @@ def _compare_task(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str,
     ids = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
     for _, s in _stacks(cfg, ensemble, start, stop):
-        reports = s.evaluate(*_formulas(False, s.gamma is not None, True))
+        reports = _evaluate(s, _COMPETITORS)
         for bid, count in _winners(reports).items():
             wins[bid] += count
         with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios

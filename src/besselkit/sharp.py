@@ -32,11 +32,14 @@ Every disk decision has one owner here.  ``disk_quantities`` writes
 ``Gamma + gamma``, the center, the radius, ``Re(Gamma conj(gamma))`` and the
 centered predicate ``Gamma + gamma != 0`` once: a ``Disk`` and the
 samplers' rejection test evaluate it on Python numbers, the samplers'
-assembly and the bounds on arrays of the end points of many disks.
-Membership is one expression, ``_within``, for ``disk_condition_abs`` and
-the bounds' preconditions.  ``Disk.require_center`` and
-``Disk.require_positive_re``, with their messages, check the hypotheses of
-the two theorems for the bounds, the residuals and ``extremal.plan``.
+assembly and the bounds on arrays of the end points of many disks, with
+``core.modulus`` as every modulus.  Membership is one expression,
+``_within``, for ``disk_condition_abs`` and the bounds' preconditions,
+which read it from their stack's ``_DiskTerms``.  ``Disk.require_center``
+and ``Disk.require_positive_re``, with their messages, check the
+hypotheses of the two theorems for the bounds, the residuals and
+``extremal.plan``.  ``orthonormal_batch`` alone detects an orthonormal
+family, for ``check_all``, ``fuzz`` and ``orthonormal_remark``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .core import (
     libm_pow,
     modulus,
 )
-from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, reports_of
+from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, reports_of, skipped
 
 __all__ = [
     "Disk",
@@ -86,24 +89,15 @@ __all__ = [
 ]
 
 
-def _abs(z: complex) -> float:
-    """``abs(z)``, or inf beyond the double range, as ``core.modulus`` gives it."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def disk_quantities(g, G, absolute=_abs) -> tuple:
+def disk_quantities(g, G) -> tuple:
     """The first five ``_DiskTerms`` of the disks with end points ``g``, ``G``, each written once here.
 
     Python numbers for a ``Disk`` and a unit draw; arrays with one entry per
-    disk, with ``absolute = core.modulus``.  The center and the radius are
-    formed from the halved end points, so they are inf only where they leave
-    the double range themselves.
+    disk.  The center and the radius are formed from the halved end points,
+    so they are inf only where they leave the double range themselves.
     """
     total, g2, G2 = G + g, g / 2.0, G / 2.0
-    return total, G2 + g2, absolute(G2 - g2), G.real * g.real + G.imag * g.imag, total != 0
+    return total, G2 + g2, modulus(G2 - g2), G.real * g.real + G.imag * g.imag, total != 0
 
 
 def _within(z, center, radius, tol: float):
@@ -149,7 +143,7 @@ class Disk:
         try:
             return abs(self.Gamma) ** 2 + 6.0 * self.re_product + abs(self.gamma) ** 2
         except OverflowError:  # the sign of 8 |center|^2 - 4 radius^2
-            return math.copysign(math.inf, math.sqrt(2.0) * abs(self.center) - self.radius)
+            return math.copysign(math.inf, math.sqrt(2.0) * modulus(self.center) - self.radius)
 
     @staticmethod
     def not_positive(re_product: float) -> str:
@@ -170,13 +164,15 @@ def disk_condition_re(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     """Real-part product form of disk membership.
 
     True iff ``(Re G - Re z)(Re z - Re g) + (Im G - Im z)(Im z - Im g)``
-    is >= 0 up to tolerance (scaled quadratically, matching the units of
-    the product).  Accepts scalars or numpy arrays of ``z``.
+    is >= 0 up to tolerance.  The product is formed in units of
+    ``max(1, radius)``, so that it stays in the double range for any disk
+    whose radius does.  Accepts scalars or numpy arrays of ``z``.
     """
+    m = max(1.0, d.radius)
     g, G = d.gamma, d.Gamma
-    re_z, im_z = np.real(z), np.imag(z)
-    value = (G.real - re_z) * (re_z - g.real) + (G.imag - im_z) * (im_z - g.imag)
-    return value >= -tol * max(1.0, d.radius) ** 2
+    re_z, im_z = np.real(z) / m, np.imag(z) / m
+    value = (G.real / m - re_z) * (re_z - g.real / m) + (G.imag / m - im_z) * (im_z - g.imag / m)
+    return value >= -tol
 
 
 def disk_condition_abs(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
@@ -206,11 +202,12 @@ def sufficient_condition_box(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
 
 
 class _DiskTerms(NamedTuple):
-    """What the sharp bounds read of each family's disk: its ``disk_quantities`` and terms from them.
+    """What the sharp bounds read of each family's disk: ``disk_quantities``, membership and terms from them.
 
-    Over a stack each is an array with one entry per family; for a family
-    alone, each is a Python or numpy scalar, and the two hypotheses are
-    numpy booleans, since a Python bool ``&`` a numpy bool costs about 0.8 us.
+    Over a stack each is an array with one entry per family (``inside`` n
+    per family); for a family alone, each is a Python or numpy scalar, and
+    the two hypotheses are numpy booleans, since a Python bool ``&`` a numpy
+    bool costs about 0.8 us.
     """
 
     sum: np.ndarray  # Gamma + gamma
@@ -219,6 +216,8 @@ class _DiskTerms(NamedTuple):
     re_product: np.ndarray  # Re(Gamma conj(gamma))
     centered: np.ndarray  # Gamma + gamma != 0, the hypothesis of Theorem 2.1
     positive: np.ndarray  # Re(Gamma conj(gamma)) > 0, the hypothesis of Theorem 2.2
+    inside: np.ndarray  # (..., n): coefficient j meets ``disk_condition_abs`` for its family's disk
+    all_inside: np.ndarray  # every coefficient of the family does
     penalty: np.ndarray  # (sqrt(n)/4) |G - g|^2 / |G + g|, the disk term of Theorem 2.1
     factor: np.ndarray  # |G + g|^2 / (4 n Re(G conj(g))), the disk factor of Theorem 2.2
     factor1: np.ndarray  # the same at n = 1
@@ -236,9 +235,11 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
 
     def compute() -> _DiskTerms:
         n = s.n
-        total, center, radius, re, centered = disk_quantities(s.gamma, s.Gamma, modulus)
+        total, center, radius, re, centered = disk_quantities(s.gamma, s.Gamma)
         sum_abs = modulus(total)
         sum_sq = libm_pow(sum_abs, 2)
+        # the coefficient axis first, so that the terms, one per family, broadcast over it
+        inside = _within(s.a.T, center, radius, s.tol).T
         return _DiskTerms(
             total,
             center,
@@ -246,6 +247,8 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
             re,
             centered=np.bool_(centered),
             positive=np.bool_(re > 0.0),
+            inside=inside,
+            all_inside=np.logical_and.reduce(inside, axis=-1),
             penalty=(math.sqrt(n) / 4.0) * libm_pow(2.0 * radius, 2) / sum_abs,  # 2 radius = |G - g|
             factor=sum_sq / (4.0 * re * n),
             factor1=sum_sq / (4.0 * re),
@@ -254,22 +257,6 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
         )
 
     return s.kept("disk", compute)
-
-
-def _inside(s: BoundStats) -> np.ndarray:
-    """(..., n): coefficient j of family b meets ``disk_condition_abs`` for its disk."""
-
-    def compute() -> np.ndarray:
-        t = _disk_terms(s)
-        # the coefficient axis first, so that the terms, one per family, broadcast over it
-        return _within(s.a.T, t.center, t.radius, s.tol).T
-
-    return s.kept("inside", compute)
-
-
-def _all_inside(s: BoundStats) -> np.ndarray:
-    """Every coefficient of family b lies in its disk."""
-    return s.kept("all_inside", lambda: np.logical_and.reduce(_inside(s), axis=-1))
 
 
 def _outside(inside: np.ndarray) -> str:
@@ -285,9 +272,9 @@ def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> Batc
     rhs = x_norm * np.sqrt(sum_sq) / math.sqrt(s.n) + t.penalty
 
     def why(b) -> str:
-        return _outside(_inside(s)[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
+        return _outside(t.inside[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
 
-    return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & _all_inside(s), why)
+    return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & t.all_inside, why)
 
 
 def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> BatchReport:
@@ -296,9 +283,9 @@ def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> B
 
     def why(b) -> str:
         re = np.asarray(t.re_product)[b]  # a Python float for a family alone
-        return _outside(_inside(s)[b]) if re > 0.0 else Disk.not_positive(re)
+        return _outside(t.inside[b]) if re > 0.0 else Disk.not_positive(re)
 
-    ok = t.positive & _all_inside(s)
+    ok = t.positive & t.all_inside
     return BatchReport(bound_id, s.bessel, t.factor * sum_sq * x_norm_sq, ok, why)
 
 
@@ -398,9 +385,8 @@ def lemma_eq6_batch(s: BoundStats) -> list[BatchReport]:
     t = _disk_terms(s)
     # Re[conj(Gamma + gamma) sum_j a_j]
     re = t.sum.real * s.a_sum.real + t.sum.imag * s.a_sum.imag
-    ok = _all_inside(s)
     lhs, rhs = s.bessel + t.n_center_sq, t.n_radius_sq + re
-    return [BatchReport("lemma_eq6", lhs, rhs, ok, lambda b: _outside(_inside(s)[b]))]
+    return [BatchReport("lemma_eq6", lhs, rhs, t.all_inside, lambda b: _outside(t.inside[b]))]
 
 
 def lemma_eq6(f: Family, d: Disk, tol: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
@@ -426,21 +412,28 @@ class OrthonormalRemark(NamedTuple):
 def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
     """``orthonormal30`` and ``orthonormal31`` on a stack with its disks bound.
 
-    A family's test vectors are its e_j; one that is not orthonormal
-    within ``s.tol`` is skipped with its Gram deviation as the reason.
+    A family's test vectors are its e_j.  This is the one detection of an
+    orthonormal family: Gram deviation within ``s.tol``, tested only where
+    ``n <= dim``, as n orthonormal vectors need.  A family not detected
+    gets no report (``why`` gives None), and a stack with none gives ``[]``.
     """
+    fits = s.n <= s.dim
+    if not np.count_nonzero(fits):  # count_nonzero: faster than any() on a numpy scalar and on an array
+        return []
+    detected = fits & (s.ortho_dev <= s.tol)
+    if not np.count_nonzero(detected):
+        return []
     t = _disk_terms(s)
-    ok = t.centered & (s.ortho_dev <= s.tol) & _all_inside(s)
+    ok = t.centered & detected & t.all_inside
 
-    def why30(b) -> str:
-        if not np.asarray(t.centered)[b]:
-            return Disk.CENTERLESS
-        if s.ortho_dev[b] > s.tol:
-            return f"family is not orthonormal (max Gram deviation {s.ortho_dev[b]:.3g})"
-        return _outside(_inside(s)[b])
+    def why30(b) -> str | None:
+        if not detected[b]:
+            return None
+        return _outside(t.inside[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
 
-    def why31(b) -> str:
-        return why30(b) or "requires Re(Gamma * conj(gamma)) > 0"
+    def why31(b) -> str | None:
+        why = why30(b)
+        return "requires Re(Gamma * conj(gamma)) > 0" if why == "" else why
 
     return [
         BatchReport("orthonormal30", np.sqrt(s.bessel), s.x_norm + t.penalty, ok, why30),
@@ -461,11 +454,17 @@ def orthonormal_remark(
     ``|Gamma + gamma|^2 / (4 Re(Gamma conj(gamma))) ||x||^2`` (the squared
     numerator is forced by substituting ``||sum e_j||^2 = n`` into the
     parent bound).  ``coarser_than_bessel`` records that each computed rhs
-    dominates the plain Bessel right side.
+    dominates the plain Bessel right side.  A family that ``orthonormal_batch``
+    does not detect as orthonormal gets both reports skipped, with its Gram
+    deviation as the reason.
     """
     f = Family(x, es)
     d.require_center()
-    rep30, rep31 = reports_of(f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(orthonormal_batch))
+    reports = reports_of(f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol).evaluate(orthonormal_batch))
+    if not reports:
+        why = f"family is not orthonormal (max Gram deviation {f.stats.ortho_dev:.3g})"
+        return OrthonormalRemark(skipped("orthonormal30", why), skipped("orthonormal31", why), False)
+    rep30, rep31 = reports
     if not rep30.preconditions_met:
         return OrthonormalRemark(rep30, rep31, False)
     coarser = rep30.rhs >= f.x_norm - tol * max(1.0, f.x_norm)

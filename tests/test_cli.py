@@ -374,16 +374,19 @@ class TestExtremalCommand:
         )
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
-        # centered (Gamma + gamma != 0), but |center|^2 underflows
-        # or |Gamma - gamma| leaves the double range
+        # centered (Gamma + gamma != 0), but |center|^2 underflows, or |Gamma - gamma|
+        # or |center| itself leaves the double range
         ends_cases = (
             ["--gamma", "1e-170", "--Gamma", "3e-170"],
             ["--gamma", "5e-324", "--Gamma", "0"],
             ["--gamma", "1.5e308+1.5e308i", "--Gamma", "0"],
+            ["--gamma", "1.5e308+1.5e308i", "--Gamma", "1.5e308+1.5e308i"],
         )
         for ends in ends_cases:
             assert main(["extremal", "--target", "thm21", "--n", "3", *ends]) == 2
             assert "double range" in capsys.readouterr().err
+        assert main(["extremal", "--target", "thm22", "--n", "2", *ends_cases[-1]]) == 2
+        assert "double range" in capsys.readouterr().err
 
     def test_infeasible_band_exit_two(self, capsys):
         code = main(

@@ -128,7 +128,7 @@ class TestLift:
     def test_round_trip_random_with_free_components(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            d = int(rng.integers(1, 6))
+            d = int(rng.integers(1, 9))  # the fuzz dimensions, 1 to 8
             n = int(rng.integers(1, 7))
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             zs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -137,6 +137,8 @@ class TestLift:
             for j in range(n):
                 got = inner(x, ys[j])
                 assert abs(got - zs[j]) <= 1e-12 * max(1.0, abs(zs[j]))
+            # a strided x gives the bits of its contiguous copy
+            np.testing.assert_array_equal(lift_gram_values(np.repeat(x, 2)[::2], zs, ws), ys)
 
     def test_projection_is_orthogonal(self):
         rng = np.random.default_rng(6)

@@ -100,12 +100,15 @@ class TestPlan:
         d = Disk(scale, 3.0 * scale)
         # Re(Gamma conj(gamma)) underflows to 0 at 1e-170, so Theorem 2.2 does not apply
         targets = [ExtremalTarget.THM21] if scale < 1.0 else list(ExtremalTarget)
+        # above, also a disk with finite ends whose |center| itself leaves the double range
+        disks = [d] if scale < 1.0 else [d, Disk(1.5e308 * (1 + 1j), 1.5e308 * (1 + 1j))]
         for target in targets:
-            spec = plan(target, 3, d)
-            assert not spec.feasible and "double range" in spec.infeasible_reason
-            assert cmath.isnan(spec.phase_sum)
-            with pytest.raises(InfeasibleConstruction):
-                build(target, E1, 3, d)
+            for disk in disks:
+                spec = plan(target, 3, disk)
+                assert not spec.feasible and "double range" in spec.infeasible_reason
+                assert cmath.isnan(spec.phase_sum)
+                with pytest.raises(InfeasibleConstruction):
+                    build(target, E1, 3, disk)
         if scale < 1.0:
             with pytest.raises(ParameterError):
                 plan(ExtremalTarget.THM22, 3, d)

@@ -377,10 +377,6 @@ def planted(monkeypatch):
     entries += (Bound(("planted_a",), "family", formula("planted_a", 2.0)),)
     entries += (Bound(("planted_nan",), "family", nan_batch),)
     monkeypatch.setattr(harness, "BOUNDS", harness.BOUNDS + entries)
-    harness._formulas.cache_clear()
-    yield
-    monkeypatch.undo()
-    harness._formulas.cache_clear()
 
 
 class TestFuzzViolations:
@@ -459,9 +455,12 @@ class TestStackMatchesFamilyAlone:
                 batch += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
                 for b, k in enumerate(members):
                     f, d = drawn[k]
-                    alone = check_all(f, d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
-                    alone += pecaric_reports(f, classical_weights(f))
-                    assert [r.as_dict() for r in reports_of(batch, b)] == [r.as_dict() for r in alone]
+                    stacked = [r.as_dict() for r in reports_of(batch, b)]
+                    # the family alone, also with a strided x
+                    for x in (f.x, np.repeat(f.x, 2)[::2]):
+                        alone = check_all(Family(x, f.ys, mode), d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
+                        alone += pecaric_reports(f, classical_weights(f))
+                        assert stacked == [r.as_dict() for r in alone]
 
 
 class TestSeedStreams:
@@ -640,6 +639,17 @@ class TestTightnessCompare:
         assert [(r.bound_id, r.wins) for r in rows] == [e[:2] for e in expected]
         for r, e in zip(rows, expected):
             assert r.mean_ratio == e[2] or (math.isnan(r.mean_ratio) and math.isnan(e[2]))
+
+    def test_nan_side_never_wins(self):
+        # a side beyond the double range is NaN: it takes no win, neither first nor by
+        # displacing a number; numbers and ties keep their table priority
+        ok = np.ones(3, dtype=bool)
+        reports = [
+            BatchReport("boas_bellman", np.zeros(3), np.array([math.nan, 1.0, math.nan]), ok),
+            BatchReport("bombieri", np.zeros(3), np.array([2.0, 1.0, math.nan]), ok),
+        ]
+        wins = harness._winners(reports)
+        assert wins == {"boas_bellman": 1, "bombieri": 1, "dragomir03": 0, "theorem21": 0, "theorem22": 0}
 
     def test_unknown_ensemble(self):
         for instances in (4, 0):

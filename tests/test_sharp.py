@@ -106,6 +106,8 @@ class TestDisk:
         assert Disk(1e170, 3e170).equality_constant == math.inf
         assert Disk(1e170, -3e170).equality_constant == -math.inf
         assert Disk(1e150, 3e150).equality_constant == 2.8000000000000004e301
+        # finite ends and radius 0, but |center| itself leaves the double range
+        assert Disk(1.5e308 * (1 + 1j), 1.5e308 * (1 + 1j)).equality_constant == math.inf
 
     def test_quantities_are_python_scalars(self):
         d = Disk(1 + 2j, 3 - 1j)
@@ -164,9 +166,12 @@ class TestDiskConditions:
         for _ in range(200):
             d = Disk(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
             z = 2.0 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
-            np.testing.assert_array_equal(
-                disk_condition_re(z, d), disk_condition_abs(z, d)
-            )
+            # also scaled so far that the radius squared leaves the double range
+            for scale in (1.0, 1e200):
+                ds = Disk(scale * d.gamma, scale * d.Gamma)
+                np.testing.assert_array_equal(
+                    disk_condition_re(scale * z, ds), disk_condition_abs(scale * z, ds)
+                )
 
     def test_condition_broadcasts_over_arrays(self):
         d = worked_disk()
