@@ -11,6 +11,15 @@ counts, extrema and violations sorted by instance, and ``compare`` sums all
 its ratios at once with ``math.fsum``, which is correctly rounded.  So the
 task size (``_task_size``) serves throughput and a memory cap alone.
 
+With more than one worker and task, the tasks run in a process pool that is
+made once per worker count and kept for every later ``fuzz`` and
+``tightness_compare`` call in the process; it is replaced when a call asks for
+another worker count or found the pool broken.  Its workers run numpy's BLAS
+on one thread (``_one_blas_thread``).  Where they are forked (Linux), they
+are forked at the first such call and see module state as it was then: a
+change to this module made later, such as a test's monkeypatch, does not
+reach them.
+
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
@@ -36,8 +45,9 @@ alone.
 
 from __future__ import annotations
 
+import atexit
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
 from itertools import groupby
@@ -99,7 +109,7 @@ _STACK_ENTRIES = 64 * 12 * 12
 # entries of its largest families: 64 full stacks, 4096 instances (about 8 MB of draws)
 # at the default sizes, down to one instance.  Split over workers, tasks hold at least
 # 256 instances under that cap, since smaller ones spread a task's fixed costs (the seed
-# pass, the stacks, the pool) over too few.
+# pass, the stacks, sending the task and its result between processes) over too few.
 _TASK_ENTRIES = 64 * _STACK_ENTRIES
 _TASK_MIN = 256
 
@@ -695,15 +705,64 @@ def _task_size(cfg: FuzzConfig, workers: int) -> int:
     return min(cap, max(_TASK_MIN, -(-cfg.instances // (4 * workers))))
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread in this worker.
+
+    Workers that each keep OpenBLAS's default threads contend for the cores.
+    The setter is numpy's ``scipy_openblas_set_num_threads64_``, reached
+    through ``ctypes``; where numpy has no such symbol (another BLAS, another
+    build), this does nothing and the worker keeps its BLAS threads.
+    """
+    import ctypes
+
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
+# The pool of the last multi-worker call, as (workers, executor), kept for the next call
+# with that worker count; its workers exit through concurrent.futures' interpreter-exit hook.
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the kept pool down and forget it.
+
+    At interpreter exit this runs after concurrent.futures' hook has joined the
+    workers, so the executor is collected while its module is intact; collected
+    at module teardown, it prints an ignored exception from its weakref callback.
+    """
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
 def _map_tasks(fn, cfg: FuzzConfig, workers: int) -> list:
+    global _pool
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     size = _task_size(cfg, workers)
     tasks = [(cfg, a, min(a + size, cfg.instances)) for a in range(0, cfg.instances, size)]
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            _close_pool()  # before the fork, so that no fork runs beside the old pool's threads
+            _pool = (workers, ProcessPoolExecutor(workers, initializer=_one_blas_thread))
+        try:
+            return list(_pool[1].map(fn, tasks))
+        except BrokenProcessPool:
+            _close_pool()
+            raise
 
 
 def fuzz(cfg: FuzzConfig, workers: int = 1) -> FuzzSummary:

@@ -166,12 +166,15 @@ def disk_condition_re(z, d: Disk, tol: float = DEFAULT_TOLERANCE):
     True iff ``(Re G - Re z)(Re z - Re g) + (Im G - Im z)(Im z - Im g)``
     is >= 0 up to tolerance.  The product is formed in units of
     ``max(1, radius)``, so that it stays in the double range for any disk
-    whose radius does.  Accepts scalars or numpy arrays of ``z``.
+    whose radius does and any ``z`` inside it; for a ``z`` far outside, a
+    product that overflows is -inf, which is the right verdict.  Accepts
+    scalars or numpy arrays of ``z``.
     """
     m = max(1.0, d.radius)
     g, G = d.gamma, d.Gamma
     re_z, im_z = np.real(z) / m, np.imag(z) / m
-    value = (G.real / m - re_z) * (re_z - g.real / m) + (G.imag / m - im_z) * (im_z - g.imag / m)
+    with np.errstate(over="ignore"):
+        value = (G.real / m - re_z) * (re_z - g.real / m) + (G.imag / m - im_z) * (im_z - g.imag / m)
     return value >= -tol
 
 

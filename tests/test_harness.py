@@ -1,7 +1,15 @@
 """Samplers, check_all dispatch, fuzz aggregation, tightness comparison."""
 
+import ctypes
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 
 import numpy as np
@@ -713,3 +721,94 @@ class TestConfigValidation:
         cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))
         with pytest.raises(ValueError, match="must be finite"):
             fuzz(cfg)
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited and been reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _openblas():
+    """numpy's BLAS library, reached through a module that links it."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+def _blas_threads(task) -> int:
+    """A pool task: the number of threads numpy's bundled OpenBLAS uses in this worker."""
+    get = _openblas().scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+class TestPool:
+    """One pool per worker count, kept across fuzz and compare calls, replaced when broken."""
+
+    def test_kept_across_calls(self):
+        cfg = small_cfg(instances=600)
+        fuzz(cfg, workers=2)
+        pids = _worker_pids()
+        tightness_compare(cfg, "disk", workers=2)
+        fuzz(cfg, workers=2)
+        assert len(pids) == 2 and _worker_pids() == pids
+
+    def test_other_worker_count_replaces_the_pool(self):
+        cfg = small_cfg(instances=600)
+        fuzz(cfg, workers=2)
+        old = _worker_pids()
+        fuzz(cfg, workers=3)
+        new = _worker_pids()
+        assert len(new) == 3 and not old & new
+        assert all(_gone(pid) for pid in old)
+
+    def test_broken_pool_raises_once(self):
+        cfg = small_cfg(instances=2048)
+        text = json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True)
+        victim = min(_worker_pids())
+        os.kill(victim, signal.SIGKILL)
+        # the pool reaps a dead worker only once it has found itself broken
+        deadline = time.monotonic() + 30.0
+        while not _gone(victim) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _gone(victim)
+        with pytest.raises(BrokenProcessPool):
+            fuzz(cfg, workers=2)
+        assert json.dumps(fuzz(cfg, workers=2).as_dict(), sort_keys=True) == text
+
+    def test_workers_exit_with_the_interpreter(self):
+        proc = _fresh(
+            "import multiprocessing\n"
+            "from besselkit import FuzzConfig, fuzz\n"
+            "fuzz(FuzzConfig(instances=600), workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        # no traceback either, from the executor collected at interpreter teardown
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2 and all(_gone(pid) for pid in pids)
+
+    def test_cli_import_leaves_the_pool_out(self):
+        proc = _fresh(
+            "import sys, besselkit.cli\n"
+            "print(*[m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+    def test_workers_run_one_blas_thread(self):
+        if not hasattr(_openblas(), "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy has no bundled scipy-openblas")
+        parent = _blas_threads(None)
+        assert harness._map_tasks(_blas_threads, small_cfg(instances=600), 2) == [1, 1, 1]
+        assert _blas_threads(None) == parent

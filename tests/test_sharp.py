@@ -173,6 +173,13 @@ class TestDiskConditions:
                     disk_condition_re(scale * z, ds), disk_condition_abs(scale * z, ds)
                 )
 
+    def test_far_point_outside_small_disk(self):
+        # the product leaves the double range: -inf, no overflow warning
+        d = Disk(0, 1)
+        for z in (1e200, 1e200j, np.array([1e200, -1e200, 1e200 + 1e200j])):
+            assert not np.any(disk_condition_re(z, d))
+            assert not np.any(disk_condition_abs(z, d))
+
     def test_condition_broadcasts_over_arrays(self):
         d = worked_disk()
         zs = np.array([d.center, d.center + 10.0, d.gamma])
