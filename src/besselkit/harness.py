@@ -1,12 +1,12 @@
 """Reproducible randomized verification of every bound in the package.
 
 Instance generation is a pure function of ``(master_seed, index)``: each
-instance derives its own generator from that pair (and its ensemble's
-lane) through numpy's ``SeedSequence`` spawn keys, so results never depend
-on execution order or on the number of workers.  The public samplers call
-``SeedSequence`` itself; a task computes the seeds of all its instances
-in one pass of the same algorithm on arrays (``_seed_states``).  No output
-depends on how the instances are split into tasks: fuzz summaries hold
+instance has its own stream of 32-bit words, the Philox4x32-10 counter
+blocks ``(block, lane, index)`` keyed by the master seed (``_words``), so
+results never depend on execution order or on the number of workers.  A
+task draws the words of all its instances as arrays; a public sampler runs
+the same code on a batch of one.  No output depends on how the instances
+are split into tasks: fuzz summaries hold
 counts, extrema and violations sorted by instance, and ``compare`` sums all
 its ratios at once with ``math.fsum``, which is correctly rounded.  So the
 task size (``_task_size``) serves throughput and a memory cap alone.
@@ -23,12 +23,16 @@ reach them.
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
-that contains their coefficients.  Each draws an instance's raw numbers (a
-``Raw``, with a disk as its end points) and turns those of many instances of
-one size into arrays at once; a public sampler does the same for one instance.
-Every field entry drawn, of the vectors, the weights and the disk end points
-alike, comes from standard normals in one format, which ``_fields`` reads.
-Entries and ratios beyond the double range are inf or NaN, never a numpy warning.
+that contains their coefficients.  Each draws its instances' sizes and
+disks (a ``Raw``, with a disk as its end points), then their vectors, a run
+of one size and dimension at a time.  Every field entry drawn, of the
+vectors, the weights and the disk end points alike, is uniform dyadic, read
+from the words in one format by ``_fields``; no draw calls numpy's
+``Generator``, so the draws do not depend on numpy's version.  The platform's
+BLAS and libm still enter through the arithmetic on the draws: the QR of the
+orthonormal ensemble, ``np.exp`` in the angles of complex disk points, and
+the bounds.  Entries and ratios beyond the double range are inf or NaN,
+never a numpy warning.
 
 The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import atexit
 import math
+import sys
 import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
@@ -68,7 +73,7 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_stack
+from .core import BoundStats, Family, Stats, libm_pow, lift_stack, modulus
 from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
@@ -101,15 +106,14 @@ __all__ = [
 
 DEFAULT_P_VALUES = (1.5, 3.0)
 
-_SQRT2 = np.sqrt(2.0)
 # Gram entries per stack, n * max(n, d) per family: 64 families at n = 12,
 # d <= 8, and one family from n = 96 up.
 _STACK_ENTRIES = 64 * 12 * 12
-# A task draws all its instances before it stacks them, so its size is capped in Gram
-# entries of its largest families: 64 full stacks, 4096 instances (about 8 MB of draws)
-# at the default sizes, down to one instance.  Split over workers, tasks hold at least
-# 256 instances under that cap, since smaller ones spread a task's fixed costs (the seed
-# pass, the stacks, sending the task and its result between processes) over too few.
+# A task's size is capped in Gram entries of its largest families: 64 full stacks, 4096
+# instances at the default sizes, down to one instance.  Split over workers, tasks hold at
+# least 256 instances under that cap, since smaller ones spread a task's fixed costs (the
+# draws of its sizes and disks, the stacks, sending the task and its result between
+# processes) over too few.
 _TASK_ENTRIES = 64 * _STACK_ENTRIES
 _TASK_MIN = 256
 
@@ -153,11 +157,11 @@ class FuzzConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        if self.instances < 0:
-            raise ValueError("instances must be >= 0")
+        if not 0 <= self.instances <= 2**64:  # an index is two counter words
+            raise ValueError("instances must be >= 0 and at most 2**64")
         for name, (lo, hi) in (("n_range", self.n_range), ("d_range", self.d_range)):
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must be a non-empty range of integers >= 1")
+            if lo < 1 or hi < lo or hi - lo >= 2**32:
+                raise ValueError(f"{name} must be a non-empty range of at most 2**32 integers >= 1")
         if self.field_mode not in ("real", "complex"):
             raise ValueError(f"field_mode must be 'real' or 'complex', got {self.field_mode!r}")
         if not all(map(is_exponent, self.p_values)):
@@ -165,267 +169,253 @@ class FuzzConfig:
         check_tolerance(self.tolerance)
 
 
-def _rng(cfg: FuzzConfig, index: int, lane: int) -> np.random.Generator:
-    """The generator of stream ``(master_seed, index, lane)``, seeded by numpy's ``SeedSequence``."""
-    seed = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, lane))
-    return np.random.Generator(np.random.PCG64(ss))
+# Philox4x32-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11).  Its multipliers and round keys are arrays, never scalars, whose promotion
+# rules differ between numpy 1.x and 2.x (NEP 50): uint32 words times the multipliers are uint64.
+_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)  # the uint32 halves of a uint64
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_CHUNK = 8192  # counter blocks a Philox pass, so that its arrays stay in cache
+_TRIES = 4  # unit disks drawn at once, a block each; about half of them are rejected
+
+# An instance's stream is cut into regions of counter blocks, 2**28 blocks apart: the head
+# (sizes, the equality-case draw), the disk end points, x of the disk ensemble, the disk
+# points, and last, so that no family size bounds it, the vectors and weights.
+_HEAD, _ENDS, _X, _POINTS, _VECTORS = (k << 28 for k in range(5))
 
 
-# numpy's SeedSequence hash constants; NEP 19 keeps its algorithm fixed across releases
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32, _M128 = 2**32 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+def _round_keys(seed: int) -> np.ndarray:
+    """(10, 2, 1) uint32: the round keys of the Philox4x32-10 key ``seed``, its low word first."""
+    keys = [[[(seed & 0xFFFFFFFF) + r * 0x9E3779B9], [(seed >> 32) + r * 0xBB67AE85]] for r in range(10)]
+    return np.array(keys, dtype=np.uint64).astype(np.uint32)  # each word mod 2**32
 
 
-def _hashmix(v, h: int, mult: int = _MULT_A) -> tuple:
-    """SeedSequence's ``hashmix`` of the word ``v`` under the hash constant ``h``, and the next constant.
-
-    ``v`` is a Python int below 2**32 or a uint32 array; both wrap modulo 2**32.
-    """
-    h_next = h * mult & _M32
-    v = (v ^ h) * h_next & _M32
-    return v ^ v >> 16, h_next
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two words."""
-    r = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
-    return r ^ r >> 16
+def _philox(counter: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Philox4x32-10 of the uint32 counters ``counter`` (4, m): its words 0 and 2, and 1 and 3, each (2, m)."""
+    a, b = counter[0::2], counter[1::2]  # the words a round multiplies, and those it adds to the products
+    for k in keys:
+        halves = (a * _PHILOX_M).view(np.uint32)[::-1]  # (2, 2 m): the second product, then the first
+        a, b = halves[:, _HI::2] ^ b ^ k, halves[:, _LO::2]
+    return a, b
 
 
-def _seed_states(master_seed: int, indices: np.ndarray, lane: int) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` that ``_rng`` gives each of ``indices`` (all below 2**32), in one pass.
-
-    This is numpy's ``SeedSequence(entropy=master_seed & (2**64 - 1),
-    spawn_key=(index, lane)).generate_state(4, np.uint64)``, then PCG64's
-    seeding: on Python ints while the words depend on the seed alone, on
-    uint32 arrays once the index enters.  The hash constants follow a fixed
-    sequence, whatever the words.
-    """
-    seed = master_seed & (2**64 - 1)
-    entropy = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
-    entropy += [0] * (4 - len(entropy))  # a spawn key pads the seed's words to the pool size
-    # the pool: hash the seed's words, mix every pair, then mix in each spawn-key word
-    h, pool = _INIT_A, []
-    for word in entropy:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for word in (indices.astype(np.uint32), lane):
-        for dst in range(4):
-            v, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], v)
-    # generate_state: eight words from the cycled pool, read as four little-endian uint64
-    words, h = [], _INIT_B
-    for k in range(8):
-        v, h = _hashmix(pool[k % 4], h, _MULT_B)
-        words.append(v)
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in np.stack(words, axis=-1).astype("<u4").view("<u8").tolist():
-        # PCG64 takes the seed s and the stream q: inc = 2 q + 1, state = (s + inc) MULT + inc
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _M128, inc))
-    return states
+def _words(cfg: FuzzConfig, lane: int, index: np.ndarray, *regions: tuple) -> list[np.ndarray]:
+    """Per region ``(block, count)``: ``count`` words (a number, or one per instance) of each stream of
+    ``index`` in turn from its counter block ``block`` on, all drawn together.  Instance ``index`` of
+    ``lane`` has the stream ``(master_seed, index, lane)``: its block ``b`` is Philox4x32-10 of the
+    counter ``(b, lane, index mod 2**32, index // 2**32)`` under the key ``master_seed mod 2**64``."""
+    count = np.concatenate([np.zeros(len(index), dtype=np.int64) + c for _, c in regions])  # per region and row
+    blocks = (count + 3) // 4
+    segment = np.arange(count.size).repeat(blocks)  # of each counter block
+    within = np.arange(segment.size) - (blocks.cumsum() - blocks)[segment]  # its place in the region
+    at = index[segment % len(index)]
+    counter = np.empty((4, segment.size), dtype=np.uint32)
+    counter[0] = np.array([block for block, _ in regions]).repeat(len(index))[segment] + within
+    counter[1], counter[2], counter[3] = lane, at & _M32, at >> _S32
+    keys = _round_keys(cfg.master_seed & (2**64 - 1))
+    words = np.empty((segment.size, 4), dtype=np.uint64)
+    for a in range(0, segment.size, _CHUNK):
+        rows = slice(a, a + _CHUNK)
+        words[rows, 0::2].T[...], words[rows, 1::2].T[...] = _philox(counter[:, rows], keys)
+    words = words[np.arange(4) < (count[segment] - 4 * within)[:, None]]  # each region's first count words
+    ends = count.reshape(len(regions), -1).sum(axis=1).cumsum().tolist()
+    return [words[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _streams(cfg: FuzzConfig, lane: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """The generators that ``_rng`` gives instances ``start`` to ``stop - 1`` of ``lane``, in turn.
-
-    Below index 2**32 one generator serves them all: its state is set to
-    each instance's from ``_seed_states``, so each is valid until the next
-    is yielded.  A larger index takes a second spawn-key word and numpy's
-    own ``SeedSequence``.
-    """
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for state, inc in _seed_states(cfg.master_seed, np.arange(start, min(stop, 2**32)), lane):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-    for index in range(max(start, 2**32), stop):
-        yield _rng(cfg, index, lane)
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """The uniform values ``w 2**-32`` of [0, 1) of 32-bit words, exact in a double."""
+    return words.astype(np.float64) * 2.0**-32
 
 
-def _normals(rng: np.random.Generator, cfg: FuzzConfig, entries: int) -> np.ndarray:
-    """The standard normals of ``entries`` field entries: one per real entry, two per complex one."""
-    return rng.standard_normal(entries if cfg.field_mode == "real" else 2 * entries)
+def _dyadic(words: np.ndarray) -> np.ndarray:
+    """The uniform values ``(w - 2**31) 2**-31`` of [-1, 1) of 32-bit words, exact in a double."""
+    return (words.astype(np.float64) - 2.0**31) * 2.0**-31
 
 
-def _fields(v: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -> list[np.ndarray]:
-    """Rows of standard normals ``v`` as contiguous complex arrays of these shapes, each (B, *shape).
+def _sizes(words: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
+    """Integers of ``bounds = (lo, hi)`` by multiply-shift, ``lo + (w span >> 32)`` with ``span = hi - lo + 1``;
+    the relative bias of each is below ``span / 2**32``."""
+    lo, hi = bounds
+    return lo + (words * np.uint64(hi - lo + 1) >> _S32).astype(np.int64)
 
-    A row holds the arrays in turn.  A real array of ``m`` entries takes
-    ``m`` normals; a complex one takes ``2 m``, its real parts and then its
-    imaginary parts, and is ``(re + 1j * im) / sqrt(2)``.
-    """
+
+def _fields(words: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -> list[np.ndarray]:
+    """Rows of ``words`` as contiguous complex arrays of these shapes (B, *shape), in turn, of uniform dyadic
+    parts (``_dyadic``): a word a real entry, a real and an imaginary part a complex one."""
+    v = _dyadic(words)
+    z = v.view(np.complex128) if mode == "complex" else v.astype(np.complex128)
     arrays, start = [], 0
     for shape in shapes:
-        m = math.prod(shape)
-        z = v[:, start : start + m].astype(np.complex128)
-        start += m
-        if mode == "complex":
-            z.imag = v[:, start : start + m]
-            z /= _SQRT2
-            start += m
-        arrays.append(z.reshape(len(v), *shape))
+        stop = start + math.prod(shape)
+        arrays.append(np.ascontiguousarray(z[:, start:stop]).reshape(len(z), *shape))
+        start = stop
     return arrays
 
 
-def _draw_sizes(rng: np.random.Generator, cfg: FuzzConfig) -> tuple[int, int]:
-    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-    d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
-    return n, d
+def _count(cfg: FuzzConfig, shapes: tuple) -> int:
+    """The words of field arrays of ``shapes``."""
+    return sum(map(math.prod, shapes)) * (1 if cfg.field_mode == "real" else 2)
 
 
-def _draw_disk(rng: np.random.Generator, cfg: FuzzConfig, want_positive_re: bool) -> tuple[complex, complex]:
-    """The end points ``(gamma, Gamma)`` of a disk, as Python complex numbers.
+def _accepted(cfg: FuzzConfig, lane: int, index: np.ndarray, block: int, stride: int, tries, accept) -> np.ndarray:
+    """Each instance's first try that ``accept(rows, tries)`` takes, of its ``tries`` (B, T, m), try j the field
+    array of m entries from counter block ``block + j stride`` on.  An instance none of whose tries is
+    taken draws its next T, until one is: none is ever given up."""
+    out, rows, j = np.empty_like(tries[:, 0]), np.arange(len(index)), 0
+    while rows.size:
+        ok = accept(rows, tries)
+        first = ok.argmax(axis=1)
+        taken = ok[np.arange(len(rows)), first]
+        out[rows[taken]] = tries[taken, first[taken]]
+        rows, j = rows[~taken], j + tries.shape[1]
+        if rows.size:
+            shapes = (tries.shape[2:],)
+            regions = [(block + (j + t) * stride, _count(cfg, shapes)) for t in range(tries.shape[1])]
+            words = _words(cfg, lane, index[rows], *regions)
+            tries = np.stack([_fields(w.reshape(len(rows), -1), shapes, cfg.field_mode)[0] for w in words], 1)
+    return out
 
-    Each try draws one array of two field entries (``_fields``), until the
-    unit disk has a center and, if ``want_positive_re``, ``Re(Gamma conj(gamma)) > 0``.
-    """
-    while True:
-        g, G = _fields(_normals(rng, cfg, 2)[None], ((2,),), cfg.field_mode)[0][0].tolist()
-        _, center, _, re_product, _ = disk_quantities(g, G)
-        if abs(center) > 1e-6 and (re_product > 0.0 or not want_positive_re):
-            scale = cfg.disk_sampler.scale
-            if scale == 1.0:
-                return g, G
-            disk = Disk(scale * g, scale * G)  # raises ValueError where an end leaves the double range
-            return disk.gamma, disk.Gamma
+
+def _head(cfg: FuzzConfig, lane: int, index: np.ndarray, positive_re=None) -> tuple:
+    """Each instance's size n, dimension d, the uniform that decides its equality case and, given
+    ``positive_re``, its disk's end points (B, 2): ``scale`` times its first unit draw (a block each)
+    with a center and, where ``positive_re``, ``Re(Gamma conj(gamma)) > 0``.  Its parts lie in
+    [-1, 1), so no finite scale takes it beyond the double range."""
+    disks = () if positive_re is None else ((_ENDS, 4 * _TRIES),)
+    head, *words = _words(cfg, lane, index, (_HEAD, 3), *disks)
+    head = head.reshape(-1, 3)
+    sizes = _sizes(head[:, 0], cfg.n_range), _sizes(head[:, 1], cfg.d_range), _uniform(head[:, 2])
+    if positive_re is None:
+        return sizes
+
+    def accept(rows: np.ndarray, tries: np.ndarray) -> np.ndarray:
+        _, center, _, re_product, _ = disk_quantities(tries[..., 0], tries[..., 1])
+        return (modulus(center) > 1e-6) & ((re_product > 0.0) | ~positive_re[rows, None])
+
+    tries = _fields(words[0].reshape(-1, 4)[:, : _count(cfg, ((2,),))], ((2,),), cfg.field_mode)[0]
+    return *sizes, cfg.disk_sampler.scale * _accepted(cfg, lane, index, _ENDS, 1, tries.reshape(-1, _TRIES, 2), accept)
 
 
-def _draw_points(rng: np.random.Generator, cfg: FuzzConfig, n: int) -> tuple[np.ndarray, ...]:
-    """The uniform draws of ``n`` disk points, all drawn so that the stream layout is fixed.
-
-    Real mode: the boundary test, a point of (-1, 1), a sign.  Complex mode:
-    the boundary test, the radial draw and the angle, in one call of ``3 n``.
-    """
+def _disk_points(center: np.ndarray, radius: np.ndarray, words: np.ndarray, cfg: FuzzConfig) -> np.ndarray:
+    """(m,) points of the disks with ``center`` and ``radius`` (m,), from (m, 3) words, three a point: on the
+    boundary where its first word's uniform is below ``boundary_fraction`` (real mode: at the end its third
+    word's top bit picks), else given by its second word on the real diameter (real mode), or by its
+    second word's radius and its third word's angle (complex mode)."""
+    boundary = _uniform(words[:, 0]) < cfg.disk_sampler.boundary_fraction
     if cfg.field_mode == "real":
-        return rng.random(n), rng.uniform(-1.0, 1.0, n), rng.integers(0, 2, n)
-    return (rng.random(3 * n),)
-
-
-def _disk_points(
-    center: np.ndarray, radius: np.ndarray, draws: list[np.ndarray], cfg: FuzzConfig
-) -> np.ndarray:
-    """(k, n) points of the disks with ``center`` and ``radius`` (k, 1), from rows of their ``_draw_points``.
-
-    A point lies on the boundary with probability ``boundary_fraction``;
-    otherwise it is uniform on the real diameter (real mode) or in the disk.
-    """
-    bf = cfg.disk_sampler.boundary_fraction
-    if cfg.field_mode == "real":
-        u, interior, signs = draws
-        return center + radius * np.where(u < bf, np.where(signs, 1.0, -1.0), interior)
-    n = draws[0].shape[1] // 3
-    u, r, turn = draws[0][:, :n], draws[0][:, n : 2 * n], draws[0][:, 2 * n :]
-    rho = radius * np.where(u < bf, 1.0, np.sqrt(r))
-    return center + rho * np.exp(2j * np.pi * turn)  # the bits of exp(1j * uniform(0, 2 pi))
+        side = np.where(words[:, 2] >> np.uint64(31), 1.0, -1.0)
+        return center + radius * np.where(boundary, side, _dyadic(words[:, 1]))
+    rho = radius * np.where(boundary, 1.0, np.sqrt(_uniform(words[:, 1])))
+    return center + rho * np.exp(2j * np.pi * _uniform(words[:, 2]))
 
 
 class Raw(NamedTuple):
-    """One instance's generator output, in draw order; its ensemble's ``assemble`` turns the
-    ``Raw``s of one family size and dimension into arrays."""
+    """The draws of a batch of instances that come before their vectors, row by row."""
 
-    n: int
-    d: int  # the family's dimension
-    normals: np.ndarray  # its normal draws in turn, laid out as ``assemble`` reads them
-    ends: tuple[complex, complex] | None = None  # its disk's (gamma, Gamma)
-    points: tuple[np.ndarray, ...] | None = None  # the ``_draw_points`` of its coefficients
-    zs: np.ndarray | None = None  # equality coefficients, taken in place of disk points
-
-
-def _coefficients(cfg: FuzzConfig, raws: Sequence[Raw]) -> np.ndarray:
-    """(k, n): each instance's equality coefficients, or else its disk points."""
-    drawn = [r for r in raws if r.zs is None]
-    zs = []
-    if drawn:
-        g, G = np.array([r.ends for r in drawn]).T[:, :, None]  # each (k, 1)
-        _, center, radius, _, _ = disk_quantities(g, G)
-        draws = [np.array(column) for column in zip(*[r.points for r in drawn])]
-        zs = _disk_points(center, radius, draws, cfg)
-    if len(drawn) < len(raws):
-        points = iter(zs)
-        zs = np.array([next(points) if r.zs is None else r.zs for r in raws])
-    return zs
+    lane: int
+    index: np.ndarray  # (B,) the instance indices, uint64
+    n: np.ndarray  # (B,) the family sizes
+    d: np.ndarray  # (B,) the dimensions
+    ends: np.ndarray | None = None  # (B, 2) the disks' end points (gamma, Gamma)
+    zs: dict[int, np.ndarray] | None = None  # equality coefficients by instance, in place of disk points
 
 
-def _draw_generic(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
-    n, d = _draw_sizes(rng, cfg)
-    return Raw(n, d, _normals(rng, cfg, d + n * d + n))
+def _runs(raw: Raw) -> list[tuple[slice, int, int]]:
+    """The runs of rows of one size n and dimension d of ``raw``, in order: (rows, n, d)."""
+    cuts = (np.flatnonzero(np.diff(raw.n) | np.diff(raw.d)) + 1).tolist()
+    return [(slice(a, b), int(raw.n[a]), int(raw.d[a])) for a, b in zip([0, *cuts], [*cuts, len(raw.n)])]
 
 
-def _assemble_generic(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
-    n, d = raws[0].n, raws[0].d
-    return tuple(_fields(np.array([r.normals for r in raws]), ((d,), (n, d), (n,)), cfg.field_mode))
+def _run_entries(cfg: FuzzConfig, raw: Raw, runs: list, *regions: tuple, points: bool = False) -> list:
+    """Per region ``(block, shapes)``, per run of ``raw``: the field arrays of ``shapes(n, d)`` of its rows
+    from counter block ``block`` on; with ``points``, then per run the instances' (k, n) equality
+    coefficients, or else disk points (``_disk_points``).  All are drawn together."""
+    sizes = [rows.stop - rows.start for rows, _, _ in runs]
+    shapes = [[region(n, d) for _, n, d in runs] for _, region in regions]
+    counts = [[_count(cfg, s) for s in run_shapes] for run_shapes in shapes]
+    wanted = [(block, np.array(c).repeat(sizes)) for (block, _), c in zip(regions, counts)]
+    words = _words(cfg, raw.lane, raw.index, *wanted, *[(_POINTS, 3 * raw.n)] * points)
+    out = []
+    for w, run_shapes, run_counts in zip(words, shapes, counts):
+        arrays, start = [], 0
+        for k, shape, count in zip(sizes, run_shapes, run_counts):
+            arrays.append(_fields(w[start : start + k * count].reshape(k, count), shape, cfg.field_mode))
+            start += k * count
+        out.append(arrays)
+    if not points:
+        return out
+    _, center, radius, _, _ = disk_quantities(raw.ends[:, 0], raw.ends[:, 1])
+    zs = _disk_points(center.repeat(raw.n), radius.repeat(raw.n), words[-1].reshape(-1, 3), cfg)
+    starts = raw.n.cumsum() - raw.n  # of each row's points
+    for row, index in enumerate(raw.index.tolist() if raw.zs else ()):
+        if index in raw.zs:
+            zs[starts[row] : starts[row] + raw.n[row]] = raw.zs[index]
+    return out + [[zs[starts[rows.start] :][: k * n].reshape(k, n) for (rows, n, _), k in zip(runs, sizes)]]
 
 
-def _draw_in_disk(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
-    n, d = _draw_sizes(rng, cfg)
-    while True:
-        x = _normals(rng, cfg, d)
-        if x.any():  # x is nonzero where its normals are
-            break
-    ends = _draw_disk(rng, cfg, want_positive_re=(index % 2 == 0))
-    use_extremal = rng.random() < cfg.disk_sampler.extremal_fraction
-    zs = points = None
-    if use_extremal and cfg.field_mode == "complex":
-        disk = Disk(*ends)
+def _draw_generic(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
+    n, d, _ = _head(cfg, lane, index)
+    return Raw(lane, index, n, d)
+
+
+def _assemble_generic(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
+    (vectors,) = _run_entries(cfg, raw, _runs(raw), (_VECTORS, lambda n, d: ((d,), (n, d), (n,))))
+    return [tuple(arrays) for arrays in vectors]
+
+
+def _draw_in_disk(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
+    n, d, u, ends = _head(cfg, lane, index, positive_re=index % np.uint64(2) == 0)
+    zs, extremal = {}, (u < cfg.disk_sampler.extremal_fraction) & (cfg.field_mode == "complex")
+    for row in np.flatnonzero(extremal).tolist():
+        disk = Disk(*ends[row].tolist())
         if disk.re_product > 0.0:
-            target = ExtremalTarget.THM21 if (index // 2) % 2 == 0 else ExtremalTarget.THM22
-            spec = plan(target, n, disk)
+            i = int(index[row])
+            spec = plan(ExtremalTarget.THM21 if (i // 2) % 2 == 0 else ExtremalTarget.THM22, int(n[row]), disk)
             if spec.feasible:
-                zs = equality_coefficients(spec)
-    if zs is None:
-        points = _draw_points(rng, cfg, n)
-    return Raw(n, d, np.concatenate((x, _normals(rng, cfg, n * d + n))), ends, points, zs)
+                zs[i] = equality_coefficients(spec)
+    return Raw(lane, index, n, d, ends, zs or None)
 
 
-def _assemble_in_disk(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
-    x, ws, c = _assemble_generic(cfg, raws)  # x, then the free components and the weights
-    return x, lift_stack(x, _coefficients(cfg, raws), ws), c
+def _assemble_in_disk(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
+    runs = _runs(raw)
+    xs, vectors, coefficients = _run_entries(
+        cfg, raw, runs, (_X, lambda n, d: ((d,),)), (_VECTORS, lambda n, d: ((n, d), (n,))), points=True
+    )  # x, then the free components and the weights
+    parts = []
+    for (rows, _, d), (x,), (ws, c), zs in zip(runs, xs, vectors, coefficients):
+        # x is drawn again, d blocks a try, until it is nonzero
+        x = _accepted(cfg, raw.lane, raw.index[rows], _X, d, x[:, None], lambda _, tries: tries.any(axis=2))
+        parts.append((x, lift_stack(x, zs, ws), c))
+    return parts
 
 
-def _draw_orthonormal(rng: np.random.Generator, cfg: FuzzConfig, index: int) -> Raw:
-    n, d_draw = _draw_sizes(rng, cfg)
-    dim = max(d_draw, n)
-    ends = _draw_disk(rng, cfg, want_positive_re=True)
-    points = _draw_points(rng, cfg, n)
+def _draw_orthonormal(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
+    n, d, _, ends = _head(cfg, lane, index, positive_re=np.ones(len(index), dtype=bool))
+    return Raw(lane, index, n, np.maximum(d, n), ends)
+
+
+def _assemble_orthonormal(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
     # the matrix whose QR gives the e_j, then, when dim > n, a component outside their span
-    return Raw(n, dim, _normals(rng, cfg, dim * n + (dim if dim > n else 0)), ends, points)
+    shapes = lambda n, dim: ((dim, n),) + ((dim,),) * (dim > n)  # noqa: E731
+    parts = []
+    for (m, *extra), zs in zip(*_run_entries(cfg, raw, _runs(raw), (_VECTORS, shapes), points=True)):
+        if cfg.field_mode == "real":
+            # QR in real arithmetic keeps imaginary parts exactly zero
+            es = np.linalg.qr(m.real)[0].swapaxes(-1, -2).astype(np.complex128)
+        else:
+            es = np.linalg.qr(m)[0].swapaxes(-1, -2).copy()  # rows are orthonormal
+        x = (zs[:, None, :] @ es)[:, 0]
+        for w in extra:  # the component outside the span of the e_j
+            x = x + (w - ((es.conj() @ w[:, :, None])[:, :, 0][:, None, :] @ es)[:, 0])
+        parts.append((x, es, None))
+    return parts
 
 
-def _assemble_orthonormal(cfg: FuzzConfig, raws: Sequence[Raw]) -> tuple:
-    n, dim, mode = raws[0].n, raws[0].d, cfg.field_mode
-    v = np.array([r.normals for r in raws])
-    m, *extra = _fields(v, ((dim, n),) + ((dim,),) * (dim > n), mode)
-    if mode == "real":
-        # QR in real arithmetic keeps imaginary parts exactly zero
-        es = np.linalg.qr(m.real)[0].swapaxes(-1, -2).astype(np.complex128)
-    else:
-        es = np.linalg.qr(m)[0].swapaxes(-1, -2).copy()  # rows are orthonormal
-    x = (_coefficients(cfg, raws)[:, None, :] @ es)[:, 0]
-    for w in extra:  # the component outside the span of the e_j
-        x = x + (w - ((es.conj() @ w[:, :, None])[:, :, 0][:, None, :] @ es)[:, 0])
-    return x, es, None
-
-
-# The ensembles: name -> (lane, draw(rng, cfg, index) -> Raw, assemble(cfg, raws)).
-# ``assemble`` turns the Raws of k instances of one size n and dimension d into
-# (x, ys, c): x (k, d); ys (k, n, d), the test vectors; and the weights c (k, n), with
-# which the instance's stream continues, or None.  A disk is drawn as its end points,
-# ``Raw.ends``.  Instance ``index`` is drawn from the stream (master_seed, index, lane),
-# so a lane must never change.
+# The ensembles: name -> (lane, draw(cfg, lane, index) -> Raw, assemble(cfg, raw)).  ``draw``
+# draws a batch of instances' sizes and disks.  ``assemble`` turns rows sorted by size and
+# dimension into one (x, ys, c) per run of one size n and dimension d (``_runs``), of k
+# rows: x (k, d); ys (k, n, d), the test vectors; and the weights c (k, n), or None.
+# Instance ``index`` is drawn from the stream (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic, _assemble_generic),
     "disk": (1, _draw_in_disk, _assemble_in_disk),
@@ -434,18 +424,18 @@ ENSEMBLES = {
 
 
 def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
-    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays, a part of one family."""
+    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays, a batch of one."""
     if not 0 <= index < cfg.instances:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
     lane, draw, assemble = ENSEMBLES[name]
-    raw = draw(_rng(cfg, index, lane), cfg, index)
+    raw = draw(cfg, lane, np.array([index], dtype=np.uint64))
     with np.errstate(all="ignore"):  # as in ``_stacks``
-        return raw, assemble(cfg, [raw])
+        return raw, assemble(cfg, raw)[0]
 
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
     raw, (x, ys, _) = _draw(cfg, index, name)
-    return Family(x[0], ys[0], cfg.field_mode), None if raw.ends is None else Disk(*raw.ends)
+    return Family(x[0], ys[0], cfg.field_mode), None if raw.ends is None else Disk(*raw.ends[0].tolist())
 
 
 def sample_family(cfg: FuzzConfig, index: int) -> Family:
@@ -477,34 +467,35 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
 def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple[list[int], BoundStats]]:
     """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
 
-    The instances are drawn in three steps, with the bits the public
-    samplers give: the seeds of all of them in one pass (``_streams``);
-    each instance's generator calls, in its ensemble's order (a ``Raw``);
-    and the arrays of each part of a stack in one pass, by the ensemble's
-    ``assemble``.  The instances of one size are sorted by dimension, in
-    index order within a dimension, so a part is a run of the stack.
-    Yields each stack's instance indices and the stack with the draws'
-    disk end points and weights and ``cfg``'s exponents and tolerance bound.
-    A stack holds at most 64 families, fewer when they are large, so that
-    its arrays stay near 1 MB; each is built when the previous one is done.
+    The instances are drawn as arrays, with the bits the public samplers give them one at a time:
+    their sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index
+    order within both), their vectors by its ``assemble``, a part per run of one size and dimension.
+    A stack, cut from the parts of one size, holds at most 64 families, fewer when they are large, so
+    that its arrays stay near 1 MB.  Yields each stack's instance indices and the stack with the
+    draws' disk end points and weights and ``cfg``'s exponents and tolerance bound.
     """
     lane, draw, assemble = ENSEMBLES[name]
-    by_n: dict[int, list[tuple[int, Raw]]] = {}
-    for index, rng in zip(range(start, stop), _streams(cfg, lane, start, stop)):
-        raw = draw(rng, cfg, index)
-        by_n.setdefault(raw.n, []).append((index, raw))
-    for n, members in sorted(by_n.items()):
-        members.sort(key=lambda member: member[1].d)  # stable: index order within a dimension
+    raw = draw(cfg, lane, np.arange(start, stop, dtype=np.uint64))
+    order = np.lexsort((raw.d, raw.n))  # stable: index order within a size and dimension
+    raw = Raw(raw.lane, *(None if a is None else a[order] for a in raw[1:5]), raw.zs)
+    with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
+        runs = list(zip(_runs(raw), assemble(cfg, raw)))
+    for n, of_size in groupby(runs, key=lambda run: run[0][1]):
+        of_size = [(rows, arrays) for (rows, _, _), arrays in of_size]
         size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
-        for k in range(0, len(members), size):
-            indices, raws = zip(*members[k : k + size])
-            with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-                parts = [assemble(cfg, list(run)) for _, run in groupby(raws, key=lambda raw: raw.d)]
+        for a in range(of_size[0][0].start, of_size[-1][0].stop, size):
+            b = min(a + size, of_size[-1][0].stop)
+            # rows a to b - 1, from the parts that hold them
+            parts = [
+                tuple(None if v is None else v[max(a, rows.start) - rows.start : b - rows.start] for v in arrays)
+                for rows, arrays in of_size
+                if rows.start < b and rows.stop > a
+            ]
             weights = None
             if parts[0][2] is not None:
                 weights = np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n): one row per family
-            yield list(indices), Stats.stack([part[:2] for part in parts]).bind(
-                ends=None if raws[0].ends is None else np.array([r.ends for r in raws]).T,
+            yield raw.index[a:b].tolist(), Stats.stack([part[:2] for part in parts]).bind(
+                ends=None if raw.ends is None else raw.ends[a:b].T,
                 weights=weights,
                 p_values=cfg.p_values,
                 tol=cfg.tolerance,

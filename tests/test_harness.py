@@ -471,37 +471,100 @@ class TestStackMatchesFamilyAlone:
                         assert stacked == [r.as_dict() for r in alone]
 
 
-class TestSeedStreams:
-    """A task's seeds, computed in one pass, give the generators numpy's ``SeedSequence`` gives."""
+_M32 = 0xFFFFFFFF
 
-    @staticmethod
-    def numpy_rng(seed, index, lane):
-        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(index, lane))
-        return np.random.Generator(np.random.PCG64(ss))
+
+def philox_reference(counter, key):
+    """Philox4x32-10 on Python ints, as Random123 states it."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B9) & _M32, (k1 + 0xBB67AE85) & _M32
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _M32, (p0 >> 32) ^ c3 ^ k1, p0 & _M32
+    return [c0, c1, c2, c3]
+
+
+def reference_words(seed, lane, index, block, count):
+    """The words of ``harness._words`` for one instance, on Python ints."""
+    seed &= 2**64 - 1
+    words = []
+    while len(words) < count:
+        words += philox_reference((block, lane, index & _M32, index >> 32), (seed & _M32, seed >> 32))
+        block += 1
+    return words[:count]
+
+
+class TestSeedStreams:
+    """The streams are Philox4x32-10 counters, and a task's words are each instance's words alone."""
+
+    # Random123's philox4x32_10 known-answer vectors: counter, key, output
+    KNOWN_ANSWERS = [
+        ((0, 0, 0, 0), (0, 0), [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]),
+        ((_M32,) * 4, (_M32,) * 2, [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]),
+        (
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xA4093822, 0x299F31D0),
+            [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
+        ),
+    ]
+    INDICES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+    # the first four words (block 0 of lane 0) of instances INDICES of master seeds 0 and 2**64 - 1
+    FIRST_WORDS = {
+        0: [
+            [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8],
+            [0x7BFA44E7, 0x273D2ED9, 0xFE4D95C5, 0xB919770A],
+            [0x2DCE73E5, 0x1348E23F, 0xFCF8E0EC, 0xA287AADB],
+            [0xD68421A3, 0x81D075E2, 0x3B221E4F, 0x53175065],
+        ],
+        2**64 - 1: [
+            [0x72A47709, 0x15474739, 0x9F41B01F, 0x22799A5A],
+            [0x254A02F9, 0x9BD9D7F4, 0x77D0ED97, 0xF6965A8B],
+            [0x3CB754D5, 0x34111BE3, 0x0274D162, 0xCBF6076B],
+            [0x3D3BE307, 0x716983D6, 0x70094BED, 0x36C3CF91],
+        ],
+    }
+
+    def test_known_answers(self):
+        for counter, key, out in self.KNOWN_ANSWERS:
+            keys = harness._round_keys(key[0] | key[1] << 32)
+            a, b = harness._philox(np.array(counter, dtype=np.uint32)[:, None], keys)
+            assert [int(a[0, 0]), int(b[0, 0]), int(a[1, 0]), int(b[1, 0])] == out
+            assert philox_reference(counter, key) == out
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
+    def test_first_words(self, seed):
+        # all four indices in one call, across the 2**32 and 2**64 edges of the index words
+        cfg = FuzzConfig(master_seed=seed, instances=2**64)
+        (words,) = harness._words(cfg, 0, np.array(self.INDICES, dtype=np.uint64), (0, 4))
+        assert words.dtype == np.uint64
+        assert words.reshape(4, 4).tolist() == self.FIRST_WORDS[seed & (2**64 - 1)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 20050808])
     def test_first_draws_equal_numpy(self, seed):
-        cfg = FuzzConfig(master_seed=seed, instances=2**33)
-        draws = (
-            lambda g: g.standard_normal(3),
-            lambda g: g.random(3),
-            lambda g: g.integers(0, 2**40, 3),
-        )
+        # under the installed numpy, every region's words equal the reference on Python ints,
+        # so they do not depend on numpy's promotion rules for uint64
+        cfg = FuzzConfig(master_seed=seed, instances=2**64)
+        indices = [0, 255, 256, 10**6, 2**32 - 1, 2**32, 2**64 - 1]
+        # ten words a stream and one more for each next stream, so that blocks are cut off,
+        # of three regions drawn together
+        counts = np.arange(10, 10 + len(indices))
+        regions = [(harness._HEAD, counts), (harness._ENDS + 3, 5), (harness._VECTORS, counts)]
         for lane in (0, 1, 4):
-            for index in (0, 255, 256, 10**6, 2**32 - 1, 2**32):
-                # a window around the index; those next to 2**32 cross to numpy's own seeding
-                start, stop = max(0, index - 2), index + 3
-                for i, rng in zip(range(start, stop), harness._streams(cfg, lane, start, stop)):
-                    ref = self.numpy_rng(seed, i, lane)
-                    for draw in draws:
-                        assert draw(rng).tobytes() == draw(ref).tobytes(), (seed, lane, i)
+            drawn = harness._words(cfg, lane, np.array(indices, dtype=np.uint64), *regions)
+            for words, (block, count) in zip(drawn, regions):
+                count = np.broadcast_to(count, len(indices))
+                expected = [reference_words(seed, lane, i, block, int(k)) for i, k in zip(indices, count)]
+                assert words.tolist() == [w for ws in expected for w in ws]
 
     def test_whole_chunk(self):
         cfg = FuzzConfig(master_seed=7, instances=600)
+        index = np.arange(256, 512, dtype=np.uint64)
         for lane in (0, 1, 4):
-            for i, rng in zip(range(256, 512), harness._streams(cfg, lane, 256, 512)):
-                ref = self.numpy_rng(7, i, lane)
-                assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+            (chunk,) = harness._words(cfg, lane, index, (harness._VECTORS, 9))
+            alone = [harness._words(cfg, lane, index[k : k + 1], (harness._VECTORS, 9))[0] for k in range(256)]
+            assert chunk.tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestChunkMatchesSamplers:
@@ -554,7 +617,7 @@ class TestChunkMatchesSamplers:
 
 
 class TestFieldFormat:
-    """``_fields`` reads each array from its own run of a row: its real parts, then in complex mode its imaginary parts."""
+    """``_fields`` reads each array from its own run of a row: a word a real entry, two a complex one."""
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize(
@@ -563,14 +626,19 @@ class TestFieldFormat:
     )
     def test_runs_of_normals(self, shapes, mode):
         per_entry = 1 if mode == "real" else 2
-        v = np.random.default_rng(17).standard_normal((5, per_entry * sum(math.prod(s) for s in shapes)))
+        words = np.random.default_rng(17).integers(
+            0, 2**32, (5, per_entry * sum(math.prod(s) for s in shapes)), dtype=np.uint64
+        )
+        words[0, :2] = (0, 2**32 - 1)  # the ends of [-1, 1)
+        v = (words.astype(float) - 2**31) / 2**31  # uniform dyadic values, exact
+        assert v[0, 0] == -1.0 and v[0, 1] == 1.0 - 2.0**-31
         a = 0  # the entry the array starts at
-        for z, shape in zip(harness._fields(v, shapes, mode), shapes):
+        for z, shape in zip(harness._fields(words, shapes, mode), shapes):
             m = math.prod(shape)
             if mode == "real":
                 ref = v[:, a : a + m].astype(complex)
-            else:
-                ref = (v[:, 2 * a : 2 * a + m] + 1j * v[:, 2 * a + m : 2 * a + 2 * m]) / np.sqrt(2)
+            else:  # pairs of a real and an imaginary part
+                ref = v[:, 2 * a : 2 * a + 2 * m : 2] + 1j * v[:, 2 * a + 1 : 2 * a + 2 * m : 2]
             ref = ref.reshape(len(v), *shape)
             assert (z.dtype, z.shape, z.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
             a += m
@@ -717,10 +785,13 @@ class TestConfigValidation:
                 DiskSampler(scale=scale)
 
     def test_scaled_ends_beyond_double_range(self):
-        # a valid scale whose scaled unit ends overflow: the draw raises, as a Disk does
-        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))
-        with pytest.raises(ValueError, match="must be finite"):
-            fuzz(cfg)
+        # the parts of a unit end lie in [-1, 1), so not even the largest scale takes an
+        # end beyond the double range, and fuzz checks every instance
+        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=sys.float_info.max))
+        lane, draw, _ = harness.ENSEMBLES["disk"]
+        ends = draw(cfg, lane, np.arange(64, dtype=np.uint64)).ends
+        assert np.isfinite(ends).all() and np.abs(ends.view(float)).max() > 1e307
+        assert fuzz(cfg).checked["boas_bellman"] == 128  # both samplers, every instance
 
 
 def _worker_pids() -> set[int]:
