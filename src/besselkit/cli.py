@@ -34,7 +34,6 @@ import io
 import json
 import math
 import sys
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -100,15 +99,17 @@ def _pair_to_complex(value, where: str, real: bool) -> complex:
     return complex(value[0], value[1])
 
 
-def _vector(value, where: str, real: bool) -> np.ndarray:
-    """The entries of a list of ``[re, im]`` pairs; a list with a bad one is read pair by pair, to locate it."""
+def _vector(value, where: str, real: bool) -> list[complex]:
+    """The entries of a list of ``[re, im]`` pairs; only a list with a bad one is read pair by pair, to locate it."""
     if not isinstance(value, list) or not value:
         raise CliInputError(f"{where}: expected a non-empty list of [re, im] pairs")
-    if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in value):
-        z = np.fromiter(chain.from_iterable(value), np.float64, 2 * len(value)).view(np.complex128)
-        if np.isfinite(z).all() and not (real and z.imag.any()):
-            return z
-    return np.array([_pair_to_complex(v, f"{where}[{k}]", real) for k, v in enumerate(value)])
+    if all(  # every pair is one that _pair_to_complex takes
+        type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+        and math.isfinite(v[0]) and math.isfinite(v[1]) and not (real and v[1])
+        for v in value
+    ):
+        return [complex(re, im) for re, im in value]
+    return [_pair_to_complex(v, f"{where}[{k}]", real) for k, v in enumerate(value)]
 
 
 def read_family_file(path: str) -> dict:
@@ -152,7 +153,7 @@ def read_family_file(path: str) -> dict:
         )
     coeffs = None
     if "coeffs" in raw:
-        coeffs = _vector(raw["coeffs"], f"{path}: coeffs", real)
+        coeffs = np.array(_vector(raw["coeffs"], f"{path}: coeffs", real), dtype=np.complex128)
         if coeffs.size != family.n:
             raise CliInputError(
                 f"{path}: coeffs has length {coeffs.size}, family has {family.n} vectors"
