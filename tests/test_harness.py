@@ -762,6 +762,12 @@ class TestConfigValidation:
             FuzzConfig(d_range=(5, 2))
         with pytest.raises(ValueError, match="instances"):
             FuzzConfig(instances=-1)
+        # an index is two 32-bit counter words, a size one 32-bit word
+        with pytest.raises(ValueError, match="instances"):
+            FuzzConfig(instances=2**64 + 1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            FuzzConfig(d_range=(1, 2**32 + 1))
+        FuzzConfig(instances=2**64, n_range=(1, 2**32))
         with pytest.raises(ValueError, match="field_mode"):
             FuzzConfig(field_mode="quaternion")
 
