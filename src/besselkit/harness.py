@@ -170,9 +170,10 @@ class FuzzConfig:
 
 
 # Philox4x32-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11).  Its multipliers and round keys are arrays, never scalars, whose promotion
-# rules differ between numpy 1.x and 2.x (NEP 50): uint32 words times the multipliers are uint64.
+# 3", SC'11): its multipliers, and r times its key increments for rounds r = 0 to 9.  Both are
+# uint64 arrays, never scalars, whose promotion rules differ between numpy 1.x and 2.x (NEP 50).
 _PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_PHILOX_W = np.arange(10, dtype=np.uint64)[:, None, None] * np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)  # the uint32 halves of a uint64
 _M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _CHUNK = 8192  # counter blocks a Philox pass, so that its arrays stay in cache
@@ -186,8 +187,8 @@ _HEAD, _ENDS, _X, _POINTS, _VECTORS = (k << 28 for k in range(5))
 
 def _round_keys(seed: int) -> np.ndarray:
     """(10, 2, 1) uint32: the round keys of the Philox4x32-10 key ``seed``, its low word first."""
-    keys = [[[(seed & 0xFFFFFFFF) + r * 0x9E3779B9], [(seed >> 32) + r * 0xBB67AE85]] for r in range(10)]
-    return np.array(keys, dtype=np.uint64).astype(np.uint32)  # each word mod 2**32
+    key = np.array([[seed & 0xFFFFFFFF], [seed >> 32]], dtype=np.uint64)
+    return (key + _PHILOX_W).astype(np.uint32)  # each word mod 2**32
 
 
 def _philox(counter: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +265,7 @@ def _accepted(cfg: FuzzConfig, lane: int, index: np.ndarray, block: int, stride:
     out, rows, j = np.empty_like(tries[:, 0]), np.arange(len(index)), 0
     while rows.size:
         ok = accept(rows, tries)
-        first = ok.argmax(axis=1)
-        taken = ok[np.arange(len(rows)), first]
+        first, taken = ok.argmax(axis=1), ok.any(axis=1)
         out[rows[taken]] = tries[taken, first[taken]]
         rows, j = rows[~taken], j + tries.shape[1]
         if rows.size:
