@@ -558,6 +558,28 @@ class TestSeedStreams:
                 expected = [reference_words(seed, lane, i, block, int(k)) for i, k in zip(indices, count)]
                 assert words.tolist() == [w for ws in expected for w in ws]
 
+    def test_rejected_rows_are_drawn_again(self):
+        # rows whose tries are all rejected take their next tries, from the next blocks of the
+        # region, until one is taken; accepted rows keep their first
+        cfg = FuzzConfig(master_seed=5, instances=10)
+        index, d = np.arange(3, dtype=np.uint64), 2
+
+        def tries(k, rows):
+            (words,) = harness._words(cfg, 1, index[rows], (harness._X + k * d, 4))
+            return harness._fields(words.reshape(len(rows), -1), ((d,),), "complex")[0]
+
+        first = tries(0, [0, 1, 2])[:, None]
+        first[1] = 0.0
+        calls = []
+
+        def accept(rows, t):  # nonzero, and row 1's second try is rejected too
+            calls.append(rows.tolist())
+            return t.any(axis=2) & ((rows != 1) | (len(calls) > 2))[:, None]
+
+        x = harness._accepted(cfg, 1, index, harness._X, d, first, accept)
+        assert calls == [[0, 1, 2], [1], [1]]
+        assert x.tobytes() == np.stack([first[0, 0], tries(2, [1])[0], first[2, 0]]).tobytes()
+
     def test_whole_chunk(self):
         cfg = FuzzConfig(master_seed=7, instances=600)
         index = np.arange(256, 512, dtype=np.uint64)
