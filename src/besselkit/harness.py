@@ -53,9 +53,10 @@ import atexit
 import math
 import sys
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
-from itertools import groupby
+from itertools import accumulate, pairwise
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -115,6 +116,9 @@ _STACK_ENTRIES = 64 * 12 * 12
 # draws of its sizes and disks, the stacks, sending the task and its result between
 # processes) over too few.
 _TASK_ENTRIES = 64 * _STACK_ENTRIES
+# A task draws the vectors of consecutive stacks at once, up to 8 stacks' Gram entries or one stack, so
+# that a draw's arrays stay within a few MB: about 1400 families at the default sizes, one from n = 272 up.
+_DRAW_ENTRIES = 8 * _STACK_ENTRIES
 _TASK_MIN = 256
 
 
@@ -245,12 +249,8 @@ def _fields(words: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -
     parts (``_dyadic``): a word a real entry, a real and an imaginary part a complex one."""
     v = _dyadic(words)
     z = v.view(np.complex128) if mode == "complex" else v.astype(np.complex128)
-    arrays, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        arrays.append(np.ascontiguousarray(z[:, start:stop]).reshape(len(z), *shape))
-        start = stop
-    return arrays
+    bounds = pairwise([0, *accumulate(math.prod(shape) for shape in shapes)])
+    return [np.ascontiguousarray(z[:, a:b]).reshape(len(z), *shape) for (a, b), shape in zip(bounds, shapes)]
 
 
 def _count(cfg: FuzzConfig, shapes: tuple) -> int:
@@ -411,11 +411,11 @@ def _assemble_orthonormal(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
     return parts
 
 
-# The ensembles: name -> (lane, draw(cfg, lane, index) -> Raw, assemble(cfg, raw)).  ``draw``
-# draws a batch of instances' sizes and disks.  ``assemble`` turns rows sorted by size and
-# dimension into one (x, ys, c) per run of one size n and dimension d (``_runs``), of k
-# rows: x (k, d); ys (k, n, d), the test vectors; and the weights c (k, n), or None.
-# Instance ``index`` is drawn from the stream (master_seed, index, lane), so a lane must never change.
+# The ensembles: name -> (lane, draw(cfg, lane, index) -> Raw, assemble(cfg, raw)).  ``draw`` draws a
+# batch of instances' sizes and disks.  ``assemble`` turns rows sorted by size and dimension into one
+# (x, ys, c) per run of one size n and dimension d (``_runs``), of k rows: x (k, d); ys (k, n, d), the
+# test vectors; and the weights c (k, n), or None.  Instance ``index`` is drawn from the stream
+# (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic, _assemble_generic),
     "disk": (1, _draw_in_disk, _assemble_in_disk),
@@ -467,38 +467,39 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
 def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple[list[int], BoundStats]]:
     """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
 
-    The instances are drawn as arrays, with the bits the public samplers give them one at a time:
-    their sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index
-    order within both), their vectors by its ``assemble``, a part per run of one size and dimension.
-    A stack, cut from the parts of one size, holds at most 64 families, fewer when they are large, so
-    that its arrays stay near 1 MB.  Yields each stack's instance indices and the stack with the
-    draws' disk end points and weights and ``cfg``'s exponents and tolerance bound.
-    """
+    The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
+    sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
+    both), their vectors by its ``assemble``, a part per run of one size and dimension.  A stack, cut from
+    the parts of one size, holds at most 64 families, fewer when they are large, so that its arrays stay
+    near 1 MB.  Yields each stack's instance indices and the stack with its inputs bound (``cfg``'s)."""
     lane, draw, assemble = ENSEMBLES[name]
     raw = draw(cfg, lane, np.arange(start, stop, dtype=np.uint64))
     order = np.lexsort((raw.d, raw.n))  # stable: index order within a size and dimension
     raw = Raw(raw.lane, *(None if a is None else a[order] for a in raw[1:5]), raw.zs)
-    with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-        runs = list(zip(_runs(raw), assemble(cfg, raw)))
-    for n, of_size in groupby(runs, key=lambda run: run[0][1]):
-        of_size = [(rows, arrays) for (rows, _, _), arrays in of_size]
-        size = max(1, min(64, _STACK_ENTRIES // (n * max(n, cfg.d_range[1]))))
-        for a in range(of_size[0][0].start, of_size[-1][0].stop, size):
-            b = min(a + size, of_size[-1][0].stop)
-            # rows a to b - 1, from the parts that hold them
+    cost = raw.n * np.maximum(raw.n, cfg.d_range[1])  # each family's Gram entries
+    stacks = []  # row ranges, cut from each run of one size
+    for lo, hi in pairwise([0, *(np.flatnonzero(np.diff(raw.n)) + 1).tolist(), len(raw.n)]):
+        size = max(1, min(64, _STACK_ENTRIES // int(cost[lo])))
+        stacks += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
+    while stacks:
+        fit = stacks[0][0] + int(np.searchsorted(cost[stacks[0][0] :].cumsum(), _DRAW_ENTRIES, side="right"))
+        batch = [rows for rows in stacks if rows[1] <= fit] or stacks[:1]
+        stacks = stacks[len(batch) :]
+        lo, hi = batch[0][0], batch[-1][1]
+        sub = Raw(raw.lane, *(None if a is None else a[lo:hi] for a in raw[1:5]), raw.zs)
+        with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
+            runs = [(rows, arrays) for (rows, _, _), arrays in zip(_runs(sub), assemble(cfg, sub))]
+        starts = [rows.start for rows, _ in runs]
+        for a, b in ((a - lo, b - lo) for a, b in batch):
+            # rows a to b - 1 of the batch, from the parts that hold them
             parts = [
                 tuple(None if v is None else v[max(a, rows.start) - rows.start : b - rows.start] for v in arrays)
-                for rows, arrays in of_size
-                if rows.start < b and rows.stop > a
+                for rows, arrays in runs[bisect_right(starts, a) - 1 : bisect_left(starts, b)]
             ]
-            weights = None
-            if parts[0][2] is not None:
-                weights = np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n): one row per family
-            yield raw.index[a:b].tolist(), Stats.stack([part[:2] for part in parts]).bind(
-                ends=None if raw.ends is None else raw.ends[a:b].T,
-                weights=weights,
-                p_values=cfg.p_values,
-                tol=cfg.tolerance,
+            weights = None if parts[0][2] is None else np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n)
+            ends = None if sub.ends is None else sub.ends[a:b].T
+            yield sub.index[a:b].tolist(), Stats.stack([part[:2] for part in parts]).bind(
+                ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
             )
 
 

@@ -611,6 +611,14 @@ class TestChunkMatchesSamplers:
         cfg = FuzzConfig(master_seed=31, instances=24, n_range=(20, 24), d_range=(24, 30), disk_sampler=HEAVY)
         self.check(cfg, ensemble, 0, 24)
 
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_draw_batches(self, ensemble):
+        # families of about 12k Gram entries: a task draws their vectors a few stacks at a time
+        cfg = FuzzConfig(master_seed=37, instances=14, n_range=(90, 130), d_range=(90, 130), disk_sampler=HEAVY)
+        sizes = [sample_family(cfg, i).n for i in range(cfg.instances)]
+        assert sum(n * max(n, 130) for n in sizes) > 2 * harness._DRAW_ENTRIES
+        self.check(cfg, ensemble, 0, 14)
+
     @staticmethod
     def check(cfg, ensemble, start, stop):
         public = {
