@@ -39,10 +39,11 @@ once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
 ``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
-(``_stacks``), stack those that share a family size n, sorted by dimension
-into runs of one dimension (``Stats.stack``), and reduce a stack's reports
-with masks; ``check_all`` runs these formulas on one family, a stack
-without the batch axis, and builds its ``BoundReport``s.
+(``_stacks``), sorted by size and dimension, their vectors a draw of at
+most ``_DRAW_ENTRIES`` Gram entries at a time; the families of one size n
+in one draw are a stack, held in runs of one dimension (``Stats.stack``),
+whose reports are reduced with masks.  ``check_all`` runs these formulas on
+one family, a stack without the batch axis, and builds its ``BoundReport``s.
 No array is padded, so a family's reports have the same bits in a stack as
 alone.
 """
@@ -51,12 +52,12 @@ from __future__ import annotations
 
 import atexit
 import math
+import operator
 import sys
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
-from itertools import accumulate, pairwise
+from itertools import accumulate, groupby, pairwise
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -107,19 +108,27 @@ __all__ = [
 
 DEFAULT_P_VALUES = (1.5, 3.0)
 
-# Gram entries per stack, n * max(n, d) per family: 64 families at n = 12,
-# d <= 8, and one family from n = 96 up.
-_STACK_ENTRIES = 64 * 12 * 12
-# A task's size is capped in Gram entries of its largest families: 64 full stacks, 4096
-# instances at the default sizes, down to one instance.  Split over workers, tasks hold at
-# least 256 instances under that cap, since smaller ones spread a task's fixed costs (the
-# draws of its sizes and disks, the stacks, sending the task and its result between
-# processes) over too few.
-_TASK_ENTRIES = 64 * _STACK_ENTRIES
-# A task draws the vectors of consecutive stacks at once, up to 8 stacks' Gram entries or one stack, so
-# that a draw's arrays stay within a few MB: about 1400 families at the default sizes, one from n = 272 up.
-_DRAW_ENTRIES = 8 * _STACK_ENTRIES
+# A task draws the vectors of consecutive rows at once, up to this many Gram entries, n * max(n, d) per
+# family, or one row, so that a draw's arrays stay within a few MB: about 1200 families at the default
+# sizes (n <= 12, d <= 8), one from n = 272 up.
+_DRAW_ENTRIES = 512 * 12 * 12
+# A task's size is capped in Gram entries of its largest families: 8 full draws, 4096 instances at the
+# default sizes, down to one instance.  Split over workers, tasks hold at least 256 instances under that
+# cap, since smaller ones spread a task's fixed costs (the draws of its sizes and disks, the stacks, sending
+# the task and its result between processes) over too few.
+_TASK_ENTRIES = 8 * _DRAW_ENTRIES
 _TASK_MIN = 256
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy integer.  Anything else, a bool or a float such as 1.5 (which a
+    uint64 cast would truncate), raises a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,11 @@ class FuzzConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        # held as Python ints, whose arithmetic neither wraps nor overflows as numpy integers' does
+        for name in ("master_seed", "instances"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("n_range", "d_range"):
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         if not 0 <= self.instances <= 2**64:  # an index is two counter words
             raise ValueError("instances must be >= 0 and at most 2**64")
         for name, (lo, hi) in (("n_range", self.n_range), ("d_range", self.d_range)):
@@ -319,6 +333,10 @@ class Raw(NamedTuple):
     ends: np.ndarray | None = None  # (B, 2) the disks' end points (gamma, Gamma)
     zs: dict[int, np.ndarray] | None = None  # equality coefficients by instance, in place of disk points
 
+    def take(self, rows) -> Raw:
+        """The rows ``rows`` of this batch, an index array or a slice."""
+        return Raw(self.lane, *(None if a is None else a[rows] for a in self[1:5]), self.zs)
+
 
 def _runs(raw: Raw) -> list[tuple[slice, int, int]]:
     """The runs of rows of one size n and dimension d of ``raw``, in order: (rows, n, d)."""
@@ -425,6 +443,7 @@ ENSEMBLES = {
 
 def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
     """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays, a batch of one."""
+    index = _integer("index", index)
     if not 0 <= index < cfg.instances:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
     lane, draw, assemble = ENSEMBLES[name]
@@ -469,36 +488,27 @@ def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple
 
     The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
     sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
-    both), their vectors by its ``assemble``, a part per run of one size and dimension.  A stack, cut from
-    the parts of one size, holds at most 64 families, fewer when they are large, so that its arrays stay
-    near 1 MB.  Yields each stack's instance indices and the stack with its inputs bound (``cfg``'s)."""
+    both), their vectors by its ``assemble``, for consecutive rows of at most ``_DRAW_ENTRIES`` Gram entries
+    (or one row) at a time, a part per run of one size and dimension.  A stack is the families of one size
+    in one such draw, so a size group at a draw's cut is two stacks.  Yields each stack's instance indices
+    and the stack with its inputs bound (``cfg``'s)."""
     lane, draw, assemble = ENSEMBLES[name]
     raw = draw(cfg, lane, np.arange(start, stop, dtype=np.uint64))
-    order = np.lexsort((raw.d, raw.n))  # stable: index order within a size and dimension
-    raw = Raw(raw.lane, *(None if a is None else a[order] for a in raw[1:5]), raw.zs)
+    raw = raw.take(np.lexsort((raw.d, raw.n)))  # stable: index order within a size and dimension
     cost = raw.n * np.maximum(raw.n, cfg.d_range[1])  # each family's Gram entries
-    stacks = []  # row ranges, cut from each run of one size
-    for lo, hi in pairwise([0, *(np.flatnonzero(np.diff(raw.n)) + 1).tolist(), len(raw.n)]):
-        size = max(1, min(64, _STACK_ENTRIES // int(cost[lo])))
-        stacks += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
-    while stacks:
-        fit = stacks[0][0] + int(np.searchsorted(cost[stacks[0][0] :].cumsum(), _DRAW_ENTRIES, side="right"))
-        batch = [rows for rows in stacks if rows[1] <= fit] or stacks[:1]
-        stacks = stacks[len(batch) :]
-        lo, hi = batch[0][0], batch[-1][1]
-        sub = Raw(raw.lane, *(None if a is None else a[lo:hi] for a in raw[1:5]), raw.zs)
+    lo = 0
+    while lo < len(cost):
+        hi = lo + max(1, int(np.searchsorted(cost[lo:].cumsum(), _DRAW_ENTRIES, side="right")))
+        sub, lo = raw.take(slice(lo, hi)), hi
         with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-            runs = [(rows, arrays) for (rows, _, _), arrays in zip(_runs(sub), assemble(cfg, sub))]
-        starts = [rows.start for rows, _ in runs]
-        for a, b in ((a - lo, b - lo) for a, b in batch):
-            # rows a to b - 1 of the batch, from the parts that hold them
-            parts = [
-                tuple(None if v is None else v[max(a, rows.start) - rows.start : b - rows.start] for v in arrays)
-                for rows, arrays in runs[bisect_right(starts, a) - 1 : bisect_left(starts, b)]
-            ]
+            runs = [(rows, n, arrays) for (rows, n, _), arrays in zip(_runs(sub), assemble(cfg, sub))]
+        for _, group in groupby(runs, key=operator.itemgetter(1)):
+            group = list(group)
+            rows = slice(group[0][0].start, group[-1][0].stop)
+            parts = [arrays for *_, arrays in group]
             weights = None if parts[0][2] is None else np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n)
-            ends = None if sub.ends is None else sub.ends[a:b].T
-            yield sub.index[a:b].tolist(), Stats.stack([part[:2] for part in parts]).bind(
+            ends = None if sub.ends is None else sub.ends[rows].T
+            yield sub.index[rows].tolist(), Stats.stack([part[:2] for part in parts]).bind(
                 ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
             )
 

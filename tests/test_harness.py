@@ -97,6 +97,15 @@ class TestSampleFamily:
                 with pytest.raises(ValueError, match="out of range"):
                     sampler(small_cfg(instances=5), index)
 
+    def test_integer_index(self):
+        # a uint64 cast would truncate 1.5, and True is an int, to instance 1
+        cfg = small_cfg(instances=5)
+        for sampler in (sample_family, sample_disk_family, sample_orthonormal_family):
+            for index in (1.5, True, np.True_, np.float64(1.0)):
+                with pytest.raises(ValueError, match="not an integer"):
+                    sampler(cfg, index)
+        assert sample_family(cfg, np.int64(1)).x.tobytes() == sample_family(cfg, 1).x.tobytes()
+
     def test_collision_check_large(self):
         cfg = small_cfg(instances=10_000)
         seen = {sample_family(cfg, i).x.tobytes() for i in range(0, 10_000, 10)}
@@ -598,9 +607,9 @@ class TestChunkMatchesSamplers:
     def test_stacks(self, ensemble, sampler, mode):
         cfg = FuzzConfig(master_seed=29, instances=300, field_mode=mode, disk_sampler=sampler)
         self.check(cfg, ensemble, 44, 300)
-        # n = 3 alone: its one size group spans five stacks, sorted by dimension across them
-        one_size = FuzzConfig(master_seed=29, instances=300, n_range=(3, 3), field_mode=mode, disk_sampler=sampler)
-        self.check(one_size, ensemble, 0, 300)
+        # n = 40 alone: its one size group spans several draws, sorted by dimension across them
+        one_size = FuzzConfig(master_seed=29, instances=300, n_range=(40, 40), field_mode=mode, disk_sampler=sampler)
+        assert len(self.check(one_size, ensemble, 0, 300)) > 1
         if ensemble == "disk" and mode == "complex" and sampler is HEAVY:
             # the equality-case branch ran
             assert any(harness._draw(cfg, i, "disk")[0].zs is not None for i in range(44, 300))
@@ -613,14 +622,26 @@ class TestChunkMatchesSamplers:
 
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
     def test_draw_batches(self, ensemble):
-        # families of about 12k Gram entries: a task draws their vectors a few stacks at a time
+        # families of about 12k Gram entries: a task draws their vectors a few families at a time
         cfg = FuzzConfig(master_seed=37, instances=14, n_range=(90, 130), d_range=(90, 130), disk_sampler=HEAVY)
         sizes = [sample_family(cfg, i).n for i in range(cfg.instances)]
         assert sum(n * max(n, 130) for n in sizes) > 2 * harness._DRAW_ENTRIES
         self.check(cfg, ensemble, 0, 14)
 
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_one_stack_per_size(self, ensemble):
+        # 1024 families at the default sizes fit in one draw, which makes one stack per size
+        cfg = FuzzConfig(master_seed=43, instances=1024)
+        lane, draw, _ = harness.ENSEMBLES[ensemble]
+        n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
+        assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
+        stacks = [set(indices) for indices, _ in harness._stacks(cfg, ensemble, 0, 1024)]
+        assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
+
     @staticmethod
     def check(cfg, ensemble, start, stop):
+        """Compares each stack of instances ``start`` to ``stop - 1`` with the public samplers; returns the
+        stacks' instance indices."""
         public = {
             "generic": lambda i: (sample_family(cfg, i), None),
             "disk": lambda i: sample_disk_family(cfg, i),
@@ -642,8 +663,9 @@ class TestChunkMatchesSamplers:
             for name in ("weights", "gamma", "Gamma"):
                 a, b = getattr(s, name), getattr(ref, name)
                 assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
-            seen += indices
-        assert sorted(seen) == list(range(start, stop))
+            seen.append(indices)
+        assert sorted(sum(seen, [])) == list(range(start, stop))
+        return seen
 
 
 class TestFieldFormat:
@@ -800,6 +822,22 @@ class TestConfigValidation:
         FuzzConfig(instances=2**64, n_range=(1, 2**32))
         with pytest.raises(ValueError, match="field_mode"):
             FuzzConfig(field_mode="quaternion")
+        # the seed, counts and sizes are integers: n 1.5 would fail in numpy, 3.0 instances in range, d 2.5
+        # would run as a float size
+        for kw, name in (
+            ({"master_seed": 1.5}, "master_seed"),
+            ({"n_range": (1.5, 3)}, "n_range"),
+            ({"instances": 3.0}, "instances"),
+            ({"d_range": (2, 2.5)}, "d_range"),
+            ({"instances": True}, "instances"),
+        ):
+            with pytest.raises(ValueError, match=f"{name}: .* is not an integer"):
+                FuzzConfig(**kw)
+        # numpy integers are held as Python ints: a uint64 count would wrap in the task split
+        cfg = FuzzConfig(master_seed=np.int64(3), instances=np.uint64(3), n_range=(np.int64(1), np.uint64(3)))
+        assert all(type(v) is int for v in (cfg.master_seed, cfg.instances, *cfg.n_range))
+        plain = FuzzConfig(master_seed=3, instances=3, n_range=(1, 3))
+        assert fuzz(cfg, workers=2).as_dict() == fuzz(plain, workers=2).as_dict()
 
     def test_bad_p_values(self):
         for p in (1.0, float("nan"), float("inf")):
