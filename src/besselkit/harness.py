@@ -9,7 +9,12 @@ the same code on a batch of one.  No output depends on how the instances
 are split into tasks: fuzz summaries hold
 counts, extrema and violations sorted by instance, and ``compare`` sums all
 its ratios at once with ``math.fsum``, which is correctly rounded.  So the
-task size (``_task_size``) serves throughput and a memory cap alone.
+split into tasks (``_tasks``) serves throughput and a memory cap alone.  A
+task's fixed cost is mostly one stack per family size, so a call on several
+workers is split by size first: each index chunk is cut into m tasks by the
+class of n modulo m, m the smaller of the worker count and the number of
+sizes, and each size of a chunk is stacked in one task alone.  Chunks are cut
+by index only where the memory cap or the worker count needs it.
 
 With more than one worker and task, the tasks run in a process pool that is
 made once per worker count and kept for every later ``fuzz`` and
@@ -112,10 +117,10 @@ DEFAULT_P_VALUES = (1.5, 3.0)
 # family, or one row, so that a draw's arrays stay within a few MB: about 1200 families at the default
 # sizes (n <= 12, d <= 8), one from n = 272 up.
 _DRAW_ENTRIES = 512 * 12 * 12
-# A task's size is capped in Gram entries of its largest families: 8 full draws, 4096 instances at the
-# default sizes, down to one instance.  Split over workers, tasks hold at least 256 instances under that
-# cap, since smaller ones spread a task's fixed costs (the draws of its sizes and disks, the stacks, sending
-# the task and its result between processes) over too few.
+# A task's index chunk is capped in Gram entries of its largest families: 8 full draws, 4096 instances at
+# the default sizes, down to one instance.  Chunks cut by index to feed more workers than there are family
+# sizes hold at least 256 instances under that cap, since smaller ones spread a task's fixed costs (a stack
+# per size, sending the task and its result between processes) over too few.
 _TASK_ENTRIES = 8 * _DRAW_ENTRIES
 _TASK_MIN = 256
 
@@ -483,17 +488,38 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
     return _family(cfg, index, "orthonormal")
 
 
-def _stacks(cfg: FuzzConfig, name: str, start: int, stop: int) -> Iterator[tuple[list[int], BoundStats]]:
-    """Instances ``start`` to ``stop - 1`` of ensemble ``name``, as stacks of one family size.
+class Task(NamedTuple):
+    """A pool task: the instances ``start`` to ``stop - 1`` whose size n lies in the class ``part`` of
+    ``classes``, ``(n - n_range[0]) % classes == part``; with one class, all of them."""
+
+    cfg: FuzzConfig
+    start: int
+    stop: int
+    classes: int = 1
+    part: int = 0
+
+    def index(self, lane: int) -> np.ndarray:
+        """The task's instance indices in ensemble lane ``lane``, in order (uint64).  With more than one
+        class, the sizes of the whole range are drawn first, a counter block each, to pick them."""
+        index = np.arange(self.start, self.stop, dtype=np.uint64)
+        if self.classes == 1:
+            return index
+        n = _head(self.cfg, lane, index)[0]
+        return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
+
+
+def _stacks(task: Task, name: str) -> Iterator[tuple[list[int], BoundStats]]:
+    """The instances of ``task`` in ensemble ``name``, as stacks of one family size.
 
     The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
     sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
     both), their vectors by its ``assemble``, for consecutive rows of at most ``_DRAW_ENTRIES`` Gram entries
     (or one row) at a time, a part per run of one size and dimension.  A stack is the families of one size
     in one such draw, so a size group at a draw's cut is two stacks.  Yields each stack's instance indices
-    and the stack with its inputs bound (``cfg``'s)."""
+    and the stack with its inputs bound (the task config's)."""
+    cfg = task.cfg
     lane, draw, assemble = ENSEMBLES[name]
-    raw = draw(cfg, lane, np.arange(start, stop, dtype=np.uint64))
+    raw = draw(cfg, lane, task.index(lane))
     raw = raw.take(np.lexsort((raw.d, raw.n)))  # stable: index order within a size and dimension
     cost = raw.n * np.maximum(raw.n, cfg.d_range[1])  # each family's Gram entries
     lo = 0
@@ -682,11 +708,11 @@ def _merge(total: FuzzSummary, part: FuzzSummary) -> FuzzSummary:
     return total
 
 
-def _fuzz_task(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
-    cfg, start, stop = args
+def _fuzz_task(task: Task) -> FuzzSummary:
+    cfg = task.cfg
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
-        for indices, s in _stacks(cfg, sampler, start, stop):
+        for indices, s in _stacks(task, sampler):
             reports = _evaluate(s, BOUNDS)
             with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
                 # the three classical weight choices, after every other report; they
@@ -697,14 +723,23 @@ def _fuzz_task(args: tuple[FuzzConfig, int, int]) -> FuzzSummary:
     return part
 
 
-def _task_size(cfg: FuzzConfig, workers: int) -> int:
-    """Instances per task: as many as ``_TASK_ENTRIES`` allows on one worker, else about
-    ``4 * workers`` tasks, so that the pool stays busy, of at least ``_TASK_MIN`` under that cap."""
+def _task_size(cfg: FuzzConfig, ways: int) -> int:
+    """Instances per index chunk, for ``ways`` chunks or more: ``ceil(instances / ways)``, but at least
+    ``_TASK_MIN`` and at most what ``_TASK_ENTRIES`` allows."""
     n, d = cfg.n_range[1], cfg.d_range[1]
     cap = max(1, _TASK_ENTRIES // (n * max(n, d)))
-    if workers <= 1:
-        return cap
-    return min(cap, max(_TASK_MIN, -(-cfg.instances // (4 * workers))))
+    return min(cap, max(_TASK_MIN, -(-cfg.instances // ways)))
+
+
+def _tasks(cfg: FuzzConfig, workers: int) -> list[Task]:
+    """The tasks of a call on ``workers`` workers: index chunks of ``_task_size(cfg, ceil(workers / m))``
+    instances, each cut into m tasks by the class of its sizes modulo m, ``m = min(workers, sizes)`` for the
+    ``sizes`` of ``n_range``.  So each size of a chunk is drawn and stacked in one task alone; with m =
+    workers the chunks are as large as the cap allows, and with one size they are split by index alone."""
+    lo, hi = cfg.n_range
+    m = min(workers, hi - lo + 1)
+    size = _task_size(cfg, -(-workers // m))
+    return [Task(cfg, a, min(a + size, cfg.instances), m, r) for a in range(0, cfg.instances, size) for r in range(m)]
 
 
 def _one_blas_thread() -> None:
@@ -747,10 +782,10 @@ def _close_pool() -> None:
 
 def _map_tasks(fn, cfg: FuzzConfig, workers: int) -> list:
     global _pool
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    size = _task_size(cfg, workers)
-    tasks = [(cfg, a, min(a + size, cfg.instances)) for a in range(0, cfg.instances, size)]
+    tasks = _tasks(cfg, workers)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -785,12 +820,11 @@ class TightnessRow(NamedTuple):
     mean_ratio: float
 
 
-def _compare_task(ensemble: str, args: tuple[FuzzConfig, int, int]) -> dict[str, tuple[int, list[float]]]:
+def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]]]:
     """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in stack order."""
-    cfg, start, stop = args
     ids = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
-    for _, s in _stacks(cfg, ensemble, start, stop):
+    for _, s in _stacks(task, ensemble):
         reports = _evaluate(s, _COMPETITORS)
         for bid, count in _winners(reports).items():
             wins[bid] += count

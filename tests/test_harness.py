@@ -14,6 +14,8 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselkit import harness
 from besselkit import (
@@ -635,7 +637,7 @@ class TestChunkMatchesSamplers:
         lane, draw, _ = harness.ENSEMBLES[ensemble]
         n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
         assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
-        stacks = [set(indices) for indices, _ in harness._stacks(cfg, ensemble, 0, 1024)]
+        stacks = [set(indices) for indices, _ in harness._stacks(harness.Task(cfg, 0, 1024), ensemble)]
         assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
 
     @staticmethod
@@ -648,7 +650,7 @@ class TestChunkMatchesSamplers:
             "orthonormal": lambda i: sample_orthonormal_family(cfg, i),
         }[ensemble]
         seen = []
-        for indices, s in harness._stacks(cfg, ensemble, start, stop):
+        for indices, s in harness._stacks(harness.Task(cfg, start, stop), ensemble):
             drawn = [public(i) for i in indices]
             # the weights of each instance alone: its stream continues with them
             cs = [harness._draw(cfg, i, ensemble)[1][2] for i in indices]
@@ -785,25 +787,86 @@ class TestTightnessCompare:
                 tightness_compare(small_cfg(instances=instances), "bogus")
 
 
+class _InProcess:
+    """A stand-in for the kept pool: runs the tasks of ``_map_tasks`` in this process, in order, and counts them."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def map(self, fn, tasks):
+        for task in tasks:
+            self.tasks += 1
+            yield fn(task)
+
+    def shutdown(self, wait=True):
+        pass
+
+
 class TestTaskSplit:
     """No fuzz or compare output depends on how the instances are split into tasks or workers."""
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_outputs_byte_identical(self, mode, monkeypatch):
-        cfg = FuzzConfig(master_seed=41, instances=300, field_mode=mode, disk_sampler=HEAVY, tolerance=1e-9)
-        outputs = set()
-        for size in (64, 256, 4096):
-            monkeypatch.setattr(harness, "_task_size", lambda cfg, workers, size=size: size)
-            for workers in (1, 2):
-                text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
-                outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
-        assert len(outputs) == 1
+        # split by size alone, by index alone (one size), and by both (two sizes on three workers)
+        for n_range in ((1, 12), (5, 5), (3, 4)):
+            cfg = FuzzConfig(
+                master_seed=41, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY, tolerance=1e-9
+            )
+            outputs = set()
+            for size in (64, 256, 4096):
+                monkeypatch.setattr(harness, "_task_size", lambda cfg, ways, size=size: size)
+                for workers in (1, 2, 3):
+                    text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
+                    outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
+            assert len(outputs) == 1, n_range
 
     def test_task_fits_its_entries_cap(self):
-        # 256 families of 200 vectors in dimension 200 are no one task's worth
-        cfg = FuzzConfig(instances=256, n_range=(200, 200), d_range=(200, 200))
-        for workers in (1, 2):
-            assert harness._task_size(cfg, workers) * 200 * 200 <= harness._TASK_ENTRIES
+        # 256 families of 200 vectors in dimension 200 are no one task's worth, for one size or two
+        for n_range in ((200, 200), (199, 200)):
+            cfg = FuzzConfig(instances=256, n_range=n_range, d_range=(200, 200))
+            for workers in (1, 2, 3):
+                tasks = harness._tasks(cfg, workers)
+                assert len(tasks) > 1
+                assert all((t.stop - t.start) * 200 * 200 <= harness._TASK_ENTRIES for t in tasks)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n_range=st.tuples(st.integers(1, 20), st.integers(0, 6)).map(lambda r: (r[0], r[0] + r[1])),
+        d_range=st.tuples(st.integers(1, 20), st.integers(0, 6)).map(lambda r: (r[0], r[0] + r[1])),
+        instances=st.integers(0, 600),
+        workers=st.integers(1, 4),
+        lane=st.sampled_from([lane for lane, _, _ in harness.ENSEMBLES.values()]),
+    )
+    def test_tasks_partition_by_size(self, n_range, d_range, instances, workers, lane):
+        # the tasks' kept rows are range(instances), each once, and each size of an index chunk is in one task
+        cfg = FuzzConfig(master_seed=53, instances=instances, n_range=n_range, d_range=d_range)
+        kept, sizes = [], {}
+        for task in harness._tasks(cfg, workers):
+            index = task.index(lane)
+            kept += index.tolist()
+            n = set(harness._head(cfg, lane, index)[0].tolist())
+            for other in sizes.setdefault((task.start, task.stop), []):
+                assert not n & other
+            sizes[(task.start, task.stop)].append(n)
+        assert sorted(kept) == list(range(instances))
+
+    def test_each_size_stacked_in_one_task(self, monkeypatch):
+        # 512 default instances at workers=2: two tasks that stack disjoint sets of sizes, each size once
+        pool, stacks, built = _InProcess(), harness._stacks, []
+
+        def counting(*args):
+            for indices, s in stacks(*args):
+                built.append((pool.tasks, s.gamma is not None, s.n))  # task, sampler, size
+                yield indices, s
+
+        monkeypatch.setattr(harness, "_stacks", counting)
+        monkeypatch.setattr(harness, "_pool", (2, pool))
+        fuzz(FuzzConfig(master_seed=59, instances=512), workers=2)
+        assert pool.tasks == 2
+        for disk in (False, True):
+            sizes = [[n for t, on, n in built if (t, on) == (task, disk)] for task in (1, 2)]
+            assert sorted(sizes[0] + sizes[1]) == list(range(1, 13))
+            assert not set(sizes[0]) & set(sizes[1])
 
 
 class TestConfigValidation:
@@ -838,6 +901,22 @@ class TestConfigValidation:
         assert all(type(v) is int for v in (cfg.master_seed, cfg.instances, *cfg.n_range))
         plain = FuzzConfig(master_seed=3, instances=3, n_range=(1, 3))
         assert fuzz(cfg, workers=2).as_dict() == fuzz(plain, workers=2).as_dict()
+
+    def test_bad_workers(self):
+        # a float, bool or string worker count failed deep inside (2.0, 1.5 and "2") or ran
+        # (compare at 1.5, True as 1); both entry points name it
+        cfg = small_cfg(instances=10)
+        for workers in (2.0, 1.5, "2", True):
+            with pytest.raises(ValueError, match="workers: .* is not an integer"):
+                fuzz(cfg, workers)
+            with pytest.raises(ValueError, match="workers: .* is not an integer"):
+                tightness_compare(cfg, "generic", workers)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                fuzz(cfg, workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                tightness_compare(cfg, "generic", workers)
+        assert fuzz(cfg, np.int64(2)).as_dict() == fuzz(cfg, 1).as_dict()
 
     def test_bad_p_values(self):
         for p in (1.0, float("nan"), float("inf")):
@@ -955,5 +1034,6 @@ class TestPool:
         if not hasattr(_openblas(), "scipy_openblas_get_num_threads64_"):
             pytest.skip("numpy has no bundled scipy-openblas")
         parent = _blas_threads(None)
-        assert harness._map_tasks(_blas_threads, small_cfg(instances=600), 2) == [1, 1, 1]
+        # two tasks: the odd and the even family sizes
+        assert harness._map_tasks(_blas_threads, small_cfg(instances=600), 2) == [1, 1]
         assert _blas_threads(None) == parent
