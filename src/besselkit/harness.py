@@ -45,12 +45,14 @@ coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
 ``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
 (``_stacks``), sorted by size and dimension, their vectors a draw of at
-most ``_DRAW_ENTRIES`` Gram entries at a time; the families of one size n
-in one draw are a stack, held in runs of one dimension (``Stats.stack``),
-whose reports are reduced with masks.  ``check_all`` runs these formulas on
-one family, a stack without the batch axis, and builds its ``BoundReport``s.
-No array is padded, so a family's reports have the same bits in a stack as
-alone.
+most ``_DRAW_ENTRIES`` Gram entries at a time, each region of its words
+decoded once; the families of one size n in one draw are a stack, held in
+runs of one dimension (``Stats.stack``).  The reports of a draw's stacks
+are joined (``_join``) and reduced with masks once per draw, so that
+bookkeeping is paid per draw, not per stack or per run.  ``check_all`` runs
+these formulas on one family, a stack without the batch axis, and builds
+its ``BoundReport``s.  No array is padded, so a family's reports have the
+same bits in a stack as alone.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
 from itertools import accumulate, groupby, pairwise
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -263,13 +265,20 @@ def _sizes(words: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
     return lo + (words * np.uint64(hi - lo + 1) >> _S32).astype(np.int64)
 
 
-def _fields(words: np.ndarray, shapes: tuple[tuple[int, ...], ...], mode: str) -> list[np.ndarray]:
-    """Rows of ``words`` as contiguous complex arrays of these shapes (B, *shape), in turn, of uniform dyadic
-    parts (``_dyadic``): a word a real entry, a real and an imaginary part a complex one."""
-    v = _dyadic(words)
+def _fields(words: np.ndarray, runs: Iterable[tuple[int, tuple]], mode: str) -> list[list[np.ndarray]]:
+    """Per run ``(k, shapes)`` in turn, the next k rows of ``words`` (row-major, of any shape) as contiguous
+    complex arrays of these shapes (k, *shape), each from its own run of a row, of uniform dyadic parts
+    (``_dyadic``): a word a real entry, a real and an imaginary part a complex one.  The words are decoded
+    at once, and an array that is a whole run is a view of the decoded entries."""
+    v = _dyadic(words).reshape(-1)
     z = v.view(np.complex128) if mode == "complex" else v.astype(np.complex128)
-    bounds = pairwise([0, *accumulate(math.prod(shape) for shape in shapes)])
-    return [np.ascontiguousarray(z[:, a:b]).reshape(len(z), *shape) for (a, b), shape in zip(bounds, shapes)]
+    out, start = [], 0
+    for k, shapes in runs:
+        cuts = [0, *accumulate(math.prod(shape) for shape in shapes)]
+        rows, start = z[start : start + k * cuts[-1]].reshape(k, cuts[-1]), start + k * cuts[-1]
+        bounds = zip(pairwise(cuts), shapes)
+        out.append([np.ascontiguousarray(rows[:, a:b]).reshape(k, *shape) for (a, b), shape in bounds])
+    return out
 
 
 def _count(cfg: FuzzConfig, shapes: tuple) -> int:
@@ -291,7 +300,7 @@ def _accepted(cfg: FuzzConfig, lane: int, index: np.ndarray, block: int, stride:
             shapes = (tries.shape[2:],)
             regions = [(block + (j + t) * stride, _count(cfg, shapes)) for t in range(tries.shape[1])]
             words = _words(cfg, lane, index[rows], *regions)
-            tries = np.stack([_fields(w.reshape(len(rows), -1), shapes, cfg.field_mode)[0] for w in words], 1)
+            tries = np.stack([_fields(w, [(len(rows), shapes)], cfg.field_mode)[0][0] for w in words], 1)
     return out
 
 
@@ -311,7 +320,8 @@ def _head(cfg: FuzzConfig, lane: int, index: np.ndarray, positive_re=None) -> tu
         _, center, _, re_product, _ = disk_quantities(tries[..., 0], tries[..., 1])
         return (modulus(center) > 1e-6) & ((re_product > 0.0) | ~positive_re[rows, None])
 
-    tries = _fields(words[0].reshape(-1, 4)[:, : _count(cfg, ((2,),))], ((2,),), cfg.field_mode)[0]
+    words = words[0].reshape(-1, 4)[:, : _count(cfg, ((2,),))]  # a try's words, the first of its block
+    tries = _fields(words, [(len(words), ((2,),))], cfg.field_mode)[0][0]
     return *sizes, cfg.disk_sampler.scale * _accepted(cfg, lane, index, _ENDS, 1, tries.reshape(-1, _TRIES, 2), accept)
 
 
@@ -352,19 +362,14 @@ def _runs(raw: Raw) -> list[tuple[slice, int, int]]:
 def _run_entries(cfg: FuzzConfig, raw: Raw, runs: list, *regions: tuple, points: bool = False) -> list:
     """Per region ``(block, shapes)``, per run of ``raw``: the field arrays of ``shapes(n, d)`` of its rows
     from counter block ``block`` on; with ``points``, then per run the instances' (k, n) equality
-    coefficients, or else disk points (``_disk_points``).  All are drawn together."""
+    coefficients, or else disk points (``_disk_points``).  All are drawn together, and each region's words
+    are decoded at once (``_fields``), its runs' arrays cut from them."""
     sizes = [rows.stop - rows.start for rows, _, _ in runs]
     shapes = [[region(n, d) for _, n, d in runs] for _, region in regions]
-    counts = [[_count(cfg, s) for s in run_shapes] for run_shapes in shapes]
-    wanted = [(block, np.array(c).repeat(sizes)) for (block, _), c in zip(regions, counts)]
+    counts = [np.array([_count(cfg, s) for s in run_shapes]).repeat(sizes) for run_shapes in shapes]
+    wanted = [(block, c) for (block, _), c in zip(regions, counts)]
     words = _words(cfg, raw.lane, raw.index, *wanted, *[(_POINTS, 3 * raw.n)] * points)
-    out = []
-    for w, run_shapes, run_counts in zip(words, shapes, counts):
-        arrays, start = [], 0
-        for k, shape, count in zip(sizes, run_shapes, run_counts):
-            arrays.append(_fields(w[start : start + k * count].reshape(k, count), shape, cfg.field_mode))
-            start += k * count
-        out.append(arrays)
+    out = [_fields(w, zip(sizes, run_shapes), cfg.field_mode) for w, run_shapes in zip(words, shapes)]
     if not points:
         return out
     _, center, radius, _, _ = disk_quantities(raw.ends[:, 0], raw.ends[:, 1])
@@ -404,10 +409,14 @@ def _assemble_in_disk(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
     xs, vectors, coefficients = _run_entries(
         cfg, raw, runs, (_X, lambda n, d: ((d,),)), (_VECTORS, lambda n, d: ((n, d), (n,))), points=True
     )  # x, then the free components and the weights
+    # x is drawn again, d blocks a try, until it is nonzero; one test over the draw's entries finds the
+    # rows whose x is zero, so that only their runs draw again
+    nonzero = np.logical_or.reduceat(np.concatenate([x.reshape(-1) for (x,) in xs]) != 0, raw.d.cumsum() - raw.d)
+    zero = np.flatnonzero(~nonzero).tolist()
     parts = []
     for (rows, _, d), (x,), (ws, c), zs in zip(runs, xs, vectors, coefficients):
-        # x is drawn again, d blocks a try, until it is nonzero
-        x = _accepted(cfg, raw.lane, raw.index[rows], _X, d, x[:, None], lambda _, tries: tries.any(axis=2))
+        if any(rows.start <= row < rows.stop for row in zero):
+            x = _accepted(cfg, raw.lane, raw.index[rows], _X, d, x[:, None], lambda _, tries: tries.any(axis=2))
         parts.append((x, lift_stack(x, zs, ws), c))
     return parts
 
@@ -508,15 +517,15 @@ class Task(NamedTuple):
         return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
 
 
-def _stacks(task: Task, name: str) -> Iterator[tuple[list[int], BoundStats]]:
-    """The instances of ``task`` in ensemble ``name``, as stacks of one family size.
+def _stacks(task: Task, name: str) -> Iterator[Iterator[tuple[list[int], BoundStats]]]:
+    """The instances of ``task`` in ensemble ``name``, draw by draw, as stacks of one family size.
 
     The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
     sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
     both), their vectors by its ``assemble``, for consecutive rows of at most ``_DRAW_ENTRIES`` Gram entries
     (or one row) at a time, a part per run of one size and dimension.  A stack is the families of one size
-    in one such draw, so a size group at a draw's cut is two stacks.  Yields each stack's instance indices
-    and the stack with its inputs bound (the task config's)."""
+    in one such draw, so a size group at a draw's cut is two stacks.  Yields each draw's stacks together
+    (``_draw_stacks``), so that their reports are reduced once a draw."""
     cfg = task.cfg
     lane, draw, assemble = ENSEMBLES[name]
     raw = draw(cfg, lane, task.index(lane))
@@ -528,15 +537,22 @@ def _stacks(task: Task, name: str) -> Iterator[tuple[list[int], BoundStats]]:
         sub, lo = raw.take(slice(lo, hi)), hi
         with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
             runs = [(rows, n, arrays) for (rows, n, _), arrays in zip(_runs(sub), assemble(cfg, sub))]
-        for _, group in groupby(runs, key=operator.itemgetter(1)):
-            group = list(group)
-            rows = slice(group[0][0].start, group[-1][0].stop)
-            parts = [arrays for *_, arrays in group]
-            weights = None if parts[0][2] is None else np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n)
-            ends = None if sub.ends is None else sub.ends[rows].T
-            yield sub.index[rows].tolist(), Stats.stack([part[:2] for part in parts]).bind(
-                ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
-            )
+        yield _draw_stacks(cfg, sub, runs)
+
+
+def _draw_stacks(cfg: FuzzConfig, sub: Raw, runs: list) -> Iterator[tuple[list[int], BoundStats]]:
+    """The stacks of the draw ``sub``, whose ``runs`` hold its assembled parts (rows, n, arrays): one per
+    family size, in row order, each as its instance indices and the stack with its inputs bound.  They are
+    built one at a time, so that a stack's statistics can be freed once its reports are taken."""
+    for _, group in groupby(runs, key=operator.itemgetter(1)):
+        group = list(group)
+        rows = slice(group[0][0].start, group[-1][0].stop)
+        parts = [arrays for *_, arrays in group]
+        weights = None if parts[0][2] is None else np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n)
+        ends = None if sub.ends is None else sub.ends[rows].T
+        yield sub.index[rows].tolist(), Stats.stack([part[:2] for part in parts]).bind(
+            ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
+        )
 
 
 class Bound(NamedTuple):
@@ -658,8 +674,32 @@ def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     return keys, np.array([[i == key for key in keys] for i in ids])
 
 
+def _join(stacks: list[list[BatchReport]]) -> list[BatchReport]:
+    """The reports of a draw's stacks as those of one stack, report by report, in stack order.
+
+    Where the stacks' reports differ (``orthonormal_batch`` gives none on a stack where it detects no
+    family), a report is matched across them by its id and its place among the reports of that id, and
+    a stack that lacks it takes it with ``ok`` false: none of its families meets the preconditions.
+    """
+    if len(stacks) == 1:
+        return stacks[0]
+    if len({tuple(r.bound_id for r in reports) for reports in stacks}) > 1:
+        keyed = []
+        for reports in stacks:
+            ids = [r.bound_id for r in reports]
+            keyed.append({(bid, ids[:k].count(bid)): r for k, (bid, r) in enumerate(zip(ids, reports))})
+        order = dict.fromkeys(key for reports in keyed for key in reports)
+        filled = []
+        for reports, by_key in zip(stacks, keyed):
+            none = (np.zeros(len(reports[0].ok)), np.zeros(len(reports[0].ok)), np.zeros(len(reports[0].ok), bool))
+            filled.append([by_key.get(key) or BatchReport(key[0], *none) for key in order])
+        stacks = filled
+    sides = [np.concatenate([np.array([r[f] for r in reports]) for reports in stacks], axis=1) for f in (1, 2, 3)]
+    return [BatchReport(r.bound_id, *rows) for r, *rows in zip(stacks[0], *sides)]
+
+
 def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: list[int]) -> FuzzSummary:
-    """The summary of one stack's reports and tightness winners, judged by ``report.verdict``.
+    """The summary of one draw's reports (``_join``) and tightness winners, judged by ``report.verdict``.
 
     The reports of one bound id (one per weight row or exponent) are
     counted together.  A NaN slack (a side beyond the double range) is
@@ -712,14 +752,17 @@ def _fuzz_task(task: Task) -> FuzzSummary:
     cfg = task.cfg
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
-        for indices, s in _stacks(task, sampler):
-            reports = _evaluate(s, BOUNDS)
+        for stacks in _stacks(task, sampler):
+            indices, reports = [], []
             with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
-                # the three classical weight choices, after every other report; they
-                # are their own stack of rows, since a row of a k-row product can
-                # differ in its last bit from the same row in a 1-row product
-                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                _merge(part, _tally(cfg, reports, sampler, indices))
+                for stack_indices, s in stacks:
+                    indices += stack_indices
+                    reports.append(_evaluate(s, BOUNDS))
+                    # the three classical weight choices, after every other report; they
+                    # are their own stack of rows, since a row of a k-row product can
+                    # differ in its last bit from the same row in a 1-row product
+                    reports[-1] += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                _merge(part, _tally(cfg, _join(reports), sampler, indices))
     return part
 
 
@@ -733,11 +776,12 @@ def _task_size(cfg: FuzzConfig, ways: int) -> int:
 
 def _tasks(cfg: FuzzConfig, workers: int) -> list[Task]:
     """The tasks of a call on ``workers`` workers: index chunks of ``_task_size(cfg, ceil(workers / m))``
-    instances, each cut into m tasks by the class of its sizes modulo m, ``m = min(workers, sizes)`` for the
-    ``sizes`` of ``n_range``.  So each size of a chunk is drawn and stacked in one task alone; with m =
-    workers the chunks are as large as the cap allows, and with one size they are split by index alone."""
+    instances, each cut into m tasks by the class of its sizes modulo m, ``m = min(workers, sizes,
+    instances)`` for the ``sizes`` of ``n_range`` (at least 1).  So each size of a chunk is drawn and stacked
+    in one task alone, and no task is made for want of instances; with m = workers the chunks are as large
+    as the cap allows, and with one size they are split by index alone."""
     lo, hi = cfg.n_range
-    m = min(workers, hi - lo + 1)
+    m = max(1, min(workers, hi - lo + 1, cfg.instances))
     size = _task_size(cfg, -(-workers // m))
     return [Task(cfg, a, min(a + size, cfg.instances), m, r) for a in range(0, cfg.instances, size) for r in range(m)]
 
@@ -821,11 +865,11 @@ class TightnessRow(NamedTuple):
 
 
 def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]]]:
-    """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in stack order."""
+    """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in row order."""
     ids = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
-    for _, s in _stacks(task, ensemble):
-        reports = _evaluate(s, _COMPETITORS)
+    for stacks in _stacks(task, ensemble):
+        reports = _join([_evaluate(s, _COMPETITORS) for _, s in stacks])
         for bid, count in _winners(reports).items():
             wins[bid] += count
         with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios

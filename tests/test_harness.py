@@ -24,6 +24,7 @@ from besselkit import (
     ExtremalTarget,
     Family,
     FuzzConfig,
+    FuzzSummary,
     build,
     bessel_sum,
     check_all,
@@ -577,7 +578,7 @@ class TestSeedStreams:
 
         def tries(k, rows):
             (words,) = harness._words(cfg, 1, index[rows], (harness._X + k * d, 4))
-            return harness._fields(words.reshape(len(rows), -1), ((d,),), "complex")[0]
+            return harness._fields(words, [(len(rows), ((d,),))], "complex")[0][0]
 
         first = tries(0, [0, 1, 2])[:, None]
         first[1] = 0.0
@@ -637,7 +638,8 @@ class TestChunkMatchesSamplers:
         lane, draw, _ = harness.ENSEMBLES[ensemble]
         n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
         assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
-        stacks = [set(indices) for indices, _ in harness._stacks(harness.Task(cfg, 0, 1024), ensemble)]
+        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), ensemble)
+        stacks = [set(indices) for indices, _ in draw]
         assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
 
     @staticmethod
@@ -650,7 +652,8 @@ class TestChunkMatchesSamplers:
             "orthonormal": lambda i: sample_orthonormal_family(cfg, i),
         }[ensemble]
         seen = []
-        for indices, s in harness._stacks(harness.Task(cfg, start, stop), ensemble):
+        draws = harness._stacks(harness.Task(cfg, start, stop), ensemble)
+        for indices, s in (stack for draw in draws for stack in draw):
             drawn = [public(i) for i in indices]
             # the weights of each instance alone: its stream continues with them
             cs = [harness._draw(cfg, i, ensemble)[1][2] for i in indices]
@@ -687,7 +690,7 @@ class TestFieldFormat:
         v = (words.astype(float) - 2**31) / 2**31  # uniform dyadic values, exact
         assert v[0, 0] == -1.0 and v[0, 1] == 1.0 - 2.0**-31
         a = 0  # the entry the array starts at
-        for z, shape in zip(harness._fields(words, shapes, mode), shapes):
+        for z, shape in zip(harness._fields(words, [(len(words), shapes)], mode)[0], shapes):
             m = math.prod(shape)
             if mode == "real":
                 ref = v[:, a : a + m].astype(complex)
@@ -697,6 +700,21 @@ class TestFieldFormat:
             assert (z.dtype, z.shape, z.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
             a += m
         assert per_entry * a == v.shape[1]
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_runs_decoded_in_one_pass(self, mode):
+        # a region of several runs, as a draw holds them: each run's arrays have the bits of that run
+        # decoded alone, and a run of one array is a view of the region's decoded entries
+        runs = [(3, ((2,), (4, 2), (4,))), (1, ((5,),)), (4, ((1,), (1, 1))), (2, ((6, 3),))]
+        counts = [k * harness._count(FuzzConfig(field_mode=mode), shapes) for k, shapes in runs]
+        words = np.random.default_rng(19).integers(0, 2**32, sum(counts), dtype=np.uint64)
+        region = harness._fields(words, runs, mode)
+        assert len(region) == len(runs)
+        for arrays, run, part in zip(region, runs, np.split(words, np.cumsum(counts)[:-1])):
+            alone = harness._fields(part.reshape(run[0], -1), [run], mode)[0]
+            assert [(z.shape, z.tobytes()) for z in arrays] == [(z.shape, z.tobytes()) for z in alone]
+            assert all(z.flags.c_contiguous for z in arrays)
+        assert not region[1][0].flags.owndata and not region[3][0].flags.owndata
 
 
 class TestTightnessCompare:
@@ -855,9 +873,10 @@ class TestTaskSplit:
         pool, stacks, built = _InProcess(), harness._stacks, []
 
         def counting(*args):
-            for indices, s in stacks(*args):
-                built.append((pool.tasks, s.gamma is not None, s.n))  # task, sampler, size
-                yield indices, s
+            for draw in stacks(*args):
+                draw = list(draw)
+                built.extend((pool.tasks, s.gamma is not None, s.n) for _, s in draw)  # task, sampler, size
+                yield iter(draw)
 
         monkeypatch.setattr(harness, "_stacks", counting)
         monkeypatch.setattr(harness, "_pool", (2, pool))
@@ -867,6 +886,120 @@ class TestTaskSplit:
             sizes = [[n for t, on, n in built if (t, on) == (task, disk)] for task in (1, 2)]
             assert sorted(sizes[0] + sizes[1]) == list(range(1, 13))
             assert not set(sizes[0]) & set(sizes[1])
+
+
+    def test_one_instance_is_one_task(self, monkeypatch):
+        # a 1-instance call at workers=2 is one task, run in this process: no empty task goes to the pool
+        pool = _InProcess()
+        monkeypatch.setattr(harness, "_pool", (2, pool))
+        cfg = FuzzConfig(master_seed=3, instances=1)
+        assert len(harness._tasks(cfg, 2)) == 1
+        assert fuzz(cfg, workers=2).as_dict() == fuzz(cfg, workers=1).as_dict()
+        assert tightness_compare(cfg, "disk", workers=2) == tightness_compare(cfg, "disk", workers=1)
+        assert pool.tasks == 0
+
+
+class TestDrawReduction:
+    """A draw's stacks are reduced together, with the outputs of reducing them one by one."""
+
+    def test_one_reduction_per_draw(self, monkeypatch):
+        # 512 default instances are one draw per sampler: one tally each, and one winners call per compare
+        calls = {"_tally": 0, "_winners": 0}
+        for name in calls:
+
+            def counting(*args, fn=getattr(harness, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(harness, name, counting)
+        cfg = FuzzConfig(master_seed=61, instances=512)
+        fuzz(cfg, workers=1)
+        assert calls["_tally"] == 2
+        calls["_winners"] = 0
+        tightness_compare(cfg, "generic", workers=1)
+        assert calls["_winners"] == 1
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_joined_equals_per_stack(self, mode):
+        # size groups that span several draws, whose stacks are reduced one by one for the reference
+        for cfg in (
+            FuzzConfig(master_seed=29, instances=300, n_range=(40, 40), field_mode=mode, disk_sampler=HEAVY),
+            FuzzConfig(
+                master_seed=37, instances=14, n_range=(90, 130), d_range=(90, 130), field_mode=mode, disk_sampler=HEAVY
+            ),
+        ):
+            task = harness.Task(cfg, 0, cfg.instances)
+            assert sum(1 for _ in harness._stacks(task, "disk")) > 1
+            ref = FuzzSummary(cfg, {}, [], {}, {}, {})
+            for sampler in ("generic", "disk"):
+                for indices, s in (stack for draw in harness._stacks(task, sampler) for stack in draw):
+                    reports = harness._evaluate(s, BOUNDS)
+                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                    harness._merge(ref, harness._tally(cfg, reports, sampler, indices))
+            ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
+            text = json.dumps(ref.as_dict(), sort_keys=True, default=repr)
+            assert json.dumps(fuzz(cfg).as_dict(), sort_keys=True, default=repr) == text
+            for ensemble in harness.ENSEMBLES:
+                ids = [b.ids[0] for b in harness._COMPETITORS]
+                wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
+                for _, s in (stack for draw in harness._stacks(task, ensemble) for stack in draw):
+                    reports = harness._evaluate(s, harness._COMPETITORS)
+                    for bid, count in harness._winners(reports).items():
+                        wins[bid] += count
+                    for r in reports:
+                        use = r.ok & (r.rhs > 0.0)
+                        ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
+                expected = [
+                    (bid, wins[bid], math.fsum(ratios[bid]) / len(ratios[bid]) if ratios[bid] else math.nan)
+                    for bid in ids
+                ]
+                assert repr(tightness_compare(cfg, ensemble)) == repr([harness.TightnessRow(*e) for e in expected])
+
+    def test_join_takes_absent_reports_as_not_met(self):
+        # a stack without a report another gives (orthonormal_batch on a stack with no orthonormal family)
+        # takes it with ok false; reports of one id are matched by their place among that id's
+        def report(bid, *values):
+            v = np.array(values, dtype=float)
+            return BatchReport(bid, v, v + 1, v > 0)
+
+        first = [report("a", 1, 2), report("o", 3, 4), report("a", 5, 6)]
+        second = [report("a", 7), report("a", 8)]
+        joined = harness._join([first, second])
+        assert [r.bound_id for r in joined] == ["a", "o", "a"]
+        assert [r.lhs.tolist() for r in joined] == [[1, 2, 7], [3, 4, 0], [5, 6, 8]]
+        assert [r.ok.tolist() for r in joined] == [[True, True, True], [True, True, False], [True, True, True]]
+
+    def test_zero_x_draws_its_run_again(self, monkeypatch):
+        # instance 5's first x is zeroed in its words: its run alone goes to ``_accepted``, and the stacks
+        # still hold the public sampler's bits, whose x is drawn again too
+        cfg, target = FuzzConfig(master_seed=67, instances=64), 5
+        words, accepted, retried = harness._words, harness._accepted, []
+
+        def zeroing(cfg, lane, index, *regions):
+            drawn = words(cfg, lane, index, *regions)
+            for w, (block, count) in zip(drawn, regions):
+                if lane == 1 and block == harness._X:
+                    count = np.broadcast_to(count, len(index))
+                    starts = np.cumsum(count) - count
+                    for row in np.flatnonzero(index == target).tolist():
+                        w[starts[row] : starts[row] + count[row]] = 2**31  # the words of 0.0
+            return drawn
+
+        def recording(cfg, lane, index, block, *args):
+            if block == harness._X:
+                retried.append(index.tolist())
+            return accepted(cfg, lane, index, block, *args)
+
+        monkeypatch.setattr(harness, "_words", zeroing)
+        monkeypatch.setattr(harness, "_accepted", recording)
+        raw = harness._draw_in_disk(cfg, 1, np.arange(64, dtype=np.uint64))
+        run = np.flatnonzero((raw.n == raw.n[target]) & (raw.d == raw.d[target])).tolist()
+        for draw in harness._stacks(harness.Task(cfg, 0, 64), "disk"):
+            list(draw)
+        assert retried == [run]
+        family, _ = sample_disk_family(cfg, target)
+        assert np.any(family.x != 0)
+        TestChunkMatchesSamplers.check(cfg, "disk", 0, 64)
 
 
 class TestConfigValidation:
