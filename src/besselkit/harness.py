@@ -47,12 +47,14 @@ weights and exponents bound to it) to one ``BatchReport`` per report.
 (``_stacks``), sorted by size and dimension, their vectors a draw of at
 most ``_DRAW_ENTRIES`` Gram entries at a time, each region of its words
 decoded once; the families of one size n in one draw are a stack, held in
-runs of one dimension (``Stats.stack``).  The reports of a draw's stacks
-are joined (``_join``) and reduced with masks once per draw, so that
-bookkeeping is paid per draw, not per stack or per run.  ``check_all`` runs
-these formulas on one family, a stack without the batch axis, and builds
-its ``BoundReport``s.  No array is padded, so a family's reports have the
-same bits in a stack as alone.
+runs of one dimension (``Stats.stack``).  Every formula gives the same
+reports on every stack, so a draw's reports are one table (``_join``): the
+ids of its K reports and (K, B) arrays of both sides and the preconditions
+over its B families.  ``_tally``, ``_winners`` and ``_compare_task`` read
+that table once per draw, so that bookkeeping is paid per draw, not per
+stack or per run.  ``check_all`` runs these formulas on one family, a stack
+without the batch axis, and builds its ``BoundReport``s.  No array is
+padded, so a family's reports have the same bits in a stack as alone.
 """
 
 from __future__ import annotations
@@ -646,22 +648,22 @@ class FuzzSummary:
         return asdict(self)
 
 
-def _winners(reports: list[BatchReport]) -> dict[str, int]:
-    """Per competing bound, the families whose smallest ``rhs ** competes`` it gives.
+def _winners(ids: tuple[str, ...], rhs: np.ndarray, ok: np.ndarray) -> dict[str, int]:
+    """Per competing bound, the families whose smallest ``rhs ** competes`` it gives, of a table's rows
+    ``ids``, right sides and preconditions (``_join``); a competitor not in ``ids`` wins nothing.
 
     A later entry of ``_COMPETITORS`` wins only when strictly smaller, so
     ties go to the earlier one.  A NaN (a side beyond the double range)
     never wins: neither first nor by displacing a winner.
     """
-    by_id = {r.bound_id: r for r in reports}
-    win = np.full(reports[0].ok.shape, -1)
+    win = np.full(ok.shape[1], -1)
     best = np.zeros(win.shape)
     for k, b in enumerate(_COMPETITORS):
-        r = by_id.get(b.ids[0])
-        if r is None:
+        if b.ids[0] not in ids:
             continue
-        val = r.rhs if b.competes == 1 else libm_pow(r.rhs, b.competes)
-        take = r.ok & ~np.isnan(val) & ((win < 0) | (val < best))
+        row = ids.index(b.ids[0])
+        val = rhs[row] if b.competes == 1 else libm_pow(rhs[row], b.competes)
+        take = ok[row] & ~np.isnan(val) & ((win < 0) | (val < best))
         best = np.where(take, val, best)
         win = np.where(take, k, win)
     return {b.ids[0]: int(np.count_nonzero(win == k)) for k, b in enumerate(_COMPETITORS)}
@@ -674,43 +676,28 @@ def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     return keys, np.array([[i == key for key in keys] for i in ids])
 
 
-def _join(stacks: list[list[BatchReport]]) -> list[BatchReport]:
-    """The reports of a draw's stacks as those of one stack, report by report, in stack order.
+def _join(stacks: list[list[BatchReport]]) -> tuple:
+    """A draw's reports as one table ``(ids, lhs, rhs, ok)``: the ids of its K reports, and their sides and
+    preconditions over its B families as (K, B) arrays, the stacks' columns in stack order.
 
-    Where the stacks' reports differ (``orthonormal_batch`` gives none on a stack where it detects no
-    family), a report is matched across them by its id and its place among the reports of that id, and
-    a stack that lacks it takes it with ``ok`` false: none of its families meets the preconditions.
+    Every formula gives the same reports on every stack (``orthonormal_batch`` too, with ``ok`` false
+    where it detects no family), so the stacks' reports are concatenated report by report.
     """
-    if len(stacks) == 1:
-        return stacks[0]
-    if len({tuple(r.bound_id for r in reports) for reports in stacks}) > 1:
-        keyed = []
-        for reports in stacks:
-            ids = [r.bound_id for r in reports]
-            keyed.append({(bid, ids[:k].count(bid)): r for k, (bid, r) in enumerate(zip(ids, reports))})
-        order = dict.fromkeys(key for reports in keyed for key in reports)
-        filled = []
-        for reports, by_key in zip(stacks, keyed):
-            none = (np.zeros(len(reports[0].ok)), np.zeros(len(reports[0].ok)), np.zeros(len(reports[0].ok), bool))
-            filled.append([by_key.get(key) or BatchReport(key[0], *none) for key in order])
-        stacks = filled
-    sides = [np.concatenate([np.array([r[f] for r in reports]) for reports in stacks], axis=1) for f in (1, 2, 3)]
-    return [BatchReport(r.bound_id, *rows) for r, *rows in zip(stacks[0], *sides)]
+    ids = tuple(r.bound_id for r in stacks[0])
+    return ids, *(np.concatenate([np.array([r[f] for r in reports]) for reports in stacks], axis=1) for f in (1, 2, 3))
 
 
-def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: list[int]) -> FuzzSummary:
-    """The summary of one draw's reports (``_join``) and tightness winners, judged by ``report.verdict``.
+def _tally(cfg: FuzzConfig, table: tuple, sampler: str, indices: list[int]) -> FuzzSummary:
+    """The summary of one draw's table (``_join``) and tightness winners, judged by ``report.verdict``.
 
-    The reports of one bound id (one per weight row or exponent) are
+    The rows of one bound id (one per weight row or exponent) are
     counted together.  A NaN slack (a side beyond the double range) is
     checked, but never the least slack.
     """
-    ok = np.array([r.ok for r in reports])
-    rel, violated, tight = verdict(
-        np.array([r.lhs for r in reports]), np.array([r.rhs for r in reports]), cfg.tolerance
-    )
+    ids, lhs, rhs, ok = table
+    rel, violated, tight = verdict(lhs, rhs, cfg.tolerance)
     slack = ok & ~np.isnan(rel)
-    keys, group = _groups(tuple(r.bound_id for r in reports))
+    keys, group = _groups(ids)
     least = np.where(group, np.where(slack, rel, np.inf).min(axis=1)[:, None], np.inf).min(axis=0)
     bad = ok & violated
     return FuzzSummary(
@@ -718,16 +705,16 @@ def _tally(cfg: FuzzConfig, reports: list[BatchReport], sampler: str, indices: l
         checked=dict(zip(keys, (ok.sum(axis=1) @ group).tolist())),
         violations=[
             {
-                "bound_id": reports[k].bound_id,
+                "bound_id": ids[k],
                 "sampler": sampler,
                 "instance_seed": indices[b],
                 "slack": float(rel[k, b]),
             }
-            for b, k in np.argwhere(bad.T)  # instance by instance, reports in order
+            for b, k in np.argwhere(bad.T)  # instance by instance, rows in order
         ],
         min_slack={key: v for key, v, has in zip(keys, least.tolist(), slack.any(axis=1) @ group) if has},
         tight=dict(zip(keys, ((ok & tight).sum(axis=1) @ group).tolist())),
-        tightness_wins=_winners(reports),
+        tightness_wins=_winners(ids, rhs, ok),
     )
 
 
@@ -866,17 +853,16 @@ class TightnessRow(NamedTuple):
 
 def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]]]:
     """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in row order."""
-    ids = [b.ids[0] for b in _COMPETITORS]
-    wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
+    competing = [b.ids[0] for b in _COMPETITORS]
+    wins, ratios = dict.fromkeys(competing, 0), {bid: [] for bid in competing}
     for stacks in _stacks(task, ensemble):
-        reports = _join([_evaluate(s, _COMPETITORS) for _, s in stacks])
-        for bid, count in _winners(reports).items():
+        ids, lhs, rhs, ok = _join([_evaluate(s, _COMPETITORS) for _, s in stacks])
+        for bid, count in _winners(ids, rhs, ok).items():
             wins[bid] += count
         with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios
-            for r in reports:
-                use = r.ok & (r.rhs > 0.0)
-                ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
-    return {bid: (wins[bid], ratios[bid]) for bid in ids}
+            for bid, num, den, use in zip(ids, lhs, rhs, ok & (rhs > 0.0)):
+                ratios[bid] += (num[use] / den[use]).tolist()
+    return {bid: (wins[bid], ratios[bid]) for bid in competing}
 
 
 def tightness_compare(

@@ -417,15 +417,11 @@ def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
 
     A family's test vectors are its e_j.  This is the one detection of an
     orthonormal family: Gram deviation within ``s.tol``, tested only where
-    ``n <= dim``, as n orthonormal vectors need.  A family not detected
-    gets no report (``why`` gives None), and a stack with none gives ``[]``.
+    ``n <= dim``, as n orthonormal vectors need.  Both reports are given on
+    every stack; a family not detected has ``ok`` false and no report (``why``
+    gives None).
     """
-    fits = s.n <= s.dim
-    if not np.count_nonzero(fits):  # count_nonzero: faster than any() on a numpy scalar and on an array
-        return []
-    detected = fits & (s.ortho_dev <= s.tol)
-    if not np.count_nonzero(detected):
-        return []
+    detected = (s.n <= s.dim) & (s.ortho_dev <= s.tol)
     t = _disk_terms(s)
     ok = t.centered & detected & t.all_inside
 

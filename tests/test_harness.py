@@ -48,6 +48,7 @@ from besselkit.cli import family_payload, main
 from besselkit.core import Stats
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
 from besselkit.report import BatchReport, reports_of
+from besselkit.sharp import orthonormal_batch
 
 HEAVY = DiskSampler(boundary_fraction=0.9, extremal_fraction=0.5)
 
@@ -258,6 +259,16 @@ class TestCheckAll:
 
         assert "orthonormal30" not in ids(1e-9)
         assert {"orthonormal30", "orthonormal31"} <= ids(1e-8)
+
+    def test_stack_without_orthonormal_family_gets_both_reports(self):
+        # no family fits (n > dim), and families that fit but are not orthonormal: both reports all the
+        # same, none met and none reported, so a draw's stacks give the same rows
+        for ys in ([[1.0], [2.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]):
+            s = stack_of([Family([1.0] * len(ys[0]), ys), Family([0.5] * len(ys[0]), ys)])
+            reports = s.bind(ends=(np.ones(2), np.full(2, 2.0))).evaluate(orthonormal_batch)
+            assert [r.bound_id for r in reports] == ["orthonormal30", "orthonormal31"]
+            assert [r.ok.tolist() for r in reports] == [[False, False]] * 2
+            assert reports_of(reports, 0) == reports_of(reports, 1) == []
 
     def test_reports_follow_table_order(self):
         position = {bid: k for k, b in enumerate(BOUNDS) for bid in b.ids}
@@ -791,12 +802,8 @@ class TestTightnessCompare:
     def test_nan_side_never_wins(self):
         # a side beyond the double range is NaN: it takes no win, neither first nor by
         # displacing a number; numbers and ties keep their table priority
-        ok = np.ones(3, dtype=bool)
-        reports = [
-            BatchReport("boas_bellman", np.zeros(3), np.array([math.nan, 1.0, math.nan]), ok),
-            BatchReport("bombieri", np.zeros(3), np.array([2.0, 1.0, math.nan]), ok),
-        ]
-        wins = harness._winners(reports)
+        rhs = np.array([[math.nan, 1.0, math.nan], [2.0, 1.0, math.nan]])
+        wins = harness._winners(("boas_bellman", "bombieri"), rhs, np.ones(rhs.shape, dtype=bool))
         assert wins == {"boas_bellman": 1, "bombieri": 1, "dragomir03": 0, "theorem21": 0, "theorem22": 0}
 
     def test_unknown_ensemble(self):
@@ -825,18 +832,24 @@ class TestTaskSplit:
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_outputs_byte_identical(self, mode, monkeypatch):
-        # split by size alone, by index alone (one size), and by both (two sizes on three workers)
-        for n_range in ((1, 12), (5, 5), (3, 4)):
-            cfg = FuzzConfig(
+        # split by size alone, by index alone (one size), and by both (two sizes on three workers); at
+        # tolerance 0.05, a draw whose stacks detect orthonormal families in one size and none in the others
+        configs = [
+            FuzzConfig(
                 master_seed=41, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY, tolerance=1e-9
             )
+            for n_range in ((1, 12), (5, 5), (3, 4))
+        ]
+        mixed = FuzzConfig(master_seed=47, instances=300, field_mode=mode, disk_sampler=HEAVY, tolerance=0.05)
+        assert fuzz(mixed).checked.get("orthonormal30")
+        for cfg in [*configs, mixed]:
             outputs = set()
             for size in (64, 256, 4096):
                 monkeypatch.setattr(harness, "_task_size", lambda cfg, ways, size=size: size)
                 for workers in (1, 2, 3):
                     text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
                     outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
-            assert len(outputs) == 1, n_range
+            assert len(outputs) == 1, cfg
 
     def test_task_fits_its_entries_cap(self):
         # 256 families of 200 vectors in dimension 200 are no one task's worth, for one size or two
@@ -920,22 +933,45 @@ class TestDrawReduction:
         assert calls["_winners"] == 1
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_same_reports_on_every_stack(self, mode):
+        # every stack of a sampler, in every draw, gives the same rows, also where its draw detects
+        # orthonormal families in one stack and none in the others
+        cfg = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
+        task = harness.Task(cfg, 0, cfg.instances)
+        for ensemble in harness.ENSEMBLES:
+            ids, detected = set(), set()
+            for _, s in (stack for draw in harness._stacks(task, ensemble) for stack in draw):
+                reports = harness._evaluate(s, BOUNDS)
+                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                ids.add(tuple(r.bound_id for r in reports))
+                detected.update(r.ok.any() for r in reports if r.bound_id == "orthonormal30")
+            assert len(ids) == 1, ensemble
+            assert detected == {"generic": set(), "disk": {False, True}, "orthonormal": {True}}[ensemble]
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_joined_equals_per_stack(self, mode):
-        # size groups that span several draws, whose stacks are reduced one by one for the reference
-        for cfg in (
+        # size groups that span several draws, and a draw whose stacks detect orthonormal families in one
+        # size and none in the others; the reference reduces the stacks one by one
+        spanning = [
             FuzzConfig(master_seed=29, instances=300, n_range=(40, 40), field_mode=mode, disk_sampler=HEAVY),
             FuzzConfig(
                 master_seed=37, instances=14, n_range=(90, 130), d_range=(90, 130), field_mode=mode, disk_sampler=HEAVY
             ),
-        ):
+        ]
+        mixed = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
+        for cfg in [*spanning, mixed]:
             task = harness.Task(cfg, 0, cfg.instances)
-            assert sum(1 for _ in harness._stacks(task, "disk")) > 1
+            draws = [[s for _, s in draw] for draw in harness._stacks(task, "disk")]
+            if cfg is mixed:
+                assert {bool(np.any((s.n <= s.dim) & (s.ortho_dev <= s.tol))) for s in draws[0]} == {False, True}
+            else:
+                assert len(draws) > 1
             ref = FuzzSummary(cfg, {}, [], {}, {}, {})
             for sampler in ("generic", "disk"):
                 for indices, s in (stack for draw in harness._stacks(task, sampler) for stack in draw):
                     reports = harness._evaluate(s, BOUNDS)
                     reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                    harness._merge(ref, harness._tally(cfg, reports, sampler, indices))
+                    harness._merge(ref, harness._tally(cfg, harness._join([reports]), sampler, indices))
             ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
             text = json.dumps(ref.as_dict(), sort_keys=True, default=repr)
             assert json.dumps(fuzz(cfg).as_dict(), sort_keys=True, default=repr) == text
@@ -944,7 +980,8 @@ class TestDrawReduction:
                 wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
                 for _, s in (stack for draw in harness._stacks(task, ensemble) for stack in draw):
                     reports = harness._evaluate(s, harness._COMPETITORS)
-                    for bid, count in harness._winners(reports).items():
+                    table_ids, _, rhs, ok = harness._join([reports])
+                    for bid, count in harness._winners(table_ids, rhs, ok).items():
                         wins[bid] += count
                     for r in reports:
                         use = r.ok & (r.rhs > 0.0)
@@ -954,20 +991,6 @@ class TestDrawReduction:
                     for bid in ids
                 ]
                 assert repr(tightness_compare(cfg, ensemble)) == repr([harness.TightnessRow(*e) for e in expected])
-
-    def test_join_takes_absent_reports_as_not_met(self):
-        # a stack without a report another gives (orthonormal_batch on a stack with no orthonormal family)
-        # takes it with ok false; reports of one id are matched by their place among that id's
-        def report(bid, *values):
-            v = np.array(values, dtype=float)
-            return BatchReport(bid, v, v + 1, v > 0)
-
-        first = [report("a", 1, 2), report("o", 3, 4), report("a", 5, 6)]
-        second = [report("a", 7), report("a", 8)]
-        joined = harness._join([first, second])
-        assert [r.bound_id for r in joined] == ["a", "o", "a"]
-        assert [r.lhs.tolist() for r in joined] == [[1, 2, 7], [3, 4, 0], [5, 6, 8]]
-        assert [r.ok.tolist() for r in joined] == [[True, True, True], [True, True, False], [True, True, True]]
 
     def test_zero_x_draws_its_run_again(self, monkeypatch):
         # instance 5's first x is zeroed in its words: its run alone goes to ``_accepted``, and the stacks
