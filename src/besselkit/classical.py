@@ -16,8 +16,9 @@ family, a stack without the batch axis, and returns its ``BoundReport``.  The ca
 * ``dragomir04_corollaries``  the three quotient forms at ``c_k = conj(a_k)``
 
 ``pecaric``, ``dragomir04`` and ``dragomir04_corollaries`` return tuples
-of the values of their reports; ``pecaric_reports`` gives the Pecaric
-reports of a stack of weight vectors.
+of the values of their reports.  The weighted sum ``|sum_i c_i a_i|^2``
+that ``pecaric`` and ``dragomir04`` share is formed once per evaluation
+(``_weighted_sq``), for every weight row of ``s.weights``.
 
 Conventions: ``a_i = inner(x, y_i)`` are the coefficients of the family and
 ``S_i = sum_j |inner(y_i, y_j)|`` the absolute Gram row sums.  A max over an
@@ -65,7 +66,6 @@ __all__ = [
     "heilbronn",
     "heilbronn_batch",
     "pecaric",
-    "pecaric_reports",
     "pecaric_batch",
     "classical_weights",
     "classical_weights_batch",
@@ -95,7 +95,7 @@ def boas_bellman_batch(s: BoundStats) -> list[BatchReport]:
 
 def boas_bellman(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 [max ||y_i||^2 + sqrt(sum_{i!=j} |G_ij|^2)]``."""
-    return reports_of(f.stats.evaluate(boas_bellman_batch))[0]
+    return reports_of(f.stats.bind().evaluate(boas_bellman_batch))[0]
 
 
 def bombieri_batch(s: BoundStats) -> list[BatchReport]:
@@ -105,7 +105,7 @@ def bombieri_batch(s: BoundStats) -> list[BatchReport]:
 
 def bombieri(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 max_i S_i``."""
-    return reports_of(f.stats.evaluate(bombieri_batch))[0]
+    return reports_of(f.stats.bind().evaluate(bombieri_batch))[0]
 
 
 def selberg_batch(s: BoundStats) -> list[BatchReport]:
@@ -125,7 +125,7 @@ def selberg_batch(s: BoundStats) -> list[BatchReport]:
 
 def selberg(f: Family) -> BoundReport:
     """``sum_i |a_i|^2 / S_i`` vs ``||x||^2``; every ``y_i`` must be nonzero."""
-    return reports_of(f.stats.evaluate(selberg_batch))[0]
+    return reports_of(f.stats.bind().evaluate(selberg_batch))[0]
 
 
 def dragomir03_batch(s: BoundStats) -> list[BatchReport]:
@@ -136,7 +136,7 @@ def dragomir03_batch(s: BoundStats) -> list[BatchReport]:
 
 def dragomir03(f: Family) -> BoundReport:
     """Bessel sum vs ``||x||^2 {max ||y_i||^2 + (n-1) max_{i!=j} |G_ij|}``."""
-    return reports_of(f.stats.evaluate(dragomir03_batch))[0]
+    return reports_of(f.stats.bind().evaluate(dragomir03_batch))[0]
 
 
 def dragomir_pq_batch(s: BoundStats) -> list[BatchReport]:
@@ -175,7 +175,7 @@ def heilbronn_batch(s: BoundStats) -> list[BatchReport]:
 
 def heilbronn(f: Family) -> BoundReport:
     """``sum_i |a_i|`` vs ``||x|| sqrt(sum_{i,j} |G_ij|)``."""
-    return reports_of(f.stats.evaluate(heilbronn_batch))[0]
+    return reports_of(f.stats.bind().evaluate(heilbronn_batch))[0]
 
 
 class PecaricBounds(NamedTuple):
@@ -184,22 +184,30 @@ class PecaricBounds(NamedTuple):
     rhs_second: float
 
 
-def as_weights(f: Family, c, ndim: int) -> np.ndarray:
-    """``c`` as a complex array of ``ndim`` axes with one weight per test vector."""
+def as_weights(f: Family, c) -> np.ndarray:
+    """``c`` as a complex vector with one weight per test vector."""
     carr = np.asarray(c, dtype=np.complex128)
-    if carr.ndim != ndim or carr.shape[-1] != f.n:
+    if carr.ndim != 1 or carr.shape[-1] != f.n:
         raise DimensionMismatch(
             f"coefficient list must have length {f.n}, got shape {carr.shape}"
         )
     return carr
 
 
+def _weighted_sq(s: BoundStats) -> np.ndarray:
+    """(..., k): ``|sum_i c_i a_i|^2`` for each weight row ``c`` of ``s.weights``, formed once per binding.
+
+    A row of a k-row product can differ in its last bit from the same row
+    taken alone, so a single weight vector is bound as a 1-row stack.
+    """
+    return s.kept("weighted", lambda: libm_pow(modulus((s.weights @ s.a[..., None])[..., 0]), 2))
+
+
 def pecaric_batch(s: BoundStats) -> list[BatchReport]:
     """``pecaric_first`` and ``pecaric_second`` for each weight row of ``s.weights``."""
     w = s.weights
     c2 = np.square(w.real) + np.square(w.imag)
-    dots = (w @ s.a[..., None])[..., 0]
-    lhs = libm_pow(modulus(dots), 2)
+    lhs = _weighted_sq(s)
     xsq = s.xsq[..., None]
     first = xsq * (c2 @ s.row_sums[..., None])[..., 0]
     second = xsq * np.add.reduce(c2, axis=-1) * s.row_sum_max[..., None]
@@ -210,23 +218,13 @@ def pecaric_batch(s: BoundStats) -> list[BatchReport]:
     return reports
 
 
-def pecaric_reports(f: Family, weights) -> list[BoundReport]:
-    """``pecaric_first`` and ``pecaric_second`` for each row of a (k, n) weight stack.
-
-    A row of a k-row product can differ in its last bit from the same row
-    taken alone, so a single weight vector goes in as a 1-row stack.
-    """
-    w = as_weights(f, weights, 2)
-    return reports_of(f.stats.bind(weights=w).evaluate(pecaric_batch))
-
-
 def pecaric(f: Family, c: Sequence[complex]) -> PecaricBounds:
     """Weighted-sum bound ``|sum c_k a_k|^2 <= rhs_first <= rhs_second``.
 
     ``rhs_first = ||x||^2 sum_i |c_i|^2 S_i`` and
     ``rhs_second = ||x||^2 (sum |c_k|^2) max_i S_i``.
     """
-    first, second = pecaric_reports(f, np.asarray(c, dtype=np.complex128)[None])
+    first, second = reports_of(f.stats.bind(weights=as_weights(f, c)[None]).evaluate(pecaric_batch))
     return PecaricBounds(first.lhs, first.rhs, second.rhs)
 
 
@@ -267,7 +265,7 @@ def dragomir04_batch(s: BoundStats) -> list[BatchReport]:
     c = s.weights[..., 0, :]
     abs_c = np.abs(c)
     sum_c = np.add.reduce(abs_c, axis=-1)
-    lhs = libm_pow(modulus((c[..., None, :] @ s.a[..., :, None])[..., 0, 0]), 2)
+    lhs = _weighted_sq(s)[..., 0]
     xsq = s.xsq
     rhs1 = xsq * np.maximum.reduce(abs_c, axis=-1) * sum_c * s.row_sum_max
     reports = [BatchReport("dragomir04_b1", lhs, rhs1, s.always)]
@@ -286,7 +284,7 @@ def dragomir04(f: Family, c: Sequence[complex], p: float | None = None) -> Drago
     None when ``p`` is absent or not finite and > 1), branch 3 the max
     Gram entry.
     """
-    s = f.stats.bind(weights=as_weights(f, c, 1)[None], p_values=() if p is None else (p,))
+    s = f.stats.bind(weights=as_weights(f, c)[None], p_values=() if p is None else (p,))
     reports = reports_of(s.evaluate(dragomir04_batch))
     rhs2 = reports[1].rhs if s.p_values else None
     return Dragomir04Bounds(reports[0].lhs, reports[0].rhs, rhs2, reports[-1].rhs)

@@ -173,11 +173,21 @@ def libm_pow(v, e: float):
     return np.array(out, dtype=np.float64).reshape(v.shape)
 
 
-def p_norm(values: np.ndarray, p: float) -> np.ndarray:
-    """``(sum v**p) ** (1/p)`` over the last axis for non-negative values, overflow-safe."""
+def _scaled_powers(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima ``m`` of non-negative ``values`` over the last axis, and ``sum (v / m) ** p``.
+
+    The one scaling of an overflow-safe p-norm ``m * sum ** (1/p)``; each
+    caller takes the root its bits were recorded with.
+    """
     m = np.maximum.reduce(values, axis=-1)
     t = values / (m + (m == 0.0))[..., None]  # divide by 1 where all values are 0
-    return m * libm_pow(np.add.reduce(t**p, axis=-1), 1.0 / p)
+    return m, np.add.reduce(t**p, axis=-1)
+
+
+def p_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """``(sum v**p) ** (1/p)`` over the last axis for non-negative values, overflow-safe."""
+    m, total = _scaled_powers(values, p)
+    return m * libm_pow(total, 1.0 / p)
 
 
 def _along(ws: np.ndarray, x: np.ndarray, xsq: np.ndarray) -> np.ndarray:
@@ -275,13 +285,14 @@ class Stats:
     computed part by part and joined (``_by_dim``).
 
     ``bind`` adds what the bounds read besides the families (a
-    ``BoundStats``), and ``evaluate`` runs formulas with no inputs bound.
+    ``BoundStats``), whose ``evaluate`` runs the formulas; with no inputs,
+    ``bind().evaluate(...)``.  Every ``Stats`` is built from vectors, so a
+    statistic has one definition, whoever reads it.
     """
 
     def __init__(self, parts: list[tuple[np.ndarray, np.ndarray]], shape: tuple[int, ...]) -> None:
         self.parts, self.shape = parts, shape
-        if parts:
-            self.n = parts[0][1].shape[-2]
+        self.n = parts[0][1].shape[-2]
 
     @classmethod
     def stack(cls, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> Stats:
@@ -293,13 +304,6 @@ class Stats:
         """
         parts = [(np.ascontiguousarray(x), np.ascontiguousarray(ys)) for x, ys in parts]
         return cls(parts, (sum(len(x) for x, _ in parts),))
-
-    @classmethod
-    def of_coefficients(cls, a: np.ndarray) -> Stats:
-        """A family alone given by its coefficients ``a``, without vectors."""
-        s = cls([], ())
-        s.n, s.a = a.size, a
-        return s
 
     def bind(
         self,
@@ -315,10 +319,6 @@ class Stats:
         dropped; ``tol`` must pass ``report.check_tolerance``.
         """
         return BoundStats(self, ends, weights, tuple(filter(is_exponent, p_values)), check_tolerance(tol))
-
-    def evaluate(self, *formulas) -> list:
-        """The ``BatchReport``s of ``formulas`` with no inputs bound; see ``BoundStats.evaluate``."""
-        return self.bind().evaluate(*formulas)
 
     def _by_dim(self, fn):
         """``fn(x, ys)`` of each part, joined into one array over the stack."""
@@ -440,9 +440,8 @@ class Stats:
         """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe, kept per q."""
         key = ("G", q)
         if key not in self._norms:
-            m = np.maximum.reduce(self.abs_gram, axis=-1)
-            t = self.abs_gram / (m + (m == 0.0))[..., None]
-            self._norms[key] = np.maximum.reduce(m * np.add.reduce(t**q, axis=-1) ** (1.0 / q), axis=-1)
+            m, total = _scaled_powers(self.abs_gram, q)  # the root through numpy's power, unlike p_norm
+            self._norms[key] = np.maximum.reduce(m * total ** (1.0 / q), axis=-1)
         return self._norms[key]
 
 

@@ -626,7 +626,7 @@ def check_all(
     """
     s = f.stats.bind(
         ends=None if d is None else (d.gamma, d.Gamma),
-        weights=None if c is None else as_weights(f, c, 1)[None],
+        weights=None if c is None else as_weights(f, c)[None],
         p_values=p_values,
         tol=tol,
     )

@@ -18,11 +18,10 @@ and the mean of the test vectors is a specific multiple of ``x``; the
 residual routines quantify the distance from that equality configuration.
 ``triangle_reverse_l2`` and ``triangle_reverse_sq`` restate the bounds for
 plain complex numbers ``z_j``: they are Theorems 2.1 and 2.2 on the family
-``x = 1``, ``y_j = conj(z_j)``, evaluated by the same kernels on that
-family's statistics without building it.  ``orthonormal_remark``
-specialises the bounds to orthonormal families, where they are provably
-coarser than the plain Bessel inequality; it shares the disk terms of the
-two kernels.
+``x = 1``, ``y_j = conj(z_j)``, which they build and evaluate with the
+same kernels.  ``orthonormal_remark`` specialises the bounds to orthonormal
+families, where they are provably coarser than the plain Bessel
+inequality; it shares the disk terms and the reasons of the two kernels.
 
 As in ``classical``, each bound is an array formula ``<bound>_batch(s)``
 over a stack whose disks are bound as the arrays ``s.gamma``, ``s.Gamma``
@@ -38,8 +37,10 @@ assembly and the bounds on arrays of the end points of many disks, with
 which read it from their stack's ``_DiskTerms``.  ``Disk.require_center``
 and ``Disk.require_positive_re``, with their messages, check the
 hypotheses of the two theorems for the bounds, the residuals and
-``extremal.plan``.  ``orthonormal_batch`` alone detects an orthonormal
-family, for ``check_all``, ``fuzz`` and ``orthonormal_remark``.
+``extremal.plan``; ``_why21`` and ``Disk.not_positive`` give the reasons
+a report of either theorem is skipped.  ``orthonormal_batch`` alone
+detects an orthonormal family, for ``check_all``, ``fuzz`` and
+``orthonormal_remark``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .core import (
     Family,
     ParameterError,
     PreconditionError,
-    Stats,
     as_vector,
     libm_pow,
     modulus,
@@ -269,15 +269,16 @@ def _outside(inside: np.ndarray) -> str:
     return f"coefficient {int(np.argmin(inside))} lies outside the disk"
 
 
+def _why21(t: _DiskTerms, b) -> str:
+    """Why Theorem 2.1 does not apply to family ``b``, given its disk terms; "" when it does."""
+    return _outside(t.inside[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
+
+
 def _theorem21(bound_id: str, s: BoundStats, x_norm, sum_sq: np.ndarray) -> BatchReport:
     """Theorem 2.1 on the coefficients and Bessel sum of ``s``, with ``||x||`` and ``||sum y_j||^2``."""
     t = _disk_terms(s)
     rhs = x_norm * np.sqrt(sum_sq) / math.sqrt(s.n) + t.penalty
-
-    def why(b) -> str:
-        return _outside(t.inside[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
-
-    return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & t.all_inside, why)
+    return BatchReport(bound_id, np.sqrt(s.bessel), rhs, t.centered & t.all_inside, lambda b: _why21(t, b))
 
 
 def _theorem22(bound_id: str, s: BoundStats, x_norm_sq, sum_sq: np.ndarray) -> BatchReport:
@@ -426,13 +427,11 @@ def orthonormal_batch(s: BoundStats) -> list[BatchReport]:
     ok = t.centered & detected & t.all_inside
 
     def why30(b) -> str | None:
-        if not detected[b]:
-            return None
-        return _outside(t.inside[b]) if np.asarray(t.centered)[b] else Disk.CENTERLESS
+        return _why21(t, b) if detected[b] else None
 
     def why31(b) -> str | None:
         why = why30(b)
-        return "requires Re(Gamma * conj(gamma)) > 0" if why == "" else why
+        return Disk.not_positive(np.asarray(t.re_product)[b]) if why == "" else why
 
     return [
         BatchReport("orthonormal30", np.sqrt(s.bessel), s.x_norm + t.penalty, ok, why30),
@@ -483,8 +482,9 @@ def triangle_reverse_sq_batch(s: BoundStats) -> list[BatchReport]:
 
 
 def _scalars(zs: Sequence[complex], d: Disk, tol: float) -> BoundStats:
-    """The family alone with coefficients ``zs``, and the disk ``d`` bound."""
-    return Stats.of_coefficients(as_vector(zs)).bind(ends=(d.gamma, d.Gamma), tol=tol)
+    """The family ``x = 1``, ``y_j = conj(z_j)``, whose coefficients are ``zs``, with the disk ``d`` bound."""
+    f = Family([1.0], np.conj(as_vector(zs))[:, None])
+    return f.stats.bind(ends=(d.gamma, d.Gamma), tol=tol)
 
 
 def triangle_reverse_l2(zs: Sequence[complex], d: Disk, tol: float = DEFAULT_TOLERANCE) -> BoundReport:

@@ -8,6 +8,7 @@ import pytest
 from besselkit import (
     DimensionMismatch,
     Family,
+    FuzzConfig,
     ParameterError,
     bessel_sum,
     boas_bellman,
@@ -18,6 +19,7 @@ from besselkit import (
     dragomir_pq,
     heilbronn,
     pecaric,
+    sample_family,
     selberg,
 )
 
@@ -288,6 +290,19 @@ class TestDragomir04:
             res = dragomir04(fam, c, 1.7)
             for rhs in (res.rhs_branch1, res.rhs_branch2, res.rhs_branch3):
                 assert res.lhs <= rhs + 1e-9 * max(1.0, rhs)
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_dragomir04_and_pecaric_share_their_lhs(self, mode):
+        # both left sides are |sum c_i a_i|^2, to the last bit
+        cfg = FuzzConfig(master_seed=17, instances=200, field_mode=mode)
+        rng = np.random.default_rng(43)
+        imag = 1j if mode == "complex" else 0.0
+        for i in range(cfg.instances):
+            fam = sample_family(cfg, i)
+            c = rng.standard_normal(fam.n) + imag * rng.standard_normal(fam.n)
+            assert dragomir04(fam, c, 2.0).lhs == pecaric(fam, c).lhs
 
 
 class TestDragomir04Corollaries:

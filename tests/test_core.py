@@ -1,5 +1,7 @@
 """Core arithmetic: inner products, Gram matrices, lifting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,32 @@ class TestFamily:
     def test_zero_vectors_allowed(self):
         fam = Family([1, 0], [[0, 0], [1, 0]])
         assert fam.n == 2
+
+
+def naive_norm(values, p):
+    """``(sum |v|^p) ** (1/p)`` over plain Python floats, unscaled."""
+    return sum(abs(complex(v)) ** p for v in values) ** (1.0 / p)
+
+
+class TestOverflowSafeNorms:
+    def test_near_the_double_range(self):
+        # at 2^498 (about 8e149) the coefficients and the Gram entries are near 1e300,
+        # so their unscaled cubes leave the double range; scaling by 2^498 is exact
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ys = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        unit, big = Family(x, ys), Family(x * 2.0**498, ys * 2.0**498)
+        assert float(big.abs_gram.max()) > 2.0**342 and float(big.abs_coefficients.max()) > 2.0**342
+        coeff = math.ldexp(naive_norm(unit.coefficients, 3.0), 996)
+        rows = math.ldexp(max(naive_norm(row, 3.0) for row in unit.gram), 996)
+        assert math.isfinite(big.coeff_p_norm(3.0)) and math.isfinite(big.row_q_norm_max(3.0))
+        assert big.coeff_p_norm(3.0) == pytest.approx(coeff, rel=1e-12)
+        assert big.row_q_norm_max(3.0) == pytest.approx(rows, rel=1e-12)
+
+    def test_all_zero_gram_row(self):
+        # a zero test vector: its Gram row and its coefficient are 0, and are divided by 1
+        fam = Family([1.0, 2.0 + 1.0j], [[0.0, 0.0], [1.0, 2.0j], [0.5, -1.0]])
+        assert not fam.abs_gram[0].any()
+        assert fam.coeff_p_norm(3.0) == pytest.approx(naive_norm(fam.coefficients, 3.0), rel=1e-12)
+        rows = max(naive_norm(row, 3.0) for row in fam.gram)
+        assert fam.row_q_norm_max(3.0) == pytest.approx(rows, rel=1e-12)

@@ -42,7 +42,6 @@ from besselkit.classical import (
     classical_weights,
     classical_weights_batch,
     pecaric_batch,
-    pecaric_reports,
 )
 from besselkit.cli import family_payload, main
 from besselkit.core import Stats
@@ -293,7 +292,7 @@ class TestSpecialChoices:
         for i in range(20):
             fam = sample_family(cfg, i)
             choices = classical_weights(fam)
-            batch = pecaric_reports(fam, choices)
+            batch = reports_of(fam.stats.bind(weights=choices).evaluate(pecaric_batch))
             for k in range(choices.shape[0]):
                 direct = pecaric(fam, choices[k])
                 assert batch[2 * k].lhs == pytest.approx(direct.lhs, rel=1e-12, abs=1e-300)
@@ -490,7 +489,7 @@ class TestStackMatchesFamilyAlone:
                     # the family alone, also with a strided x
                     for x in (f.x, np.repeat(f.x, 2)[::2]):
                         alone = check_all(Family(x, f.ys, mode), d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
-                        alone += pecaric_reports(f, classical_weights(f))
+                        alone += reports_of(f.stats.bind(weights=classical_weights(f)).evaluate(pecaric_batch))
                         assert stacked == [r.as_dict() for r in alone]
 
 

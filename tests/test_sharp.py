@@ -9,6 +9,7 @@ import pytest
 
 from besselkit import (
     DegenerateReference,
+    DimensionMismatch,
     Disk,
     ExtremalTarget,
     Family,
@@ -455,6 +456,17 @@ class TestOrthonormalRemark:
         rem = orthonormal_remark(x, es, d)
         assert rem.report31.lhs == pytest.approx(float(np.linalg.norm(x)) ** 2, rel=1e-12)
 
+    def test_non_positive_re_product_reason(self):
+        # orthonormal31 gives Theorem 2.2's reason for a disk with Re(Gamma conj(gamma)) <= 0
+        x, es, d = [0.5, 0.5], [E1, E2], Disk(-1.0, 3.0)
+        reports = {r.bound_id: r for r in check_all(Family(x, es), d)}
+        want = "Re(Gamma * conj(gamma)) must be positive, got -3.0"
+        assert reports["orthonormal30"].preconditions_met
+        for bound_id in ("theorem22", "triangle_reverse_sq", "orthonormal31"):
+            assert not reports[bound_id].preconditions_met
+            assert reports[bound_id].reason == want
+        assert orthonormal_remark(x, es, d).report31.reason == want
+
     def test_non_orthonormal_rejected(self):
         rem = orthonormal_remark([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], worked_disk())
         assert not rem.report30.preconditions_met
@@ -507,6 +519,20 @@ class TestTriangleReverses:
     def test_centerless_raises(self):
         with pytest.raises(ParameterError):
             triangle_reverse_l2([0.1], Disk(-2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "zs, error, message",
+        [
+            ([], DimensionMismatch, "expected a non-empty 1-D vector, got shape (0,)"),
+            ([float("nan")], ValueError, "vector entries must be finite"),
+            ([[1.0, 2.0], [3.0, 4.0]], DimensionMismatch, "expected a non-empty 1-D vector, got shape (2, 2)"),
+        ],
+    )
+    def test_bad_input_errors(self, zs, error, message):
+        for fn in (triangle_reverse_l2, triangle_reverse_sq):
+            with pytest.raises(error) as info:
+                fn(zs, worked_disk())
+            assert str(info.value) == message
 
 
 class TestPerturbationInvariance:
