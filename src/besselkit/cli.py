@@ -86,16 +86,20 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def _is_pair(value, real: bool) -> bool:
+    """Whether ``value`` is a ``[re, im]`` pair of finite floats, with ``im == 0`` where ``real`` (a real-mode file)."""
+    return (
+        type(value) is list and len(value) == 2 and type(value[0]) is float and type(value[1]) is float
+        and math.isfinite(value[0]) and math.isfinite(value[1]) and not (real and value[1])
+    )
+
+
 def _pair_to_complex(value, where: str, real: bool) -> complex:
-    """The complex number of a ``[re, im]`` pair; ``real`` (a real-mode file) requires ``im == 0``."""
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(type(v) is float and math.isfinite(v) for v in value)
-    ):
+    """The complex number of a ``[re, im]`` pair (``_is_pair``), or a located error."""
+    if not _is_pair(value, real):
+        if _is_pair(value, False):
+            raise CliInputError(f"{where}: a real-mode file needs imaginary part 0.0, got {value!r}")
         raise CliInputError(f"{where}: expected a finite [re, im] pair, got {value!r}")
-    if real and value[1] != 0.0:
-        raise CliInputError(f"{where}: a real-mode file needs imaginary part 0.0, got {value!r}")
     return complex(value[0], value[1])
 
 
@@ -103,11 +107,7 @@ def _vector(value, where: str, real: bool) -> list[complex]:
     """The entries of a list of ``[re, im]`` pairs; only a list with a bad one is read pair by pair, to locate it."""
     if not isinstance(value, list) or not value:
         raise CliInputError(f"{where}: expected a non-empty list of [re, im] pairs")
-    if all(  # every pair is one that _pair_to_complex takes
-        type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-        and math.isfinite(v[0]) and math.isfinite(v[1]) and not (real and v[1])
-        for v in value
-    ):
+    if all(_is_pair(v, real) for v in value):
         return [complex(re, im) for re, im in value]
     return [_pair_to_complex(v, f"{where}[{k}]", real) for k, v in enumerate(value)]
 

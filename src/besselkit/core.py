@@ -483,6 +483,27 @@ class BoundStats(Stats):
         return self._kept[name]
 
 
+class _view:
+    """A ``Family`` view of the statistic ``name`` of its ``stats``, passed through ``convert``.
+
+    A statistic not yet kept is computed under ``np.errstate(all="ignore")``,
+    so that a value beyond the double range is inf or NaN, never a numpy
+    warning; a kept one is read at no such cost.
+    """
+
+    def __init__(self, name: str, convert=None, doc: str | None = None) -> None:
+        self.name, self.convert, self.__doc__ = name, convert, doc
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        kept = obj.stats.__dict__
+        if self.name not in kept:
+            with np.errstate(all="ignore"):
+                getattr(obj.stats, self.name)
+        return kept[self.name] if self.convert is None else self.convert(kept[self.name])
+
+
 class Family:
     """A reference vector ``x`` together with test vectors ``ys``.
 
@@ -494,7 +515,8 @@ class Family:
         stats: the family as a ``Stats`` stack without the batch axis.
 
     Derived quantities (Gram matrix, coefficients ``inner(x, y_j)``, norms)
-    are views of ``stats``: computed on first use, never changed after.
+    are views of ``stats``: computed on first use, never changed after.  A
+    value beyond the double range is inf or NaN, never a numpy warning.
     """
 
     def __init__(
@@ -525,27 +547,29 @@ class Family:
 
     n = property(lambda self: self.ys.shape[0])
     dim = property(lambda self: self.x.size)
-    coefficients = property(lambda self: self.stats.a, doc="The n values ``inner(x, y_j)``.")
-    abs_coefficients = property(lambda self: self.stats.abs_a)
-    coefficients_sq_sum = property(
-        lambda self: float(self.stats.bessel), doc="``sum_j |inner(x, y_j)|^2``."
-    )
-    gram = property(lambda self: self.stats.gram)
-    abs_gram = property(lambda self: self.stats.abs_gram)
-    gram_row_sums = property(
-        lambda self: self.stats.row_sums, doc="Row sums of ``abs(gram)``, one per test vector."
-    )
-    x_norm_sq = property(lambda self: float(self.stats.xsq))
-    x_norm = property(lambda self: float(self.stats.x_norm))
-    ys_sum = property(lambda self: self.ys.sum(axis=0))
+    coefficients = _view("a", doc="The n values ``inner(x, y_j)``.")
+    abs_coefficients = _view("abs_a")
+    coefficients_sq_sum = _view("bessel", float, "``sum_j |inner(x, y_j)|^2``.")
+    gram = _view("gram")
+    abs_gram = _view("abs_gram")
+    gram_row_sums = _view("row_sums", doc="Row sums of ``abs(gram)``, one per test vector.")
+    x_norm_sq = _view("xsq", float)
+    x_norm = _view("x_norm", float)
+
+    @property
+    def ys_sum(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.ys.sum(axis=0)
 
     def row_q_norm_max(self, q: float) -> float:
         """``max_i (sum_j |G_ij|^q) ** (1/q)``, overflow-safe."""
-        return float(self.stats.row_q_norm_max(q))
+        with np.errstate(all="ignore"):
+            return float(self.stats.row_q_norm_max(q))
 
     def coeff_p_norm(self, p: float) -> float:
         """``(sum_i |inner(x, y_i)|^p) ** (1/p)``, overflow-safe."""
-        return float(self.stats.coeff_norm(p))
+        with np.errstate(all="ignore"):
+            return float(self.stats.coeff_norm(p))
 
     def __repr__(self) -> str:
         return f"Family(n={self.n}, dim={self.dim}, field_mode={self.field_mode!r})"

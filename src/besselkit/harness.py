@@ -30,9 +30,13 @@ families whose coefficients are placed inside a sampled disk (so the sharp
 bounds apply by construction), and orthonormal families paired with a disk
 that contains their coefficients.  Each draws its instances' sizes and
 disks (a ``Raw``, with a disk as its end points), then their vectors, a run
-of one size and dimension at a time.  Every field entry drawn, of the
-vectors, the weights and the disk end points alike, is uniform dyadic, read
-from the words in one format by ``_fields``; no draw calls numpy's
+of one size and dimension at a time.  A draw holds the weights only when an
+entry it is evaluated for needs them (``Bound.needs``): ``fuzz`` draws them,
+``tightness_compare`` and the public samplers do not.  They are the last
+words of each instance's vector region, so leaving them out moves no other
+word.  Every field entry drawn, of the vectors, the weights and the disk end
+points alike, is uniform dyadic, read from the words in one format by
+``_fields``; no draw calls numpy's
 ``Generator``, so the draws do not depend on numpy's version.  The platform's
 BLAS and libm still enter through the arithmetic on the draws: the QR of the
 orthonormal ensemble, ``np.exp`` in the angles of complex disk points, and
@@ -45,8 +49,9 @@ coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
 ``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
 (``_stacks``), sorted by size and dimension, their vectors a draw of at
-most ``_DRAW_ENTRIES`` Gram entries at a time, each region of its words
-decoded once; the families of one size n in one draw are a stack, held in
+most ``_DRAW_ENTRIES`` Gram entries at a time, its runs of one size and
+dimension (``_runs``) found once and each region of its words decoded
+once; the families of one size n in one draw are a stack, held in
 runs of one dimension (``Stats.stack``).  Every formula gives the same
 reports on every stack, so a draw's reports are one table (``_join``): the
 ids of its K reports and (K, B) arrays of both sides and the preconditions
@@ -388,8 +393,8 @@ def _draw_generic(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
     return Raw(lane, index, n, d)
 
 
-def _assemble_generic(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
-    (vectors,) = _run_entries(cfg, raw, _runs(raw), (_VECTORS, lambda n, d: ((d,), (n, d), (n,))))
+def _assemble_generic(cfg: FuzzConfig, raw: Raw, runs: list, weights: bool) -> list[tuple]:
+    (vectors,) = _run_entries(cfg, raw, runs, (_VECTORS, lambda n, d: ((d,), (n, d)) + ((n,),) * weights))
     return [tuple(arrays) for arrays in vectors]
 
 
@@ -406,20 +411,19 @@ def _draw_in_disk(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
     return Raw(lane, index, n, d, ends, zs or None)
 
 
-def _assemble_in_disk(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
-    runs = _runs(raw)
+def _assemble_in_disk(cfg: FuzzConfig, raw: Raw, runs: list, weights: bool) -> list[tuple]:
     xs, vectors, coefficients = _run_entries(
-        cfg, raw, runs, (_X, lambda n, d: ((d,),)), (_VECTORS, lambda n, d: ((n, d), (n,))), points=True
-    )  # x, then the free components and the weights
+        cfg, raw, runs, (_X, lambda n, d: ((d,),)), (_VECTORS, lambda n, d: ((n, d),) + ((n,),) * weights), points=True
+    )  # x, then the free components and, where drawn, the weights
     # x is drawn again, d blocks a try, until it is nonzero; one test over the draw's entries finds the
     # rows whose x is zero, so that only their runs draw again
     nonzero = np.logical_or.reduceat(np.concatenate([x.reshape(-1) for (x,) in xs]) != 0, raw.d.cumsum() - raw.d)
     zero = np.flatnonzero(~nonzero).tolist()
     parts = []
-    for (rows, _, d), (x,), (ws, c), zs in zip(runs, xs, vectors, coefficients):
+    for (rows, _, d), (x,), (ws, *c), zs in zip(runs, xs, vectors, coefficients):
         if any(rows.start <= row < rows.stop for row in zero):
             x = _accepted(cfg, raw.lane, raw.index[rows], _X, d, x[:, None], lambda _, tries: tries.any(axis=2))
-        parts.append((x, lift_stack(x, zs, ws), c))
+        parts.append((x, lift_stack(x, zs, ws), *c))
     return parts
 
 
@@ -428,11 +432,11 @@ def _draw_orthonormal(cfg: FuzzConfig, lane: int, index: np.ndarray) -> Raw:
     return Raw(lane, index, n, np.maximum(d, n), ends)
 
 
-def _assemble_orthonormal(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
-    # the matrix whose QR gives the e_j, then, when dim > n, a component outside their span
+def _assemble_orthonormal(cfg: FuzzConfig, raw: Raw, runs: list, weights: bool) -> list[tuple]:
+    # the matrix whose QR gives the e_j, then, when dim > n, a component outside their span; no weights
     shapes = lambda n, dim: ((dim, n),) + ((dim,),) * (dim > n)  # noqa: E731
     parts = []
-    for (m, *extra), zs in zip(*_run_entries(cfg, raw, _runs(raw), (_VECTORS, shapes), points=True)):
+    for (m, *extra), zs in zip(*_run_entries(cfg, raw, runs, (_VECTORS, shapes), points=True)):
         if cfg.field_mode == "real":
             # QR in real arithmetic keeps imaginary parts exactly zero
             es = np.linalg.qr(m.real)[0].swapaxes(-1, -2).astype(np.complex128)
@@ -441,15 +445,17 @@ def _assemble_orthonormal(cfg: FuzzConfig, raw: Raw) -> list[tuple]:
         x = (zs[:, None, :] @ es)[:, 0]
         for w in extra:  # the component outside the span of the e_j
             x = x + (w - ((es.conj() @ w[:, :, None])[:, :, 0][:, None, :] @ es)[:, 0])
-        parts.append((x, es, None))
+        parts.append((x, es))
     return parts
 
 
-# The ensembles: name -> (lane, draw(cfg, lane, index) -> Raw, assemble(cfg, raw)).  ``draw`` draws a
-# batch of instances' sizes and disks.  ``assemble`` turns rows sorted by size and dimension into one
-# (x, ys, c) per run of one size n and dimension d (``_runs``), of k rows: x (k, d); ys (k, n, d), the
-# test vectors; and the weights c (k, n), or None.  Instance ``index`` is drawn from the stream
-# (master_seed, index, lane), so a lane must never change.
+# The ensembles: name -> (lane, draw(cfg, lane, index) -> Raw, assemble(cfg, raw, runs, weights)).
+# ``draw`` draws a batch of instances' sizes and disks.  ``assemble`` turns rows sorted by size and
+# dimension into one (x, ys) per run ``runs`` of one size n and dimension d (``_runs``), of k rows: x
+# (k, d) and ys (k, n, d), the test vectors; with ``weights`` (an evaluated entry needs them), the
+# generic and disk ensembles give (x, ys, c) with the weights c (k, n), the last words of a row's
+# vector region, so that leaving them out moves no other word.  Instance ``index`` is drawn from the
+# stream (master_seed, index, lane), so a lane must never change.
 ENSEMBLES = {
     "generic": (0, _draw_generic, _assemble_generic),
     "disk": (1, _draw_in_disk, _assemble_in_disk),
@@ -458,18 +464,18 @@ ENSEMBLES = {
 
 
 def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
-    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays, a batch of one."""
+    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays (x, ys), a batch of one."""
     index = _integer("index", index)
     if not 0 <= index < cfg.instances:
         raise ValueError(f"index {index} out of range for {cfg.instances} instances")
     lane, draw, assemble = ENSEMBLES[name]
     raw = draw(cfg, lane, np.array([index], dtype=np.uint64))
     with np.errstate(all="ignore"):  # as in ``_stacks``
-        return raw, assemble(cfg, raw)[0]
+        return raw, assemble(cfg, raw, _runs(raw), False)[0]
 
 
 def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
-    raw, (x, ys, _) = _draw(cfg, index, name)
+    raw, (x, ys) = _draw(cfg, index, name)
     return Family(x[0], ys[0], cfg.field_mode), None if raw.ends is None else Disk(*raw.ends[0].tolist())
 
 
@@ -519,8 +525,9 @@ class Task(NamedTuple):
         return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
 
 
-def _stacks(task: Task, name: str) -> Iterator[Iterator[tuple[list[int], BoundStats]]]:
-    """The instances of ``task`` in ensemble ``name``, draw by draw, as stacks of one family size.
+def _stacks(task: Task, name: str, entries: Sequence[Bound]) -> Iterator[Iterator[tuple[list[int], BoundStats]]]:
+    """The instances of ``task`` in ensemble ``name``, draw by draw, as stacks of one family size, holding
+    what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
 
     The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
     sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
@@ -530,6 +537,7 @@ def _stacks(task: Task, name: str) -> Iterator[Iterator[tuple[list[int], BoundSt
     (``_draw_stacks``), so that their reports are reduced once a draw."""
     cfg = task.cfg
     lane, draw, assemble = ENSEMBLES[name]
+    weights = any(b.needs == "weights" for b in entries)
     raw = draw(cfg, lane, task.index(lane))
     raw = raw.take(np.lexsort((raw.d, raw.n)))  # stable: index order within a size and dimension
     cost = raw.n * np.maximum(raw.n, cfg.d_range[1])  # each family's Gram entries
@@ -537,20 +545,21 @@ def _stacks(task: Task, name: str) -> Iterator[Iterator[tuple[list[int], BoundSt
     while lo < len(cost):
         hi = lo + max(1, int(np.searchsorted(cost[lo:].cumsum(), _DRAW_ENTRIES, side="right")))
         sub, lo = raw.take(slice(lo, hi)), hi
+        runs = _runs(sub)
         with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-            runs = [(rows, n, arrays) for (rows, n, _), arrays in zip(_runs(sub), assemble(cfg, sub))]
-        yield _draw_stacks(cfg, sub, runs)
+            parts = assemble(cfg, sub, runs, weights)
+        yield _draw_stacks(cfg, sub, [(rows, n, arrays) for (rows, n, _), arrays in zip(runs, parts)])
 
 
 def _draw_stacks(cfg: FuzzConfig, sub: Raw, runs: list) -> Iterator[tuple[list[int], BoundStats]]:
-    """The stacks of the draw ``sub``, whose ``runs`` hold its assembled parts (rows, n, arrays): one per
+    """The stacks of the draw ``sub``, whose ``runs`` hold its assembled parts (rows, n, (x, ys[, c])): one per
     family size, in row order, each as its instance indices and the stack with its inputs bound.  They are
     built one at a time, so that a stack's statistics can be freed once its reports are taken."""
     for _, group in groupby(runs, key=operator.itemgetter(1)):
         group = list(group)
         rows = slice(group[0][0].start, group[-1][0].stop)
         parts = [arrays for *_, arrays in group]
-        weights = None if parts[0][2] is None else np.concatenate([c for *_, c in parts])[:, None]  # (B, 1, n)
+        weights = np.concatenate([part[2] for part in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
         ends = None if sub.ends is None else sub.ends[rows].T
         yield sub.index[rows].tolist(), Stats.stack([part[:2] for part in parts]).bind(
             ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
@@ -739,7 +748,7 @@ def _fuzz_task(task: Task) -> FuzzSummary:
     cfg = task.cfg
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
     for sampler in ("generic", "disk"):
-        for stacks in _stacks(task, sampler):
+        for stacks in _stacks(task, sampler, BOUNDS):
             indices, reports = [], []
             with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
                 for stack_indices, s in stacks:
@@ -855,7 +864,7 @@ def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]
     """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in row order."""
     competing = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(competing, 0), {bid: [] for bid in competing}
-    for stacks in _stacks(task, ensemble):
+    for stacks in _stacks(task, ensemble, _COMPETITORS):
         ids, lhs, rhs, ok = _join([_evaluate(s, _COMPETITORS) for _, s in stacks])
         for bid, count in _winners(ids, rhs, ok).items():
             wins[bid] += count

@@ -245,6 +245,31 @@ class TestOverflowSafeNorms:
         assert big.coeff_p_norm(3.0) == pytest.approx(coeff, rel=1e-12)
         assert big.row_q_norm_max(3.0) == pytest.approx(rows, rel=1e-12)
 
+    def test_beyond_the_double_range_is_quiet(self):
+        # at 1e200 the products overflow: each view is inf or NaN, as its statistic computed under
+        # errstate, and raises no RuntimeWarning (an error under the test configuration)
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e200
+        ys = (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))) * 1e200
+        views = {
+            "gram": (lambda f: f.gram, lambda s: s.gram),
+            "coefficients": (lambda f: f.coefficients, lambda s: s.a),
+            "abs_coefficients": (lambda f: f.abs_coefficients, lambda s: s.abs_a),
+            "coefficients_sq_sum": (lambda f: f.coefficients_sq_sum, lambda s: float(s.bessel)),
+            "abs_gram": (lambda f: f.abs_gram, lambda s: s.abs_gram),
+            "gram_row_sums": (lambda f: f.gram_row_sums, lambda s: s.row_sums),
+            "x_norm_sq": (lambda f: f.x_norm_sq, lambda s: float(s.xsq)),
+            "x_norm": (lambda f: f.x_norm, lambda s: float(s.x_norm)),
+            "row_q_norm_max": (lambda f: f.row_q_norm_max(3.0), lambda s: float(s.row_q_norm_max(3.0))),
+            "coeff_p_norm": (lambda f: f.coeff_p_norm(3.0), lambda s: float(s.coeff_norm(3.0))),
+        }
+        for name, (view, statistic) in views.items():
+            value = np.asarray(view(Family(x, ys)))  # each on a fresh family, whose statistics are not yet kept
+            with np.errstate(all="ignore"):
+                expected = np.asarray(statistic(Family(x, ys).stats))
+            assert not np.isfinite(value).all(), name
+            assert value.tobytes() == expected.tobytes(), name
+
     def test_all_zero_gram_row(self):
         # a zero test vector: its Gram row and its coefficient are 0, and are divided by 1
         fam = Family([1.0, 2.0 + 1.0j], [[0.0, 0.0], [1.0, 2.0j], [0.5, -1.0]])

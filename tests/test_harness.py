@@ -648,7 +648,7 @@ class TestChunkMatchesSamplers:
         lane, draw, _ = harness.ENSEMBLES[ensemble]
         n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
         assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
-        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), ensemble)
+        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), ensemble, BOUNDS)
         stacks = [set(indices) for indices, _ in draw]
         assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
 
@@ -662,14 +662,13 @@ class TestChunkMatchesSamplers:
             "orthonormal": lambda i: sample_orthonormal_family(cfg, i),
         }[ensemble]
         seen = []
-        draws = harness._stacks(harness.Task(cfg, start, stop), ensemble)
+        draws = harness._stacks(harness.Task(cfg, start, stop), ensemble, BOUNDS)
         for indices, s in (stack for draw in draws for stack in draw):
             drawn = [public(i) for i in indices]
-            # the weights of each instance alone: its stream continues with them
-            cs = [harness._draw(cfg, i, ensemble)[1][2] for i in indices]
+            cs = [TestChunkMatchesSamplers.own_weights(cfg, ensemble, i, f) for i, (f, _) in zip(indices, drawn)]
             ref = stack_of([f for f, _ in drawn]).bind(
                 ends=None if ensemble == "generic" else np.array([(d.gamma, d.Gamma) for _, d in drawn]).T,
-                weights=None if cs[0] is None else np.array([c[0] for c in cs])[:, None],
+                weights=None if cs[0] is None else np.array(cs)[:, None],
             )
             assert len(s.parts) == len(ref.parts)
             for part, ref_part in zip(s.parts, ref.parts):  # (x, ys)
@@ -681,6 +680,45 @@ class TestChunkMatchesSamplers:
             seen.append(indices)
         assert sorted(sum(seen, [])) == list(range(start, stop))
         return seen
+
+    @staticmethod
+    def own_weights(cfg, ensemble, i, f):
+        """The weights (n,) of instance ``i``, whose family is ``f``, read from its own stream alone: the last
+        n field entries of its vector region, after its x (generic) and the n d entries of its test vectors
+        or free components; None in the orthonormal ensemble, which draws none."""
+        if ensemble == "orthonormal":
+            return None
+        shapes = ((f.n * f.dim + f.dim * (ensemble == "generic"),), (f.n,))
+        region = (harness._VECTORS, harness._count(cfg, shapes))
+        (words,) = harness._words(cfg, harness.ENSEMBLES[ensemble][0], np.array([i], dtype=np.uint64), region)
+        return harness._fields(words, [(1, shapes)], cfg.field_mode)[0][1][0]
+
+
+class TestDrawHoldsWhatIsRead:
+    """A draw holds the weights only when an evaluated entry needs them, and leaving them out moves no other bit."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_compare_draws_no_weights(self, ensemble, mode):
+        # default sizes in one draw, and n = 40 alone, a size group that spans several draws
+        for n_range in ((1, 12), (40, 40)):
+            cfg = FuzzConfig(master_seed=71, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY)
+            task = harness.Task(cfg, 0, cfg.instances)
+            compared = [stack for draw in harness._stacks(task, ensemble, harness._COMPETITORS) for stack in draw]
+            fuzzed = [stack for draw in harness._stacks(task, ensemble, BOUNDS) for stack in draw]
+            assert [indices for indices, _ in compared] == [indices for indices, _ in fuzzed]
+            for (_, s), (_, ref) in zip(compared, fuzzed):
+                assert s.weights is None
+                assert (ref.weights is None) == (ensemble == "orthonormal")
+                assert len(s.parts) == len(ref.parts)
+                for part, ref_part in zip(s.parts, ref.parts):  # (x, ys)
+                    for a, b in zip(part, ref_part):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                for name in ("gamma", "Gamma"):
+                    a, b = getattr(s, name), getattr(ref, name)
+                    assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+            # a public sampler's draw holds no weights either
+            assert len(harness._draw(cfg, 0, ensemble)[1]) == 2
 
 
 class TestFieldFormat:
@@ -939,7 +977,7 @@ class TestDrawReduction:
         task = harness.Task(cfg, 0, cfg.instances)
         for ensemble in harness.ENSEMBLES:
             ids, detected = set(), set()
-            for _, s in (stack for draw in harness._stacks(task, ensemble) for stack in draw):
+            for _, s in (stack for draw in harness._stacks(task, ensemble, BOUNDS) for stack in draw):
                 reports = harness._evaluate(s, BOUNDS)
                 reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
                 ids.add(tuple(r.bound_id for r in reports))
@@ -960,14 +998,14 @@ class TestDrawReduction:
         mixed = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
         for cfg in [*spanning, mixed]:
             task = harness.Task(cfg, 0, cfg.instances)
-            draws = [[s for _, s in draw] for draw in harness._stacks(task, "disk")]
+            draws = [[s for _, s in draw] for draw in harness._stacks(task, "disk", BOUNDS)]
             if cfg is mixed:
                 assert {bool(np.any((s.n <= s.dim) & (s.ortho_dev <= s.tol))) for s in draws[0]} == {False, True}
             else:
                 assert len(draws) > 1
             ref = FuzzSummary(cfg, {}, [], {}, {}, {})
             for sampler in ("generic", "disk"):
-                for indices, s in (stack for draw in harness._stacks(task, sampler) for stack in draw):
+                for indices, s in (stack for draw in harness._stacks(task, sampler, BOUNDS) for stack in draw):
                     reports = harness._evaluate(s, BOUNDS)
                     reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
                     harness._merge(ref, harness._tally(cfg, harness._join([reports]), sampler, indices))
@@ -977,7 +1015,7 @@ class TestDrawReduction:
             for ensemble in harness.ENSEMBLES:
                 ids = [b.ids[0] for b in harness._COMPETITORS]
                 wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
-                for _, s in (stack for draw in harness._stacks(task, ensemble) for stack in draw):
+                for _, s in (stack for draw in harness._stacks(task, ensemble, harness._COMPETITORS) for stack in draw):
                     reports = harness._evaluate(s, harness._COMPETITORS)
                     table_ids, _, rhs, ok = harness._join([reports])
                     for bid, count in harness._winners(table_ids, rhs, ok).items():
@@ -1016,7 +1054,7 @@ class TestDrawReduction:
         monkeypatch.setattr(harness, "_accepted", recording)
         raw = harness._draw_in_disk(cfg, 1, np.arange(64, dtype=np.uint64))
         run = np.flatnonzero((raw.n == raw.n[target]) & (raw.d == raw.d[target])).tolist()
-        for draw in harness._stacks(harness.Task(cfg, 0, 64), "disk"):
+        for draw in harness._stacks(harness.Task(cfg, 0, 64), "disk", BOUNDS):
             list(draw)
         assert retried == [run]
         family, _ = sample_disk_family(cfg, target)
