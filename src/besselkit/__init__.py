@@ -49,6 +49,7 @@ from .harness import (
     check_all,
     fuzz,
     sample_disk_family,
+    sample_families,
     sample_family,
     sample_orthonormal_family,
     tightness_compare,

@@ -88,7 +88,7 @@ def bessel_sum(f: Family) -> float:
 
 
 def boas_bellman_batch(s: BoundStats) -> list[BatchReport]:
-    """Bessel sum vs ``||x||^2 [max ||y_i||^2 + sqrt(sum_{i!=j} |G_ij|^2)]``."""
+    """``boas_bellman`` on a stack; see ``boas_bellman``."""
     rhs = s.xsq * (s.diag_max + np.sqrt(s.off_sq))
     return [BatchReport("boas_bellman", s.bessel, rhs, s.always)]
 
@@ -99,7 +99,7 @@ def boas_bellman(f: Family) -> BoundReport:
 
 
 def bombieri_batch(s: BoundStats) -> list[BatchReport]:
-    """Bessel sum vs ``||x||^2 max_i S_i``."""
+    """``bombieri`` on a stack; see ``bombieri``."""
     return [BatchReport("bombieri", s.bessel, s.xsq * s.row_sum_max, s.always)]
 
 
@@ -109,7 +109,7 @@ def bombieri(f: Family) -> BoundReport:
 
 
 def selberg_batch(s: BoundStats) -> list[BatchReport]:
-    """``sum_i |a_i|^2 / S_i`` vs ``||x||^2``; every ``y_i`` must be nonzero."""
+    """``selberg`` on a stack; see ``selberg``."""
     zero = s.row_sums == 0.0
     lhs = np.add.reduce(np.square(s.abs_a) / s.row_sums, axis=-1)
     return [
@@ -129,7 +129,7 @@ def selberg(f: Family) -> BoundReport:
 
 
 def dragomir03_batch(s: BoundStats) -> list[BatchReport]:
-    """Bessel sum vs ``||x||^2 {max ||y_i||^2 + (n-1) max_{i!=j} |G_ij|}``."""
+    """``dragomir03`` on a stack; see ``dragomir03``."""
     rhs = s.xsq * (s.diag_max + (s.n - 1) * s.off_max)
     return [BatchReport("dragomir03", s.bessel, rhs, s.always)]
 
@@ -168,7 +168,7 @@ def dragomir_pq(f: Family, p: float) -> BoundReport:
 
 
 def heilbronn_batch(s: BoundStats) -> list[BatchReport]:
-    """``sum_i |a_i|`` vs ``||x|| sqrt(sum_{i,j} |G_ij|)``."""
+    """``heilbronn`` on a stack; see ``heilbronn``."""
     rhs = s.x_norm * np.sqrt(np.add.reduce(s.abs_gram, axis=(-2, -1)))
     return [BatchReport("heilbronn", np.add.reduce(s.abs_a, axis=-1), rhs, s.always)]
 

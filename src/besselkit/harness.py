@@ -3,18 +3,18 @@
 Instance generation is a pure function of ``(master_seed, index)``: each
 instance has its own stream of 32-bit words, the Philox4x32-10 counter
 blocks ``(block, lane, index)`` keyed by the master seed (``_words``), so
-results never depend on execution order or on the number of workers.  A
-task draws the words of all its instances as arrays; a public sampler runs
-the same code on a batch of one.  No output depends on how the instances
-are split into tasks: fuzz summaries hold
-counts, extrema and violations sorted by instance, and ``compare`` sums all
-its ratios at once with ``math.fsum``, which is correctly rounded.  So the
-split into tasks (``_tasks``) serves throughput and a memory cap alone.  A
-task's fixed cost is mostly one stack per family size, so a call on several
-workers is split by size first: each index chunk is cut into m tasks by the
-class of n modulo m, m the smaller of the worker count and the number of
-sizes, and each size of a chunk is stacked in one task alone.  Chunks are cut
-by index only where the memory cap or the worker count needs it.
+results never depend on execution order or on the number of workers.  A task
+draws the words of all its instances as arrays, in the loop ``_drawn``,
+which the public samplers share.  No output depends on how the instances are
+split into tasks: fuzz summaries hold counts, extrema and violations sorted
+by instance, and ``compare`` sums all its ratios at once with ``math.fsum``,
+which is correctly rounded.  So the split into tasks (``_tasks``) serves
+throughput and a memory cap alone.  A task's fixed cost is mostly one stack
+per family size, so a call on several workers is split by size first: each
+index chunk is cut into m tasks by the class of n modulo m, m the smaller of
+the worker count and the number of sizes, and each size of a chunk is
+stacked in one task alone.  Chunks are cut by index only where the memory
+cap or the worker count needs it.
 
 With more than one worker and task, the tasks run in a process pool that is
 made once per worker count and kept for every later ``fuzz`` and
@@ -112,6 +112,7 @@ __all__ = [
     "FuzzConfig",
     "FuzzSummary",
     "TightnessRow",
+    "sample_families",
     "sample_family",
     "sample_disk_family",
     "sample_orthonormal_family",
@@ -355,14 +356,10 @@ class Raw(NamedTuple):
     ends: np.ndarray | None = None  # (B, 2) the disks' end points (gamma, Gamma)
     zs: dict[int, np.ndarray] | None = None  # equality coefficients by instance, in place of disk points
 
-    def take(self, rows) -> Raw:
-        """The rows ``rows`` of this batch, an index array or a slice."""
-        return Raw(self.lane, *(None if a is None else a[rows] for a in self[1:5]), self.zs)
-
 
 def _runs(raw: Raw) -> list[tuple[slice, int, int]]:
     """The runs of rows of one size n and dimension d of ``raw``, in order: (rows, n, d)."""
-    cuts = (np.flatnonzero(np.diff(raw.n) | np.diff(raw.d)) + 1).tolist()
+    cuts = (np.flatnonzero((raw.n[1:] != raw.n[:-1]) | (raw.d[1:] != raw.d[:-1])) + 1).tolist()
     return [(slice(a, b), int(raw.n[a]), int(raw.d[a])) for a, b in zip([0, *cuts], [*cuts, len(raw.n)])]
 
 
@@ -463,25 +460,53 @@ ENSEMBLES = {
 }
 
 
-def _draw(cfg: FuzzConfig, index: int, name: str) -> tuple[Raw, tuple]:
-    """Instance ``index`` of ensemble ``name``: its ``Raw`` and its arrays (x, ys), a batch of one."""
-    index = _integer("index", index)
-    if not 0 <= index < cfg.instances:
-        raise ValueError(f"index {index} out of range for {cfg.instances} instances")
+def _ensemble(name: str) -> None:
+    """Raise a ValueError unless ``name`` is a key of ``ENSEMBLES``."""
+    if name not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {name!r}")
+
+
+def _drawn(cfg: FuzzConfig, name: str, index: np.ndarray, weights: bool) -> Iterator[tuple]:
+    """The instances ``index`` of ensemble ``name``: their sizes and disks by its ``draw``, then, sorted by size
+    and dimension (stably), their vectors by its ``assemble``, with the weights where ``weights``, a draw of at
+    most ``_DRAW_ENTRIES`` Gram entries (or one row) at a time.  Yields each draw as ``(at, sub, runs, parts)``:
+    the places in ``index`` of its rows, its ``Raw``, its runs (``_runs``) and their parts (x, ys[, c])."""
     lane, draw, assemble = ENSEMBLES[name]
-    raw = draw(cfg, lane, np.array([index], dtype=np.uint64))
-    with np.errstate(all="ignore"):  # as in ``_stacks``
-        return raw, assemble(cfg, raw, _runs(raw), False)[0]
+    raw = draw(cfg, lane, index)
+    order = np.lexsort((raw.d, raw.n))
+    cost = (raw.n * np.maximum(raw.n, cfg.d_range[1]))[order]  # each family's Gram entries, sorted
+    lo = 0
+    while lo < len(cost):
+        hi = lo + max(1, int(cost[lo:].cumsum().searchsorted(_DRAW_ENTRIES, side="right")))
+        at, lo = order[lo:hi], hi
+        sub = Raw(raw.lane, raw.index[at], raw.n[at], raw.d[at], None if raw.ends is None else raw.ends[at], raw.zs)
+        runs = _runs(sub)
+        with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
+            parts = assemble(cfg, sub, runs, weights)
+        yield at, sub, runs, parts
 
 
-def _family(cfg: FuzzConfig, index: int, name: str) -> tuple[Family, Disk | None]:
-    raw, (x, ys) = _draw(cfg, index, name)
-    return Family(x[0], ys[0], cfg.field_mode), None if raw.ends is None else Disk(*raw.ends[0].tolist())
+def sample_families(cfg: FuzzConfig, ensemble: str, indices: Iterable[int]) -> list[tuple[Family, Disk | None]]:
+    """One ``(family, disk)`` per index of ``indices``, in the order given, of ensemble ``ensemble`` (a key of
+    ``ENSEMBLES``; the disk is None in the generic one).  An index may repeat.  Every index is checked before
+    any is drawn; all are drawn together, with the bits ``fuzz`` and ``tightness_compare`` give them.  An entry
+    beyond the double range raises ``Family``'s ValueError, for the first such index given."""
+    _ensemble(ensemble)
+    index = [_integer("index", i) for i in indices]
+    for i in index:
+        if not 0 <= i < cfg.instances:
+            raise ValueError(f"index {i} out of range for {cfg.instances} instances")
+    drawn = [None] * len(index)
+    for at, sub, runs, parts in _drawn(cfg, ensemble, np.array(index, dtype=np.uint64), False):
+        for (rows, _, _), (x, ys) in zip(runs, parts):
+            for k, place in enumerate(at[rows].tolist()):
+                drawn[place] = x[k], ys[k], None if sub.ends is None else sub.ends[rows.start + k]
+    return [(Family(x, ys, cfg.field_mode), None if e is None else Disk(*e.tolist())) for x, ys, e in drawn]
 
 
 def sample_family(cfg: FuzzConfig, index: int) -> Family:
-    """Unconstrained family, deterministic in ``(master_seed, index)``."""
-    return _family(cfg, index, "generic")[0]
+    """Unconstrained family, deterministic in ``(master_seed, index)``; ``sample_families`` of one index."""
+    return sample_families(cfg, "generic", [index])[0][0]
 
 
 def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
@@ -492,7 +517,7 @@ def sample_disk_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
     both sharp bounds are exercised.
     Free components orthogonal to ``x`` are added to every test vector.
     """
-    return _family(cfg, index, "disk")
+    return sample_families(cfg, "disk", [index])[0]
 
 
 def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk]:
@@ -502,7 +527,7 @@ def sample_orthonormal_family(cfg: FuzzConfig, index: int) -> tuple[Family, Disk
     specialised orthonormal bounds apply.  The reference vector is built
     from prescribed in-disk coefficients plus a component outside the span.
     """
-    return _family(cfg, index, "orthonormal")
+    return sample_families(cfg, "orthonormal", [index])[0]
 
 
 class Task(NamedTuple):
@@ -529,26 +554,11 @@ def _stacks(task: Task, name: str, entries: Sequence[Bound]) -> Iterator[Iterato
     """The instances of ``task`` in ensemble ``name``, draw by draw, as stacks of one family size, holding
     what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
 
-    The instances are drawn as arrays, with the bits the public samplers give them one at a time: their
-    sizes and disks by the ensemble's ``draw``, then, sorted by size and dimension (in index order within
-    both), their vectors by its ``assemble``, for consecutive rows of at most ``_DRAW_ENTRIES`` Gram entries
-    (or one row) at a time, a part per run of one size and dimension.  A stack is the families of one size
-    in one such draw, so a size group at a draw's cut is two stacks.  Yields each draw's stacks together
-    (``_draw_stacks``), so that their reports are reduced once a draw."""
-    cfg = task.cfg
-    lane, draw, assemble = ENSEMBLES[name]
+    The instances are drawn by ``_drawn``.  A stack is the families of one size in one draw, so a size group at
+    a draw's cut is two stacks.  Yields each draw's stacks together (``_draw_stacks``), reduced once a draw."""
     weights = any(b.needs == "weights" for b in entries)
-    raw = draw(cfg, lane, task.index(lane))
-    raw = raw.take(np.lexsort((raw.d, raw.n)))  # stable: index order within a size and dimension
-    cost = raw.n * np.maximum(raw.n, cfg.d_range[1])  # each family's Gram entries
-    lo = 0
-    while lo < len(cost):
-        hi = lo + max(1, int(np.searchsorted(cost[lo:].cumsum(), _DRAW_ENTRIES, side="right")))
-        sub, lo = raw.take(slice(lo, hi)), hi
-        runs = _runs(sub)
-        with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-            parts = assemble(cfg, sub, runs, weights)
-        yield _draw_stacks(cfg, sub, [(rows, n, arrays) for (rows, n, _), arrays in zip(runs, parts)])
+    for _, sub, runs, parts in _drawn(task.cfg, name, task.index(ENSEMBLES[name][0]), weights):
+        yield _draw_stacks(task.cfg, sub, [(rows, n, arrays) for (rows, n, _), arrays in zip(runs, parts)])
 
 
 def _draw_stacks(cfg: FuzzConfig, sub: Raw, runs: list) -> Iterator[tuple[list[int], BoundStats]]:
@@ -886,8 +896,7 @@ def tightness_compare(
     tightness ratio (NaN when the bound never applied).  The ratios are
     summed once, correctly rounded (``math.fsum``), so no split or order changes it.
     """
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
+    _ensemble(ensemble)
     results = _map_tasks(partial(_compare_task, ensemble), cfg, workers)
     rows = []
     for bid in (b.ids[0] for b in _COMPETITORS):

@@ -33,8 +33,7 @@ from besselkit import (
     orthonormal_remark,
     pecaric,
     plan,
-    sample_disk_family,
-    sample_orthonormal_family,
+    sample_families,
     selberg,
     theorem21,
     theorem21_residuals,
@@ -230,8 +229,7 @@ def test_criterion_5_coarseness_remark():
         d_range=(1, 8),
         tolerance=TOL,
     )
-    for i in range(cfg.instances):
-        fam, d = sample_orthonormal_family(cfg, i)
+    for fam, d in sample_families(cfg, "orthonormal", range(cfg.instances)):
         rem = orthonormal_remark(fam.x, fam.ys, d, TOL)
         assert rem.report30.preconditions_met, rem.report30.reason
         assert rem.report31.preconditions_met, rem.report31.reason
@@ -275,8 +273,7 @@ def test_criterion_7_lemma_check():
         disk_sampler=DiskSampler(boundary_fraction=1.0),
         tolerance=TOL,
     )
-    for i in range(boundary_cfg.instances):
-        fam, d = sample_disk_family(boundary_cfg, i)
+    for i, (fam, d) in enumerate(sample_families(boundary_cfg, "disk", range(boundary_cfg.instances))):
         lhs, rhs = lemma_eq6(fam, d, TOL)
         assert abs(lhs - rhs) <= TOL * max(1.0, abs(rhs)), (i, lhs, rhs)
     interior_cfg = FuzzConfig(
@@ -288,8 +285,7 @@ def test_criterion_7_lemma_check():
         tolerance=TOL,
     )
     strict_checked = 0
-    for i in range(interior_cfg.instances):
-        fam, d = sample_disk_family(interior_cfg, i)
+    for i, (fam, d) in enumerate(sample_families(interior_cfg, "disk", range(interior_cfg.instances))):
         lhs, rhs = lemma_eq6(fam, d, TOL)
         assert lhs <= rhs + TOL * max(1.0, abs(rhs))
         if d.radius >= 0.05:

@@ -34,6 +34,7 @@ from besselkit import (
     lemma_eq6,
     pecaric,
     sample_disk_family,
+    sample_families,
     sample_family,
     sample_orthonormal_family,
     tightness_compare,
@@ -111,7 +112,7 @@ class TestSampleFamily:
 
     def test_collision_check_large(self):
         cfg = small_cfg(instances=10_000)
-        seen = {sample_family(cfg, i).x.tobytes() for i in range(0, 10_000, 10)}
+        seen = {f.x.tobytes() for f, _ in sample_families(cfg, "generic", range(0, 10_000, 10))}
         assert len(seen) == 1000
 
 
@@ -187,6 +188,125 @@ class TestSampleOrthonormal:
         fam, d = sample_orthonormal_family(cfg, 5)
         assert np.all(fam.ys.imag == 0.0)
         assert np.all(fam.x.imag == 0.0)
+
+
+ONE_INSTANCE = {
+    "generic": lambda cfg, i: (sample_family(cfg, i), None),
+    "disk": sample_disk_family,
+    "orthonormal": sample_orthonormal_family,
+}
+
+
+class TestSampleFamilies:
+    """``sample_families`` gives each index the bits the one-instance samplers give it, in the order given."""
+
+    @staticmethod
+    def check(cfg, ensemble, indices):
+        batch = sample_families(cfg, ensemble, indices)
+        assert len(batch) == len(indices)
+        for i, (f, d) in zip(indices, batch):
+            ref, ref_d = ONE_INSTANCE[ensemble](cfg, i)
+            assert (f.x.tobytes(), f.ys.shape, f.ys.tobytes()) == (ref.x.tobytes(), ref.ys.shape, ref.ys.tobytes())
+            assert f.field_mode == cfg.field_mode
+            assert (d is None and ref_d is None) or (d.gamma, d.Gamma) == (ref_d.gamma, ref_d.Gamma)
+        return batch
+
+    @pytest.mark.parametrize("sampler", [DiskSampler(), HEAVY], ids=["default", "heavy"])
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_unsorted_and_repeated(self, ensemble, mode, sampler):
+        cfg = FuzzConfig(master_seed=29, instances=300, field_mode=mode, disk_sampler=sampler)
+        indices = [299, 5, 44, 5, 0, 0, *range(298, 43, -3), 44]
+        batch = self.check(cfg, ensemble, indices)
+        # a repeated index gives equal families that share no memory
+        assert batch[1][0].x is not batch[3][0].x and not np.shares_memory(batch[1][0].ys, batch[3][0].ys)
+        if ensemble == "disk" and mode == "complex" and sampler is HEAVY:
+            # the equality-case branch ran
+            lane, draw, _ = harness.ENSEMBLES["disk"]
+            assert draw(cfg, lane, np.array(indices, dtype=np.uint64)).zs is not None
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_several_draws(self, ensemble):
+        # families of about 12k Gram entries: the batch draws their vectors a few families at a time
+        cfg = FuzzConfig(master_seed=37, instances=14, n_range=(90, 130), d_range=(90, 130), disk_sampler=HEAVY)
+        batch = self.check(cfg, ensemble, [13, *range(13)])
+        assert sum(f.n * max(f.n, 130) for f, _ in batch) > 2 * harness._DRAW_ENTRIES
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_largest_indices(self, ensemble):
+        # an index is two counter words: the indices around the first word's end, and the last
+        self.check(FuzzConfig(master_seed=41, instances=2**64), ensemble, [2**64 - 1, 2**32, 2**32 - 1])
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_none_and_one(self, ensemble):
+        cfg = small_cfg(instances=5)
+        assert sample_families(cfg, ensemble, []) == []
+        self.check(cfg, ensemble, [np.int64(4)])
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_indices_checked_before_drawing(self, ensemble, monkeypatch):
+        cfg = small_cfg(instances=5)
+
+        def drawn(*args):
+            raise AssertionError("drew before checking every index")
+
+        monkeypatch.setattr(harness, "_drawn", drawn)
+        for bad, message in (
+            (5, "index 5 out of range for 5 instances"),
+            (-1, "index -1 out of range"),
+            (1.5, "index: 1.5 is not an integer"),
+            (True, "not an integer"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                sample_families(cfg, ensemble, [0, 1, bad, 2])
+
+    def test_unknown_ensemble(self):
+        cfg = small_cfg(instances=4)
+        with pytest.raises(ValueError) as compared:
+            tightness_compare(cfg, "bogus")
+        for indices in ([], [0], [9]):
+            with pytest.raises(ValueError) as sampled:
+                sample_families(cfg, "bogus", indices)
+            assert str(sampled.value) == str(compared.value) == "unknown ensemble 'bogus'"
+
+    @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
+    def test_no_cache(self, ensemble):
+        # a call's result depends on its arguments alone: changing a family given earlier changes no later one
+        cfg = small_cfg(instances=50)
+        first = sample_families(cfg, ensemble, range(50))
+        for f, _ in first:
+            f.x[...] = 0.0
+        second = sample_families(cfg, ensemble, range(50))
+        assert all(f.x.any() and not np.shares_memory(f.x, g.x) for (f, _), (g, _) in zip(second, first))
+        self.check(cfg, ensemble, list(range(50)))
+
+    @pytest.mark.parametrize("ensemble", ["disk", "orthonormal"])
+    def test_beyond_the_double_range(self, ensemble, monkeypatch):
+        # entries beyond the double range raise the one-instance sampler's ValueError for the first such
+        # index given, and no RuntimeWarning (which the test configuration makes an error)
+        cfg = FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))
+        bad = []
+        for i in range(64):
+            try:
+                ONE_INSTANCE[ensemble](cfg, i)
+            except ValueError as exc:
+                bad.append((i, str(exc)))
+        assert bad
+        good = [i for i in range(64) if i not in dict(bad)]
+        self.check(cfg, ensemble, good)
+        built = []
+
+        class Counted(Family):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(harness, "Family", Counted)
+        first, message = bad[-1]
+        indices = good[:5] + [first] + good[5:] + [i for i, _ in bad]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_families(cfg, ensemble, indices)
+        assert len(built) == 6  # the families given before the first bad index, and its own
 
 
 class TestCheckAll:
@@ -413,8 +533,9 @@ class TestFuzzViolations:
     def test_violations_recorded_in_order(self, planted):
         cfg = small_cfg(instances=300)  # stacked by family size, so violations arrive out of index order
         expected = []
+        disk, generic = (sample_families(cfg, name, range(cfg.instances)) for name in ("disk", "generic"))
         for i in range(cfg.instances):
-            for sampler, f in (("disk", sample_disk_family(cfg, i)[0]), ("generic", sample_family(cfg, i))):
+            for sampler, (f, _) in (("disk", disk[i]), ("generic", generic[i])):
                 for bound_id, factor in (("planted_a", 2.0), ("planted_b", 1.0)):
                     slack = 1.0 - factor * f.abs_coefficients[0]
                     if slack < -cfg.tolerance:
@@ -468,9 +589,7 @@ class TestStackMatchesFamilyAlone:
         cfg = FuzzConfig(master_seed=11, instances=256, field_mode=mode, disk_sampler=sampler)
         rng = np.random.default_rng(5)
         for disk in (False, True):
-            drawn = [
-                sample_disk_family(cfg, i) if disk else (sample_family(cfg, i), None) for i in range(256)
-            ]
+            drawn = sample_families(cfg, "disk" if disk else "generic", range(256))
             imag = 1j if mode == "complex" else 0j
             weights = [rng.standard_normal(f.n) + imag * rng.standard_normal(f.n) for f, _ in drawn]
             for n in {f.n for f, _ in drawn}:
@@ -625,7 +744,8 @@ class TestChunkMatchesSamplers:
         assert len(self.check(one_size, ensemble, 0, 300)) > 1
         if ensemble == "disk" and mode == "complex" and sampler is HEAVY:
             # the equality-case branch ran
-            assert any(harness._draw(cfg, i, "disk")[0].zs is not None for i in range(44, 300))
+            lane, draw, _ = harness.ENSEMBLES["disk"]
+            assert draw(cfg, lane, np.arange(44, 300, dtype=np.uint64)).zs is not None
 
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
     def test_long_rows(self, ensemble):
@@ -656,15 +776,10 @@ class TestChunkMatchesSamplers:
     def check(cfg, ensemble, start, stop):
         """Compares each stack of instances ``start`` to ``stop - 1`` with the public samplers; returns the
         stacks' instance indices."""
-        public = {
-            "generic": lambda i: (sample_family(cfg, i), None),
-            "disk": lambda i: sample_disk_family(cfg, i),
-            "orthonormal": lambda i: sample_orthonormal_family(cfg, i),
-        }[ensemble]
         seen = []
         draws = harness._stacks(harness.Task(cfg, start, stop), ensemble, BOUNDS)
         for indices, s in (stack for draw in draws for stack in draw):
-            drawn = [public(i) for i in indices]
+            drawn = [ONE_INSTANCE[ensemble](cfg, i) for i in indices]
             cs = [TestChunkMatchesSamplers.own_weights(cfg, ensemble, i, f) for i, (f, _) in zip(indices, drawn)]
             ref = stack_of([f for f, _ in drawn]).bind(
                 ends=None if ensemble == "generic" else np.array([(d.gamma, d.Gamma) for _, d in drawn]).T,
@@ -699,7 +814,7 @@ class TestDrawHoldsWhatIsRead:
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
-    def test_compare_draws_no_weights(self, ensemble, mode):
+    def test_compare_draws_no_weights(self, ensemble, mode, monkeypatch):
         # default sizes in one draw, and n = 40 alone, a size group that spans several draws
         for n_range in ((1, 12), (40, 40)):
             cfg = FuzzConfig(master_seed=71, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY)
@@ -718,7 +833,11 @@ class TestDrawHoldsWhatIsRead:
                     a, b = getattr(s, name), getattr(ref, name)
                     assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
             # a public sampler's draw holds no weights either
-            assert len(harness._draw(cfg, 0, ensemble)[1]) == 2
+            with monkeypatch.context() as m:
+                loop, parts = harness._drawn, []
+                m.setattr(harness, "_drawn", lambda *args: [parts.extend(draw[3]) or draw for draw in loop(*args)])
+                sample_families(cfg, ensemble, range(cfg.instances))
+            assert parts and all(len(part) == 2 for part in parts)
 
 
 class TestFieldFormat:
@@ -806,16 +925,10 @@ class TestTightnessCompare:
     def test_rows_match_families_alone(self, mode, ensemble):
         # the winner scan and the correctly rounded sum of all ratios, family by family
         cfg = small_cfg(instances=300, field_mode=mode, disk_sampler=HEAVY)
-        sampler = {
-            "generic": lambda c, i: (sample_family(c, i), None),
-            "disk": sample_disk_family,
-            "orthonormal": sample_orthonormal_family,
-        }[ensemble]
         competing = [b for b in BOUNDS if b.competes]
         wins = {b.ids[0]: 0 for b in competing}
         ratios = {b.ids[0]: [] for b in competing}  # in index order
-        for i in range(cfg.instances):
-            f, d = sampler(cfg, i)
+        for f, d in sample_families(cfg, ensemble, range(cfg.instances)):
             reports = {r.bound_id: r for r in check_all(f, d, p_values=()) if r.preconditions_met}
             best = None
             for b in competing:
