@@ -10,13 +10,14 @@ characterisation translates into
 
 These closed forms are derived here, not quoted from anywhere; the test
 suite validates them through the residual oracles before they are trusted
-as fixtures.  ``solve_phases`` realises a prescribed ``S`` with at most two
-distinct angles around ``arg(S)``, ``equality_coefficients`` turns them
-into the boundary values ``z_j``, and ``build`` lifts those to an actual
-family with ``inner(x, y_j) = z_j``.  The disk's center, radius and
-``Re(Gamma conj(gamma))``, and the checks of the two theorems' hypotheses
-(``Disk.require_center``, ``Disk.require_positive_re``), are read from
-``sharp.Disk``; none is computed here.
+as fixtures.  ``solve_phases`` realises a prescribed ``S`` with symmetric
+pairs of angles around ``arg(S)``, plus one at ``arg(S)`` for odd n,
+``equality_coefficients`` turns them into the boundary values ``z_j``, and
+``build`` lifts those to an actual family with ``inner(x, y_j) = z_j``.
+The disk's center, radius and ``Re(Gamma conj(gamma))``, and the checks of
+the two theorems' hypotheses (``Disk.require_center``,
+``Disk.require_positive_re``), are read from ``sharp.Disk``; none is
+computed here.
 
 Feasibility is narrower than ``|S| <= n``.  Equality in the sqrt-form
 bound also forces ``Re[(conj(Gamma) + conj(gamma)) inner(x, sum y_j)]`` to
@@ -26,12 +27,18 @@ under the boundary and energy constraints that real part equals
 attainable only for ``radius <= sqrt(2) |center|``; in the remaining band
 up to ``2 |center|`` the mean characterisation can be satisfied while the
 bound stays strict, so such requests are refused.  The squared-form target
-is always attainable under its ``Re(Gamma conj(gamma)) > 0`` hypothesis.
-``n = 1`` additionally needs ``|S| = 1`` exactly, since a single unit
-phase cannot have modulus below one.  A disk whose ``|center|^2``
-underflows to 0 or overflows to inf in double precision is infeasible too:
-no phase sum is formed from it.  Infeasible requests fail loudly; no
-best-effort family is returned.
+is attainable for ``n >= 2`` under its ``Re(Gamma conj(gamma)) > 0``
+hypothesis.  At a positive radius ``n = 1`` is refused for both targets:
+with one test vector the sqrt-form bound adds a positive penalty to
+Cauchy-Schwarz, and the squared-form factor
+``|Gamma + gamma|^2 / (4 Re(Gamma conj(gamma)))``, which equals
+``|center|^2 / (|center|^2 - radius^2)``, exceeds 1.  Every feasible target
+has ``|S| < n`` up to rounding, which ``solve_phases`` clips: the band
+caps the sqrt-form ``|S|`` at ``n / sqrt(2)``, and
+``Re(Gamma conj(gamma)) > 0`` means ``radius < |center|``.  A disk whose
+``|center|^2`` underflows to 0 or overflows to inf in double precision is
+infeasible too: no phase sum is formed from it.  Infeasible requests fail
+loudly; no best-effort family is returned.
 """
 
 from __future__ import annotations
@@ -98,6 +105,9 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
     for ``theorem22``), by the checks those bounds make; infeasibility of
     the equality case itself is reported through the ``feasible`` flag,
     with a NaN ``phase_sum`` where ``|center|^2`` leaves the double range.
+    A zero radius is feasible for every n; at a positive radius ``theorem21``
+    is infeasible past ``sqrt(2) |center|``, and ``n = 1`` is infeasible for
+    both targets, whatever the computed ``|phase_sum|``.
     """
     target = ExtremalTarget(target)
     if n < 1:
@@ -114,7 +124,6 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
         reason = f"|center| = {center_abs} squares to {center_sq}, outside the double range"
         return ExtremalSpec(target, n, d, complex(math.nan, math.nan), False, reason)
     phase_sum = -n * radius * center / ((2.0 if thm21 else 1.0) * center_sq)
-    s = abs(phase_sum)
     feasible, reason = True, ""
     if radius == 0.0:
         pass  # all boundary points coincide with the center; phases are free
@@ -127,15 +136,8 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
             "the sqrt-form bound is strict for every admissible family"
         )
     elif n == 1:
-        if abs(s - 1.0) > _FEAS_TOL:
-            feasible = False
-            reason = (
-                f"n = 1 needs |phase sum| = 1 exactly, got {s}; "
-                "a single unit phase cannot realise it"
-            )
-    elif s > n * (1.0 + _FEAS_TOL):
         feasible = False
-        reason = f"|phase sum| = {s} exceeds n = {n}"
+        reason = f"n = 1 at radius {radius} > 0: a single test vector never attains equality"
     return ExtremalSpec(target, n, d, phase_sum, feasible, reason)
 
 
@@ -143,12 +145,12 @@ def solve_phases(spec: ExtremalSpec) -> np.ndarray:
     """Angles ``theta_j`` with ``sum exp(i theta_j) = spec.phase_sum``.
 
     Writing ``s = |phase_sum|`` and ``phi = arg(phase_sum)`` (``phi = 0``
-    when the sum vanishes): even n places half the phases at ``phi + alpha``
-    and half at ``phi - alpha`` with ``cos(alpha) = s / n``; odd n anchors
-    one phase at ``phi`` and splits the rest into symmetric pairs with
-    ``cos(beta) = (s - 1) / (n - 1)``.  For a zero-radius disk the returned
-    zero vector is arbitrary: all boundary points equal the center and the
-    phase sum never enters the construction.
+    when the sum vanishes): ``n % 2`` phases sit at ``phi``, then ``n // 2``
+    at ``phi + alpha`` and ``n // 2`` at ``phi - alpha``, with
+    ``cos(alpha) = (s - n % 2) / max(n - n % 2, 1)`` clipped to ``[-1, 1]``.
+    For a zero-radius disk the returned zero vector is arbitrary: all
+    boundary points equal the center and the phase sum never enters the
+    construction.
     """
     if not spec.feasible:
         raise InfeasibleConstruction(spec.infeasible_reason or "infeasible specification")
@@ -157,17 +159,9 @@ def solve_phases(spec: ExtremalSpec) -> np.ndarray:
         return np.zeros(n)
     s = abs(spec.phase_sum)
     phi = float(np.angle(spec.phase_sum)) if s > 0.0 else 0.0
-    if n == 1:
-        return np.array([phi])
-    if n % 2 == 0:
-        alpha = float(np.arccos(np.clip(s / n, -1.0, 1.0)))
-        half = n // 2
-        return np.concatenate([np.full(half, phi + alpha), np.full(half, phi - alpha)])
-    beta = float(np.arccos(np.clip((s - 1.0) / (n - 1.0), -1.0, 1.0)))
-    pairs = (n - 1) // 2
-    return np.concatenate(
-        [[phi], np.full(pairs, phi + beta), np.full(pairs, phi - beta)]
-    )
+    odd, pairs = n % 2, n // 2
+    alpha = float(np.arccos(np.clip((s - odd) / max(n - odd, 1), -1.0, 1.0)))
+    return np.concatenate([np.full(odd, phi), np.full(pairs, phi + alpha), np.full(pairs, phi - alpha)])
 
 
 def equality_coefficients(spec: ExtremalSpec) -> np.ndarray:

@@ -394,6 +394,14 @@ class TestExtremalCommand:
         )
         assert code == 2
 
+    def test_single_vector_exit_two(self, capsys):
+        # |phase sum| = 1 - 1e-13, within 1e-12 of 1, yet one test vector never attains equality
+        code = main(
+            ["extremal", "--target", "thm22", "--gamma", "1", "--Gamma=1e-13+1i", "--n", "1"]
+        )
+        assert code == 2
+        assert "n = 1" in capsys.readouterr().err
+
     def test_bad_complex_literal_exit_one(self, capsys):
         code = main(
             ["extremal", "--target", "thm21", "--gamma", "huh", "--Gamma", "3", "--n", "2"]

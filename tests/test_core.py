@@ -195,6 +195,7 @@ class TestFamily:
             Family([1, 1j], [[1, 0]], field_mode="real")
         fam = Family([1, 2], [[3, 4]], field_mode="real")
         assert fam.field_mode == "real"
+        assert repr(fam) == "Family(n=1, dim=2, field_mode='real')"
 
     def test_unknown_field_mode(self):
         with pytest.raises(ValueError):

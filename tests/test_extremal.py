@@ -32,14 +32,25 @@ from besselkit.extremal import equality_coefficients
 E1 = [1.0, 0.0]
 
 
-def random_feasible_case(rng, target):
-    """Draw (n, gamma, Gamma) with a feasible equality construction."""
+def random_feasible_case(rng, target, extreme=False):
+    """Draw (n, gamma, Gamma) with a feasible equality construction.
+
+    n is at most 10.  ``extreme`` takes n up to 40, turns Gamma to within 1e-16 to 1 rad of
+    perpendicular to gamma, so that Re(Gamma conj(gamma)) / |center|^2 reaches down to about
+    1e-16, and scales both ends by 1e-150, 1 or 1e150.
+    """
     while True:
-        n = int(rng.integers(2, 11))
+        n = int(rng.integers(2, 41 if extreme else 11))
         g = complex(*rng.standard_normal(2))
         G = complex(*rng.standard_normal(2))
-        d = Disk(g, G)
-        if abs(d.center) < 1e-3:
+        scale = 1.0
+        if extreme:
+            skew = 10.0 ** rng.uniform(-16.0, 0.0)
+            turn = complex(math.sin(skew), math.cos(skew) * rng.choice([-1.0, 1.0]))
+            G = abs(G) * g / abs(g) * turn
+            scale = 10.0 ** (150 * int(rng.integers(-1, 2)))
+        d = Disk(scale * g, scale * G)
+        if abs(d.center) < 1e-3 * scale:
             continue
         if target is ExtremalTarget.THM22 and d.re_product <= 0.0:
             continue
@@ -65,6 +76,14 @@ class TestPlan:
         # the squared-form target needs |phase sum| = radius/|center| < 1
         spec22 = plan(ExtremalTarget.THM22, 1, Disk(1.0, 3.0))
         assert not spec22.feasible
+
+    def test_single_vector_infeasible_at_unit_phase_sum(self):
+        # radius/|center| = 1 - 1e-13: |phase sum| lies within 1e-12 of 1, yet Theorem 2.2's
+        # factor |c|^2 / (|c|^2 - r^2) exceeds 1, so one test vector never attains equality
+        d = Disk(1.0, 1e-13 + 1j)
+        spec = plan(ExtremalTarget.THM22, 1, d)
+        assert abs(abs(spec.phase_sum) - 1.0) < 1e-12
+        assert not spec.feasible and "n = 1" in spec.infeasible_reason
 
     def test_zero_radius_always_feasible(self):
         for n in (1, 2, 5):
@@ -178,6 +197,20 @@ class TestSolvePhases:
                 continue
             total = complex(np.exp(1j * solve_phases(spec)).sum())
             assert abs(total - spec.phase_sum) <= 1e-12 * max(1.0, abs(spec.phase_sum))
+        # nearly perpendicular and rescaled ends, n up to 40: a feasible |phase sum| never
+        # exceeds n, since Theorem 2.1's band caps it at n/sqrt(2) and Re(Gamma conj(gamma)) > 0
+        # means radius < |center| for Theorem 2.2
+        ratios, scales = [], set()
+        for _ in range(2000):
+            target = ExtremalTarget.THM21 if rng.random() < 0.5 else ExtremalTarget.THM22
+            spec = random_feasible_case(rng, target, extreme=True)
+            d = spec.disk
+            ratios.append(d.re_product / abs(d.center) ** 2)
+            scales.add(round(math.log10(abs(d.center)) / 150))
+            assert abs(spec.phase_sum) <= spec.n * (1.0 + 1e-12)
+            total = complex(np.exp(1j * solve_phases(spec)).sum())
+            assert abs(total - spec.phase_sum) <= 1e-12 * max(1.0, abs(spec.phase_sum))
+        assert 0.0 < min(ratios) < 1e-15 and scales == {-1, 0, 1}
 
     def test_odd_allocation(self):
         spec = plan(ExtremalTarget.THM21, 5, Disk(1.0, 3.0))
@@ -296,6 +329,9 @@ class TestBuild:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleConstruction):
             build(ExtremalTarget.THM21, E1, 1, Disk(1.0, 3.0))
+        # one test vector, |phase sum| within 1e-12 of 1
+        with pytest.raises(InfeasibleConstruction, match="n = 1"):
+            build(ExtremalTarget.THM22, E1, 1, Disk(1.0, 1e-13 + 1j))
 
     def test_deterministic(self):
         d = Disk(0.5 + 0.6j, 2.0 - 0.7j)

@@ -48,6 +48,9 @@ def test_verdicts_at_known_points():
         rep = evaluated("b", lhs, rhs)
         assert (not rep.holds(tol), rep.is_tight(tol)) == want, (lhs, rhs)
         assert tuple(map(bool, verdict(lhs, rhs, tol)[1:])) == want, (lhs, rhs)
+    # a skipped report is never violated nor tight, and has no relative slack
+    rep = skipped("b", "why")
+    assert (rep.holds(tol), rep.is_tight(tol), rep.relative_slack()) == (True, False, None)
 
 
 @pytest.mark.parametrize("tol", [NAN, INF, 0.0, -1.0])

@@ -467,6 +467,13 @@ class TestOrthonormalRemark:
             assert reports[bound_id].reason == want
         assert orthonormal_remark(x, es, d).report31.reason == want
 
+    def test_coefficient_outside_disk_skips_both(self):
+        rem = orthonormal_remark([5, 0], [[1, 0], [0, 1]], Disk(1, 3))
+        for rep in (rem.report30, rem.report31):
+            assert not rep.preconditions_met
+            assert rep.reason == "coefficient 0 lies outside the disk"
+        assert not rem.coarser_than_bessel
+
     def test_non_orthonormal_rejected(self):
         rem = orthonormal_remark([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], worked_disk())
         assert not rem.report30.preconditions_met
