@@ -204,9 +204,13 @@ def write_family_file(path: str, payload: dict) -> None:
         fh.write(_json_text(payload))
 
 
+# one encoder for every report line: ``json.dumps(..., sort_keys=True)`` builds this encoder on each call
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _reports_text(reports: list[BoundReport], fmt: str) -> str:
     if fmt == "json":
-        return "".join(json.dumps(r.as_dict(), sort_keys=True) + "\n" for r in reports)
+        return "".join(_REPORT_ENCODER.encode(r.as_dict()) + "\n" for r in reports)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["bound_id", "lhs", "rhs", "slack", "ratio", "preconditions_met", "reason"])

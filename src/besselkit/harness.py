@@ -10,11 +10,11 @@ split into tasks: fuzz summaries hold counts, extrema and violations sorted
 by instance, and ``compare`` sums all its ratios at once with ``math.fsum``,
 which is correctly rounded.  So the split into tasks (``_tasks``) serves
 throughput and a memory cap alone.  A task's fixed cost is mostly one stack
-per family size, so a call on several workers is split by size first: each
-index chunk is cut into m tasks by the class of n modulo m, m the smaller of
-the worker count and the number of sizes, and each size of a chunk is
-stacked in one task alone.  Chunks are cut by index only where the memory
-cap or the worker count needs it.
+per family size and draw pair, so a call on several workers is split by
+size first: each index chunk is cut into m tasks by the class of n modulo
+m, m the smaller of the worker count and the number of sizes, and each size
+of a chunk is stacked in one task alone.  Chunks are cut by index only
+where the memory cap or the worker count needs it.
 
 With more than one worker and task, the tasks run in a process pool that is
 made once per worker count and kept for every later ``fuzz`` and
@@ -51,15 +51,21 @@ weights and exponents bound to it) to one ``BatchReport`` per report.
 (``_stacks``), sorted by size and dimension, their vectors a draw of at
 most ``_DRAW_ENTRIES`` Gram entries at a time, its runs of one size and
 dimension (``_runs``) found once and each region of its words decoded
-once; the families of one size n in one draw are a stack, held in
-runs of one dimension (``Stats.stack``).  Every formula gives the same
-reports on every stack, so a draw's reports are one table (``_join``): the
-ids of its K reports and (K, B) arrays of both sides and the preconditions
-over its B families.  ``_tally``, ``_winners`` and ``_compare_task`` read
-that table once per draw, so that bookkeeping is paid per draw, not per
-stack or per run.  ``check_all`` runs these formulas on one family, a stack
-without the batch axis, and builds its ``BoundReport``s.  No array is
-padded, so a family's reports have the same bits in a stack as alone.
+once.  ``fuzz`` draws the generic and the disk ensemble side by side and
+pairs their draws one to one, ``tightness_compare`` draws one ensemble;
+the families of one size n in one draw pair are a stack, held in runs of
+one dimension (``Stats.stack``), a run of each draw of the pair joined.
+Where a pair holds disks, every stack of it binds them, a family drawn
+without one at the end points (nan, nan), on which every disk entry's
+preconditions fail.  Every formula gives the same reports on every stack,
+so a pair's reports are one table (``_join``): the ids of its K reports
+and (K, B) arrays of both sides and the preconditions over its B families,
+each stack's taken as soon as it is evaluated (``_table``).  ``_tally``,
+``_winners`` and ``_compare_task`` read that table once per pair, so that
+bookkeeping is paid per pair, not per stack or per run.  ``check_all`` runs
+these formulas on one family, a stack without the batch axis, and builds its
+``BoundReport``s.  No array is padded, so a family's reports have the same
+bits in a stack as alone.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import sys
 import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
-from itertools import accumulate, groupby, pairwise
+from itertools import accumulate, groupby, pairwise, zip_longest
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -216,6 +222,9 @@ _TRIES = 4  # unit disks drawn at once, a block each; about half of them are rej
 # (sizes, the equality-case draw), the disk end points, x of the disk ensemble, the disk
 # points, and last, so that no family size bounds it, the vectors and weights.
 _HEAD, _ENDS, _X, _POINTS, _VECTORS = (k << 28 for k in range(5))
+
+# The end points of a family with no disk in a stack that binds disks: every disk entry's preconditions fail on it.
+_NO_DISK = np.full((1, 2), complex(math.nan, math.nan))
 
 
 def _round_keys(seed: int) -> np.ndarray:
@@ -550,29 +559,57 @@ class Task(NamedTuple):
         return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
 
 
-def _stacks(task: Task, name: str, entries: Sequence[Bound]) -> Iterator[Iterator[tuple[list[int], BoundStats]]]:
-    """The instances of ``task`` in ensemble ``name``, draw by draw, as stacks of one family size, holding
-    what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
+def _stacks(
+    task: Task, names: Sequence[str], entries: Sequence[Bound]
+) -> Iterator[Iterator[tuple[list[str], list[int], BoundStats]]]:
+    """The instances of ``task`` in the ensembles ``names``, drawn side by side, as stacks of one family size
+    that hold what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
 
-    The instances are drawn by ``_drawn``.  A stack is the families of one size in one draw, so a size group at
-    a draw's cut is two stacks.  Yields each draw's stacks together (``_draw_stacks``), reduced once a draw."""
+    Each ensemble's instances are drawn by ``_drawn``, and the k-th draws of the ensembles are a draw pair
+    (the pairs past an ensemble's last draw hold no draw of it).  A stack is the families of one size in one
+    pair, so a size group at a draw's cut is two stacks.  Yields each pair's stacks together
+    (``_draw_stacks``), reduced once a pair."""
     weights = any(b.needs == "weights" for b in entries)
-    for _, sub, runs, parts in _drawn(task.cfg, name, task.index(ENSEMBLES[name][0]), weights):
-        yield _draw_stacks(task.cfg, sub, [(rows, n, arrays) for (rows, n, _), arrays in zip(runs, parts)])
+    draws = [_drawn(task.cfg, name, task.index(ENSEMBLES[name][0]), weights) for name in names]
+    for pair in zip_longest(*draws):
+        yield _draw_stacks(task.cfg, [(name, draw) for name, draw in zip(names, pair) if draw is not None])
 
 
-def _draw_stacks(cfg: FuzzConfig, sub: Raw, runs: list) -> Iterator[tuple[list[int], BoundStats]]:
-    """The stacks of the draw ``sub``, whose ``runs`` hold its assembled parts (rows, n, (x, ys[, c])): one per
-    family size, in row order, each as its instance indices and the stack with its inputs bound.  They are
-    built one at a time, so that a stack's statistics can be freed once its reports are taken."""
-    for _, group in groupby(runs, key=operator.itemgetter(1)):
-        group = list(group)
-        rows = slice(group[0][0].start, group[-1][0].stop)
-        parts = [arrays for *_, arrays in group]
-        weights = np.concatenate([part[2] for part in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
-        ends = None if sub.ends is None else sub.ends[rows].T
-        yield sub.index[rows].tolist(), Stats.stack([part[:2] for part in parts]).bind(
-            ends=ends, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
+def _draw_stacks(cfg: FuzzConfig, pair: list[tuple[str, tuple]]) -> Iterator[tuple[list[str], list[int], BoundStats]]:
+    """The stacks of a draw pair, its draws ``(name, draw)`` as ``_drawn`` yields them: one per family size, in
+    order of size, each as its families' ensemble names and instance indices and the stack with its inputs bound.
+
+    The runs of one size and dimension of the pair's draws are one part, in the order of ``pair``.  Where one
+    draw holds disks, every stack binds them, so that every stack of the pair gives the same reports: a family
+    of a draw without disks gets the end points (nan, nan), on which every disk entry's preconditions fail.
+    The stacks are built one at a time, so that a stack's statistics can be freed once its reports are taken."""
+    subs = [sub for _, (_, sub, _, _) in pair]
+    disks = any(sub.ends is not None for sub in subs)
+    # the stacks' columns, in the order of their parts: a draw's rows, sorted by size and dimension already,
+    # or the pair's rows by size, dimension and draw
+    if len(pair) == 1:
+        names, indices, ends = [pair[0][0]] * len(subs[0].n), subs[0].index.tolist(), subs[0].ends
+    else:
+        n, d, draw = map(np.concatenate, zip(*[(sub.n, sub.d, np.full(len(sub.n), k)) for k, sub in enumerate(subs)]))
+        order = np.lexsort((draw, d, n))
+        names = np.array([name for name, _ in pair])[draw[order]].tolist()
+        indices = np.concatenate([sub.index for sub in subs])[order].tolist()
+        if disks:
+            ends = np.concatenate([_NO_DISK.repeat(len(sub.n), 0) if sub.ends is None else sub.ends for sub in subs])
+            ends = ends[order]
+    sizes = {}  # size -> dimension -> the arrays of each run of that size and dimension, of the first draw first
+    for _, (_, _, cuts, parts) in pair:
+        for (_, size, dim), arrays in zip(cuts, parts):
+            sizes.setdefault(size, {}).setdefault(dim, []).append(arrays)
+    start = 0
+    for size in sorted(sizes):
+        runs = [run for _, run in sorted(sizes[size].items())]
+        parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in runs]
+        cols = slice(start, start + sum(len(part[0]) for part in parts))
+        start = cols.stop
+        weights = np.concatenate([p[2] for p in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
+        yield names[cols], indices[cols], Stats.stack([p[:2] for p in parts]).bind(
+            ends=ends[cols].T if disks else None, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
         )
 
 
@@ -695,19 +732,25 @@ def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     return keys, np.array([[i == key for key in keys] for i in ids])
 
 
-def _join(stacks: list[list[BatchReport]]) -> tuple:
-    """A draw's reports as one table ``(ids, lhs, rhs, ok)``: the ids of its K reports, and their sides and
-    preconditions over its B families as (K, B) arrays, the stacks' columns in stack order.
+def _table(reports: list[BatchReport]) -> tuple:
+    """A stack's reports as one table ``(ids, lhs, rhs, ok)``: the ids of its K reports, and their sides and
+    preconditions over its B families as (K, B) arrays."""
+    return tuple(r.bound_id for r in reports), *(np.array([r[f] for r in reports]) for f in (1, 2, 3))
+
+
+def _join(tables: list[tuple]) -> tuple:
+    """The tables (``_table``) of a draw pair's stacks as one, the stacks' columns in stack order.
 
     Every formula gives the same reports on every stack (``orthonormal_batch`` too, with ``ok`` false
-    where it detects no family), so the stacks' reports are concatenated report by report.
+    where it detects no family), and every stack of a pair binds the same inputs (``_draw_stacks``), so
+    the tables are concatenated row by row.
     """
-    ids = tuple(r.bound_id for r in stacks[0])
-    return ids, *(np.concatenate([np.array([r[f] for r in reports]) for reports in stacks], axis=1) for f in (1, 2, 3))
+    return tables[0][0], *(np.concatenate([table[f] for table in tables], axis=1) for f in (1, 2, 3))
 
 
-def _tally(cfg: FuzzConfig, table: tuple, sampler: str, indices: list[int]) -> FuzzSummary:
-    """The summary of one draw's table (``_join``) and tightness winners, judged by ``report.verdict``.
+def _tally(cfg: FuzzConfig, table: tuple, samplers: list[str], indices: list[int]) -> FuzzSummary:
+    """The summary of one draw pair's table (``_join``), whose column b is instance ``indices[b]`` of ensemble
+    ``samplers[b]``, and its tightness winners, judged by ``report.verdict``.
 
     The rows of one bound id (one per weight row or exponent) are
     counted together.  A NaN slack (a side beyond the double range) is
@@ -725,7 +768,7 @@ def _tally(cfg: FuzzConfig, table: tuple, sampler: str, indices: list[int]) -> F
         violations=[
             {
                 "bound_id": ids[k],
-                "sampler": sampler,
+                "sampler": samplers[b],
                 "instance_seed": indices[b],
                 "slack": float(rel[k, b]),
             }
@@ -757,18 +800,19 @@ def _merge(total: FuzzSummary, part: FuzzSummary) -> FuzzSummary:
 def _fuzz_task(task: Task) -> FuzzSummary:
     cfg = task.cfg
     part = FuzzSummary(cfg, {}, [], {}, {}, {})
-    for sampler in ("generic", "disk"):
-        for stacks in _stacks(task, sampler, BOUNDS):
-            indices, reports = [], []
-            with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
-                for stack_indices, s in stacks:
-                    indices += stack_indices
-                    reports.append(_evaluate(s, BOUNDS))
-                    # the three classical weight choices, after every other report; they
-                    # are their own stack of rows, since a row of a k-row product can
-                    # differ in its last bit from the same row in a 1-row product
-                    reports[-1] += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                _merge(part, _tally(cfg, _join(reports), sampler, indices))
+    for stacks in _stacks(task, ("generic", "disk"), BOUNDS):
+        samplers, indices, tables = [], [], []
+        with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
+            for stack_samplers, stack_indices, s in stacks:
+                samplers += stack_samplers
+                indices += stack_indices
+                reports = _evaluate(s, BOUNDS)
+                # the three classical weight choices, after every other report; they
+                # are their own stack of rows, since a row of a k-row product can
+                # differ in its last bit from the same row in a 1-row product
+                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                tables.append(_table(reports))
+        _merge(part, _tally(cfg, _join(tables), samplers, indices))
     return part
 
 
@@ -874,8 +918,8 @@ def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]
     """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in row order."""
     competing = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(competing, 0), {bid: [] for bid in competing}
-    for stacks in _stacks(task, ensemble, _COMPETITORS):
-        ids, lhs, rhs, ok = _join([_evaluate(s, _COMPETITORS) for _, s in stacks])
+    for stacks in _stacks(task, (ensemble,), _COMPETITORS):
+        ids, lhs, rhs, ok = _join([_table(_evaluate(s, _COMPETITORS)) for *_, s in stacks])
         for bid, count in _winners(ids, rhs, ok).items():
             wins[bid] += count
         with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios

@@ -331,6 +331,25 @@ class TestEval:
         code = main(["eval", "--input", self.write(tmp_path, ORTHO_FILE)])
         assert code == 2
 
+    def test_report_lines_as_json_dumps(self):
+        # the kept encoder writes the bytes of json.dumps(..., sort_keys=True), for skipped reports (None
+        # sides) and for NaN and infinite sides
+        from besselkit import cli as cli_mod
+        from besselkit import report as report_mod
+
+        reports = [
+            report_mod.skipped("theorem21", "coefficient 0 lies outside the disk"),
+            report_mod.evaluated("boas_bellman", math.nan, 1.0),
+            report_mod.evaluated("bombieri", math.inf, 2.0),
+            report_mod.evaluated("selberg", 1.0, math.inf),
+            report_mod.evaluated("heilbronn", -math.inf, 0.0),
+            report_mod.evaluated("dragomir03", 0.5, 1.0),
+        ]
+        assert any(r.lhs is None for r in reports)
+        expected = "".join(json.dumps(r.as_dict(), sort_keys=True) + "\n" for r in reports)
+        assert cli_mod._reports_text(reports, "json") == expected
+        assert "NaN" in expected and "Infinity" in expected and "-Infinity" in expected and "null" in expected
+
 
 class TestExtremalCommand:
     def test_worked_sqrt_form(self, tmp_path, capsys):

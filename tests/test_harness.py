@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 
@@ -768,8 +769,8 @@ class TestChunkMatchesSamplers:
         lane, draw, _ = harness.ENSEMBLES[ensemble]
         n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
         assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
-        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), ensemble, BOUNDS)
-        stacks = [set(indices) for indices, _ in draw]
+        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), (ensemble,), BOUNDS)
+        stacks = [set(indices) for _, indices, _ in draw]
         assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
 
     @staticmethod
@@ -777,8 +778,9 @@ class TestChunkMatchesSamplers:
         """Compares each stack of instances ``start`` to ``stop - 1`` with the public samplers; returns the
         stacks' instance indices."""
         seen = []
-        draws = harness._stacks(harness.Task(cfg, start, stop), ensemble, BOUNDS)
-        for indices, s in (stack for draw in draws for stack in draw):
+        draws = harness._stacks(harness.Task(cfg, start, stop), (ensemble,), BOUNDS)
+        for names, indices, s in (stack for draw in draws for stack in draw):
+            assert names == [ensemble] * len(indices)
             drawn = [ONE_INSTANCE[ensemble](cfg, i) for i in indices]
             cs = [TestChunkMatchesSamplers.own_weights(cfg, ensemble, i, f) for i, (f, _) in zip(indices, drawn)]
             ref = stack_of([f for f, _ in drawn]).bind(
@@ -819,10 +821,10 @@ class TestDrawHoldsWhatIsRead:
         for n_range in ((1, 12), (40, 40)):
             cfg = FuzzConfig(master_seed=71, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY)
             task = harness.Task(cfg, 0, cfg.instances)
-            compared = [stack for draw in harness._stacks(task, ensemble, harness._COMPETITORS) for stack in draw]
-            fuzzed = [stack for draw in harness._stacks(task, ensemble, BOUNDS) for stack in draw]
-            assert [indices for indices, _ in compared] == [indices for indices, _ in fuzzed]
-            for (_, s), (_, ref) in zip(compared, fuzzed):
+            compared = [stack for draw in harness._stacks(task, (ensemble,), harness._COMPETITORS) for stack in draw]
+            fuzzed = [stack for draw in harness._stacks(task, (ensemble,), BOUNDS) for stack in draw]
+            assert [indices for _, indices, _ in compared] == [indices for _, indices, _ in fuzzed]
+            for (*_, s), (*_, ref) in zip(compared, fuzzed):
                 assert s.weights is None
                 assert (ref.weights is None) == (ensemble == "orthonormal")
                 assert len(s.parts) == len(ref.parts)
@@ -1032,23 +1034,24 @@ class TestTaskSplit:
         assert sorted(kept) == list(range(instances))
 
     def test_each_size_stacked_in_one_task(self, monkeypatch):
-        # 512 default instances at workers=2: two tasks that stack disjoint sets of sizes, each size once
+        # 512 default instances at workers=2: two tasks that stack disjoint sets of sizes, each size once, in
+        # one stack that holds the families of that size of both samplers
         pool, stacks, built = _InProcess(), harness._stacks, []
 
         def counting(*args):
             for draw in stacks(*args):
                 draw = list(draw)
-                built.extend((pool.tasks, s.gamma is not None, s.n) for _, s in draw)  # task, sampler, size
+                built.extend((pool.tasks, set(names), s.n) for names, _, s in draw)  # task, samplers, size
                 yield iter(draw)
 
         monkeypatch.setattr(harness, "_stacks", counting)
         monkeypatch.setattr(harness, "_pool", (2, pool))
         fuzz(FuzzConfig(master_seed=59, instances=512), workers=2)
         assert pool.tasks == 2
-        for disk in (False, True):
-            sizes = [[n for t, on, n in built if (t, on) == (task, disk)] for task in (1, 2)]
-            assert sorted(sizes[0] + sizes[1]) == list(range(1, 13))
-            assert not set(sizes[0]) & set(sizes[1])
+        sizes = [[n for t, _, n in built if t == task] for task in (1, 2)]
+        assert sorted(sizes[0] + sizes[1]) == list(range(1, 13))
+        assert not set(sizes[0]) & set(sizes[1])
+        assert all(names == {"generic", "disk"} for _, names, _ in built)
 
 
     def test_one_instance_is_one_task(self, monkeypatch):
@@ -1066,7 +1069,8 @@ class TestDrawReduction:
     """A draw's stacks are reduced together, with the outputs of reducing them one by one."""
 
     def test_one_reduction_per_draw(self, monkeypatch):
-        # 512 default instances are one draw per sampler: one tally each, and one winners call per compare
+        # 512 default instances are one draw per sampler, the two a draw pair: one tally, and one winners call
+        # per compare
         calls = {"_tally": 0, "_winners": 0}
         for name in calls:
 
@@ -1077,26 +1081,38 @@ class TestDrawReduction:
             monkeypatch.setattr(harness, name, counting)
         cfg = FuzzConfig(master_seed=61, instances=512)
         fuzz(cfg, workers=1)
-        assert calls["_tally"] == 2
+        assert calls["_tally"] == 1
         calls["_winners"] = 0
         tightness_compare(cfg, "generic", workers=1)
         assert calls["_winners"] == 1
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_same_reports_on_every_stack(self, mode):
-        # every stack of a sampler, in every draw, gives the same rows, also where its draw detects
-        # orthonormal families in one stack and none in the others
-        cfg = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
-        task = harness.Task(cfg, 0, cfg.instances)
-        for ensemble in harness.ENSEMBLES:
-            ids, detected = set(), set()
-            for _, s in (stack for draw in harness._stacks(task, ensemble, BOUNDS) for stack in draw):
-                reports = harness._evaluate(s, BOUNDS)
-                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                ids.add(tuple(r.bound_id for r in reports))
-                detected.update(r.ok.any() for r in reports if r.bound_id == "orthonormal30")
-            assert len(ids) == 1, ensemble
-            assert detected == {"generic": set(), "disk": {False, True}, "orthonormal": {True}}[ensemble]
+        # every stack of an ensemble, and of the generic and disk draws paired as fuzz pairs them, gives the
+        # same rows, also where its draw detects orthonormal families in one stack and none in the others,
+        # and where a stack of the pair holds one sampler's families alone (16 instances)
+        cases = {
+            ("generic",): set(),
+            ("disk",): {False, True},
+            ("orthonormal",): {True},
+            ("generic", "disk"): {False, True},
+        }
+        for instances in (1024, 16):
+            cfg = FuzzConfig(master_seed=13, instances=instances, field_mode=mode, tolerance=0.05)
+            task = harness.Task(cfg, 0, cfg.instances)
+            for names, expected in cases.items():
+                ids, detected, alone = set(), set(), set()
+                for samplers, _, s in (stack for draw in harness._stacks(task, names, BOUNDS) for stack in draw):
+                    reports = harness._evaluate(s, BOUNDS)
+                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                    ids.add(tuple(r.bound_id for r in reports))
+                    detected.update(r.ok.any() for r in reports if r.bound_id == "orthonormal30")
+                    alone.add(frozenset(samplers))
+                assert len(ids) == 1, names
+                if instances == 1024:
+                    assert detected == expected
+                elif len(names) == 2:
+                    assert alone == {frozenset(["generic"]), frozenset(["disk"]), frozenset(names)}
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_joined_equals_per_stack(self, mode):
@@ -1111,26 +1127,27 @@ class TestDrawReduction:
         mixed = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
         for cfg in [*spanning, mixed]:
             task = harness.Task(cfg, 0, cfg.instances)
-            draws = [[s for _, s in draw] for draw in harness._stacks(task, "disk", BOUNDS)]
+            draws = [[s for *_, s in draw] for draw in harness._stacks(task, ("disk",), BOUNDS)]
             if cfg is mixed:
                 assert {bool(np.any((s.n <= s.dim) & (s.ortho_dev <= s.tol))) for s in draws[0]} == {False, True}
             else:
                 assert len(draws) > 1
             ref = FuzzSummary(cfg, {}, [], {}, {}, {})
             for sampler in ("generic", "disk"):
-                for indices, s in (stack for draw in harness._stacks(task, sampler, BOUNDS) for stack in draw):
+                for names, indices, s in (st for draw in harness._stacks(task, (sampler,), BOUNDS) for st in draw):
                     reports = harness._evaluate(s, BOUNDS)
                     reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                    harness._merge(ref, harness._tally(cfg, harness._join([reports]), sampler, indices))
+                    harness._merge(ref, harness._tally(cfg, harness._table(reports), names, indices))
             ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
             text = json.dumps(ref.as_dict(), sort_keys=True, default=repr)
             assert json.dumps(fuzz(cfg).as_dict(), sort_keys=True, default=repr) == text
             for ensemble in harness.ENSEMBLES:
                 ids = [b.ids[0] for b in harness._COMPETITORS]
                 wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
-                for _, s in (stack for draw in harness._stacks(task, ensemble, harness._COMPETITORS) for stack in draw):
+                stacks = (stack for draw in harness._stacks(task, (ensemble,), harness._COMPETITORS) for stack in draw)
+                for *_, s in stacks:
                     reports = harness._evaluate(s, harness._COMPETITORS)
-                    table_ids, _, rhs, ok = harness._join([reports])
+                    table_ids, _, rhs, ok = harness._table(reports)
                     for bid, count in harness._winners(table_ids, rhs, ok).items():
                         wins[bid] += count
                     for r in reports:
@@ -1167,12 +1184,84 @@ class TestDrawReduction:
         monkeypatch.setattr(harness, "_accepted", recording)
         raw = harness._draw_in_disk(cfg, 1, np.arange(64, dtype=np.uint64))
         run = np.flatnonzero((raw.n == raw.n[target]) & (raw.d == raw.d[target])).tolist()
-        for draw in harness._stacks(harness.Task(cfg, 0, 64), "disk", BOUNDS):
+        for draw in harness._stacks(harness.Task(cfg, 0, 64), ("disk",), BOUNDS):
             list(draw)
         assert retried == [run]
         family, _ = sample_disk_family(cfg, target)
         assert np.any(family.x != 0)
         TestChunkMatchesSamplers.check(cfg, "disk", 0, 64)
+
+
+class TestNoDisk:
+    """A family without a disk, in a stack that binds disks, has the end points ``_NO_DISK``, (nan, nan)."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_disk_entries_never_apply(self, mode):
+        # every report of every disk entry has ok false on such a family, also where orthonormal_batch
+        # detects it, and no entry warns
+        cfg = FuzzConfig(master_seed=17, instances=300, field_mode=mode)
+        task = harness.Task(cfg, 0, cfg.instances)
+        generic = [s for draw in harness._stacks(task, ("generic",), BOUNDS) for *_, s in draw]
+        orthonormal = [s for draw in harness._stacks(task, ("orthonormal",), BOUNDS) for *_, s in draw][:1]
+        assert all(((s.n <= s.dim) & (s.ortho_dev <= s.tol)).any() for s in orthonormal)
+        ends = harness._NO_DISK
+        assert np.isnan(ends.real).all() and np.isnan(ends.imag).all()
+        disk = [b for b in BOUNDS if b.needs == "disk"]
+        for s in generic + orthonormal:
+            bound = s.bind(ends=ends.repeat(s.shape[0], 0).T, p_values=cfg.p_values, tol=cfg.tolerance)
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter("error")
+                reports = [r for b in disk for r in b.formula(bound)]
+            assert len(reports) == sum(len(b.ids) for b in disk)
+            assert not any(np.any(r.ok) for r in reports)
+
+
+_INFLATED = ("selberg", "dragomir_pq", "theorem22")
+
+
+def label(monkeypatch, factor):
+    """Patch ``BOUNDS`` so that the entries ``_INFLATED`` inflate their lhs by ``factor`` on the families picked
+    by a property of the family alone, ``floor(||x||^2 1e6) % 5 == 0``, not by their place in a stack."""
+
+    def inflated(formula):
+        def batch(s):
+            picked = np.floor(s.xsq * 1e6) % 5 == 0
+            return [r._replace(lhs=np.where(picked, factor * r.lhs, r.lhs)) for r in formula(s)]
+
+        return batch
+
+    entries = tuple(b._replace(formula=inflated(b.formula)) if b.ids[0] in _INFLATED else b for b in BOUNDS)
+    monkeypatch.setattr(harness, "BOUNDS", entries)
+
+
+class TestViolationLabels:
+    """Each violation of a stack that holds both samplers' families names the sampler and instance of its family."""
+
+    @pytest.mark.parametrize(
+        "cfg,factor",
+        [
+            (FuzzConfig(master_seed=73, instances=600), 1.5),
+            (FuzzConfig(master_seed=79, instances=600, field_mode="real", disk_sampler=HEAVY), 1.5),
+            # several draws per sampler, cut at different sizes, so that paired draws cover unequal size ranges;
+            # the bounds are looser at these sizes
+            (FuzzConfig(master_seed=83, instances=400, n_range=(20, 40), d_range=(10, 50), disk_sampler=HEAVY), 4.0),
+        ],
+    )
+    def test_violations_match_each_sampler_alone(self, cfg, factor, monkeypatch):
+        label(monkeypatch, factor)
+        ref = FuzzSummary(cfg, {}, [], {}, {}, {})
+        for sampler in ("generic", "disk"):
+            for task in harness._tasks(cfg, 1):
+                for names, indices, s in (st for draw in harness._stacks(task, (sampler,), BOUNDS) for st in draw):
+                    reports = harness._evaluate(s, harness.BOUNDS)
+                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                    harness._merge(ref, harness._tally(cfg, harness._table(reports), names, indices))
+        ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
+        assert {v["sampler"] for v in ref.violations} == {"generic", "disk"}
+        assert {v["bound_id"] for v in ref.violations} == set(_INFLATED)
+        monkeypatch.setattr(harness, "_pool", (2, _InProcess()))
+        for workers in (1, 2):
+            assert fuzz(cfg, workers).violations == ref.violations
 
 
 class TestConfigValidation:
