@@ -582,7 +582,9 @@ def _draw_stacks(cfg: FuzzConfig, pair: list[tuple[str, tuple]]) -> Iterator[tup
     The runs of one size and dimension of the pair's draws are one part, in the order of ``pair``.  Where one
     draw holds disks, every stack binds them, so that every stack of the pair gives the same reports: a family
     of a draw without disks gets the end points (nan, nan), on which every disk entry's preconditions fail.
-    The stacks are built one at a time, so that a stack's statistics can be freed once its reports are taken."""
+    The stacks are built one at a time, so that a stack's statistics can be freed once its reports are taken.
+    They take the runs over: each draw's list of parts is emptied, so that the draws hold no run until the
+    next pair and a run's arrays are freed with its stack."""
     subs = [sub for _, (_, sub, _, _) in pair]
     disks = any(sub.ends is not None for sub in subs)
     # the stacks' columns, in the order of their parts: a draw's rows, sorted by size and dimension already,
@@ -601,9 +603,10 @@ def _draw_stacks(cfg: FuzzConfig, pair: list[tuple[str, tuple]]) -> Iterator[tup
     for _, (_, _, cuts, parts) in pair:
         for (_, size, dim), arrays in zip(cuts, parts):
             sizes.setdefault(size, {}).setdefault(dim, []).append(arrays)
+        parts.clear()  # the stacks take the runs over, so that a run is freed with its stack
     start = 0
     for size in sorted(sizes):
-        runs = [run for _, run in sorted(sizes[size].items())]
+        runs = [run for _, run in sorted(sizes.pop(size).items())]
         parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in runs]
         cols = slice(start, start + sum(len(part[0]) for part in parts))
         start = cols.stop
@@ -812,7 +815,10 @@ def _fuzz_task(task: Task) -> FuzzSummary:
                 # differ in its last bit from the same row in a 1-row product
                 reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
                 tables.append(_table(reports))
-        _merge(part, _tally(cfg, _join(tables), samplers, indices))
+                del s, reports  # freed before the next stack is built
+        table = _join(tables)
+        del tables  # freed before the tally
+        _merge(part, _tally(cfg, table, samplers, indices))
     return part
 
 

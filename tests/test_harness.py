@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 
@@ -1085,6 +1086,19 @@ class TestDrawReduction:
         calls["_winners"] = 0
         tightness_compare(cfg, "generic", workers=1)
         assert calls["_winners"] == 1
+
+    @pytest.mark.parametrize("names", [("generic", "disk"), ("orthonormal",)])
+    def test_runs_freed_with_their_stack(self, names):
+        # the draws hold no run once their stacks take the runs over: a dropped stack's arrays are freed by
+        # the time the next stack is built, and the last stack's once its pair is done, before the tally
+        cfg = FuzzConfig(master_seed=67, instances=512, disk_sampler=HEAVY)
+        for draw in harness._stacks(harness.Task(cfg, 0, cfg.instances), names, BOUNDS):
+            held = []
+            for *_, s in draw:
+                assert all(ref() is None for ref in held)
+                held = [weakref.ref(a) for part in s.parts for a in part]
+                del s
+            assert held and all(ref() is None for ref in held)
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_same_reports_on_every_stack(self, mode):
