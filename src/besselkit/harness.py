@@ -10,8 +10,8 @@ split into tasks: fuzz summaries hold counts, extrema and violations sorted
 by instance, and ``compare`` sums all its ratios at once with ``math.fsum``,
 which is correctly rounded.  So the split into tasks (``_tasks``) serves
 throughput and a memory cap alone.  A task's fixed cost is mostly one stack
-per family size and draw pair, so a call on several workers is split by
-size first: each index chunk is cut into m tasks by the class of n modulo
+per family size and draw, so a call on several workers is split by size
+first: each index chunk is cut into m tasks by the class of n modulo
 m, m the smaller of the worker count and the number of sizes, and each size
 of a chunk is stacked in one task alone.  Chunks are cut by index only
 where the memory cap or the worker count needs it.
@@ -48,21 +48,21 @@ once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
 ``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
-(``_stacks``), sorted by size and dimension, their vectors a draw of at
-most ``_DRAW_ENTRIES`` Gram entries at a time, its runs of one size and
-dimension (``_runs``) found once and each region of its words decoded
-once.  ``fuzz`` draws the generic and the disk ensemble side by side and
-pairs their draws one to one, ``tightness_compare`` draws one ensemble;
-the families of one size n in one draw pair are a stack, held in runs of
-one dimension (``Stats.stack``), a run of each draw of the pair joined.
-Where a pair holds disks, every stack of it binds them, a family drawn
-without one at the end points (nan, nan), on which every disk entry's
-preconditions fail.  Every formula gives the same reports on every stack,
-so a pair's reports are one table (``_join``): the ids of its K reports
-and (K, B) arrays of both sides and the preconditions over its B families,
-each stack's taken as soon as it is evaluated (``_table``).  ``_tally``,
-``_winners`` and ``_compare_task`` read that table once per pair, so that
-bookkeeping is paid per pair, not per stack or per run.  ``check_all`` runs
+(``_stacks``): ``fuzz`` the generic and the disk ensemble, ``tightness_compare``
+one.  One loop (``_drawn``) sorts all of a task's rows together by size and
+dimension and draws their vectors a draw of at most ``_DRAW_ENTRIES`` Gram
+entries at a time, over all its ensembles; each ensemble's runs of one size
+and dimension (``_runs``) are found once and each region of its words decoded
+once.  The families of one size n in one draw are a stack, held in runs of
+one dimension (``Stats.stack``), the runs of the ensembles joined.  Where a
+draw holds disks, every stack of it binds them, a family drawn without one
+at the end points (nan, nan), on which every disk entry's preconditions
+fail.  Every formula gives the same reports on every stack, so a draw's
+reports are one table (``_join``): the ids of its K reports and (K, B)
+arrays of both sides and the preconditions over its B families, each
+stack's taken as soon as it is evaluated (``_table``).  ``_tally``,
+``_winners`` and ``_compare_task`` read that table once per draw, so that
+bookkeeping is paid per draw, not per stack or per run.  ``check_all`` runs
 these formulas on one family, a stack without the batch axis, and builds its
 ``BoundReport``s.  No array is padded, so a family's reports have the same
 bits in a stack as alone.
@@ -77,7 +77,7 @@ import sys
 import threading
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
-from itertools import accumulate, groupby, pairwise, zip_longest
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -130,8 +130,8 @@ __all__ = [
 DEFAULT_P_VALUES = (1.5, 3.0)
 
 # A task draws the vectors of consecutive rows at once, up to this many Gram entries, n * max(n, d) per
-# family, or one row, so that a draw's arrays stay within a few MB: about 1200 families at the default
-# sizes (n <= 12, d <= 8), one from n = 272 up.
+# family, over all the ensembles it draws, or one row, so that a draw's arrays stay within a few MB: about
+# 1200 families at the default sizes (n <= 12, d <= 8), one from n = 272 up.
 _DRAW_ENTRIES = 512 * 12 * 12
 # A task's index chunk is capped in Gram entries of its largest families: 8 full draws, 4096 instances at
 # the default sizes, down to one instance.  Chunks cut by index to feed more workers than there are family
@@ -368,8 +368,9 @@ class Raw(NamedTuple):
 
 def _runs(raw: Raw) -> list[tuple[slice, int, int]]:
     """The runs of rows of one size n and dimension d of ``raw``, in order: (rows, n, d)."""
-    cuts = (np.flatnonzero((raw.n[1:] != raw.n[:-1]) | (raw.d[1:] != raw.d[:-1])) + 1).tolist()
-    return [(slice(a, b), int(raw.n[a]), int(raw.d[a])) for a, b in zip([0, *cuts], [*cuts, len(raw.n)])]
+    n, d = raw.n.tolist(), raw.d.tolist()
+    cuts = (((raw.n[1:] != raw.n[:-1]) | (raw.d[1:] != raw.d[:-1])).nonzero()[0] + 1).tolist()
+    return [(slice(a, b), n[a], d[a]) for a, b in zip([0, *cuts], [*cuts, len(n)])]
 
 
 def _run_entries(cfg: FuzzConfig, raw: Raw, runs: list, *regions: tuple, points: bool = False) -> list:
@@ -475,24 +476,43 @@ def _ensemble(name: str) -> None:
         raise ValueError(f"unknown ensemble {name!r}")
 
 
-def _drawn(cfg: FuzzConfig, name: str, index: np.ndarray, weights: bool) -> Iterator[tuple]:
-    """The instances ``index`` of ensemble ``name``: their sizes and disks by its ``draw``, then, sorted by size
-    and dimension (stably), their vectors by its ``assemble``, with the weights where ``weights``, a draw of at
-    most ``_DRAW_ENTRIES`` Gram entries (or one row) at a time.  Yields each draw as ``(at, sub, runs, parts)``:
-    the places in ``index`` of its rows, its ``Raw``, its runs (``_runs``) and their parts (x, ys[, c])."""
-    lane, draw, assemble = ENSEMBLES[name]
-    raw = draw(cfg, lane, index)
-    order = np.lexsort((raw.d, raw.n))
-    cost = (raw.n * np.maximum(raw.n, cfg.d_range[1]))[order]  # each family's Gram entries, sorted
+def _drawn(cfg: FuzzConfig, names: Sequence[str], indices: Sequence[np.ndarray], weights: bool) -> Iterator[tuple]:
+    """The instances ``indices[k]`` of each ensemble ``names[k]``: their sizes and disks by its ``draw``, then, all
+    rows sorted together by size and dimension (stably: within one, the ensembles in order), their vectors by its
+    ``assemble``, with the weights where ``weights``, a draw of at most ``_DRAW_ENTRIES`` Gram entries (or one row)
+    at a time.  Yields each draw as ``(at, ends, runs)``: the places of its rows in the joined ``indices``, their
+    disks' end points (B, 2) or None, and its runs of one size, dimension and ensemble in row order, ``(n, d,
+    parts)`` with their parts (x, ys[, c]), which the caller takes over."""
+    ensembles = [ENSEMBLES[name] for name in names]
+    raws = [draw(cfg, lane, index) for (lane, draw, _), index in zip(ensembles, indices)]
+    n, d = raws[0].n, raws[0].d  # a lone ensemble's rows as drawn, else all rows joined
+    if len(raws) > 1:
+        n, d = np.concatenate([raw.n for raw in raws]), np.concatenate([raw.d for raw in raws])
+        bounds = list(pairwise([0, *accumulate(len(raw.n) for raw in raws)]))  # of each ensemble's rows
+    order = np.lexsort((d, n))
+    cost = (n * np.maximum(n, cfg.d_range[1]))[order]  # each family's Gram entries, sorted
+    del n, d  # not held through the draws
     lo = 0
     while lo < len(cost):
         hi = lo + max(1, int(cost[lo:].cumsum().searchsorted(_DRAW_ENTRIES, side="right")))
         at, lo = order[lo:hi], hi
-        sub = Raw(raw.lane, raw.index[at], raw.n[at], raw.d[at], None if raw.ends is None else raw.ends[at], raw.zs)
-        runs = _runs(sub)
-        with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
-            parts = assemble(cfg, sub, runs, weights)
-        yield at, sub, runs, parts
+        # each ensemble's rows of the draw, in order; a lone ensemble's are all of them
+        own = [at] if len(raws) == 1 else [at[(a <= at) & (at < b)] - a for a, b in bounds]
+        runs = []
+        for raw, rows, (_, _, assemble) in zip(raws, own, ensembles):
+            if rows.size:  # an ensemble may hold no row of a draw
+                points = None if raw.ends is None else raw.ends[rows]
+                sub = Raw(raw.lane, raw.index[rows], raw.n[rows], raw.d[rows], points, raw.zs)
+                cuts = _runs(sub)
+                with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
+                    runs += [(size, dim, part) for (_, size, dim), part in zip(cuts, assemble(cfg, sub, cuts, weights))]
+        ends = points  # the rows' end points; a lone ensemble's runs and end points are in row order already
+        if len(raws) > 1:
+            runs.sort(key=operator.itemgetter(0, 1))  # stable: the ensembles in order within one size and dimension
+            if any(raw.ends is not None for raw in raws):  # _NO_DISK for an ensemble without disks
+                ends = [_NO_DISK.repeat(len(raw.n), 0) if raw.ends is None else raw.ends for raw in raws]
+                ends = np.concatenate(ends)[at]
+        yield at, ends, runs
 
 
 def sample_families(cfg: FuzzConfig, ensemble: str, indices: Iterable[int]) -> list[tuple[Family, Disk | None]]:
@@ -506,10 +526,10 @@ def sample_families(cfg: FuzzConfig, ensemble: str, indices: Iterable[int]) -> l
         if not 0 <= i < cfg.instances:
             raise ValueError(f"index {i} out of range for {cfg.instances} instances")
     drawn = [None] * len(index)
-    for at, sub, runs, parts in _drawn(cfg, ensemble, np.array(index, dtype=np.uint64), False):
-        for (rows, _, _), (x, ys) in zip(runs, parts):
-            for k, place in enumerate(at[rows].tolist()):
-                drawn[place] = x[k], ys[k], None if sub.ends is None else sub.ends[rows.start + k]
+    for at, ends, runs in _drawn(cfg, [ensemble], [np.array(index, dtype=np.uint64)], False):
+        families = [(x[k], ys[k]) for *_, (x, ys) in runs for k in range(len(x))]  # in row order
+        for row, (place, (x, ys)) in enumerate(zip(at.tolist(), families)):
+            drawn[place] = x, ys, None if ends is None else ends[row]
     return [(Family(x, ys, cfg.field_mode), None if e is None else Disk(*e.tolist())) for x, ys, e in drawn]
 
 
@@ -559,60 +579,38 @@ class Task(NamedTuple):
         return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
 
 
-def _stacks(
-    task: Task, names: Sequence[str], entries: Sequence[Bound]
-) -> Iterator[Iterator[tuple[list[str], list[int], BoundStats]]]:
-    """The instances of ``task`` in the ensembles ``names``, drawn side by side, as stacks of one family size
-    that hold what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
-
-    Each ensemble's instances are drawn by ``_drawn``, and the k-th draws of the ensembles are a draw pair
-    (the pairs past an ensemble's last draw hold no draw of it).  A stack is the families of one size in one
-    pair, so a size group at a draw's cut is two stacks.  Yields each pair's stacks together
-    (``_draw_stacks``), reduced once a pair."""
+def _stacks(task: Task, names: Sequence[str], entries: Sequence[Bound]) -> Iterator[Iterator[tuple]]:
+    """The instances of ``task`` in the ensembles ``names``, drawn together (``_drawn``), as stacks of one family
+    size that hold what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
+    A stack is the families of one size in one draw, so a size group at a draw's cut is two stacks.  Yields each
+    draw's stacks together (``_draw_stacks``), reduced once a draw."""
     weights = any(b.needs == "weights" for b in entries)
-    draws = [_drawn(task.cfg, name, task.index(ENSEMBLES[name][0]), weights) for name in names]
-    for pair in zip_longest(*draws):
-        yield _draw_stacks(task.cfg, [(name, draw) for name, draw in zip(names, pair) if draw is not None])
+    indices = [task.index(ENSEMBLES[name][0]) for name in names]
+    labels = np.array(names, dtype=object).repeat([len(index) for index in indices])
+    for at, ends, runs in _drawn(task.cfg, names, indices, weights):
+        yield _draw_stacks(task.cfg, labels[at].tolist(), np.concatenate(indices)[at].tolist(), ends, runs)
 
 
-def _draw_stacks(cfg: FuzzConfig, pair: list[tuple[str, tuple]]) -> Iterator[tuple[list[str], list[int], BoundStats]]:
-    """The stacks of a draw pair, its draws ``(name, draw)`` as ``_drawn`` yields them: one per family size, in
-    order of size, each as its families' ensemble names and instance indices and the stack with its inputs bound.
-
-    The runs of one size and dimension of the pair's draws are one part, in the order of ``pair``.  Where one
-    draw holds disks, every stack binds them, so that every stack of the pair gives the same reports: a family
-    of a draw without disks gets the end points (nan, nan), on which every disk entry's preconditions fail.
-    The stacks are built one at a time, so that a stack's statistics can be freed once its reports are taken.
-    They take the runs over: each draw's list of parts is emptied, so that the draws hold no run until the
-    next pair and a run's arrays are freed with its stack."""
-    subs = [sub for _, (_, sub, _, _) in pair]
-    disks = any(sub.ends is not None for sub in subs)
-    # the stacks' columns, in the order of their parts: a draw's rows, sorted by size and dimension already,
-    # or the pair's rows by size, dimension and draw
-    if len(pair) == 1:
-        names, indices, ends = [pair[0][0]] * len(subs[0].n), subs[0].index.tolist(), subs[0].ends
-    else:
-        n, d, draw = map(np.concatenate, zip(*[(sub.n, sub.d, np.full(len(sub.n), k)) for k, sub in enumerate(subs)]))
-        order = np.lexsort((draw, d, n))
-        names = np.array([name for name, _ in pair])[draw[order]].tolist()
-        indices = np.concatenate([sub.index for sub in subs])[order].tolist()
-        if disks:
-            ends = np.concatenate([_NO_DISK.repeat(len(sub.n), 0) if sub.ends is None else sub.ends for sub in subs])
-            ends = ends[order]
-    sizes = {}  # size -> dimension -> the arrays of each run of that size and dimension, of the first draw first
-    for _, (_, _, cuts, parts) in pair:
-        for (_, size, dim), arrays in zip(cuts, parts):
-            sizes.setdefault(size, {}).setdefault(dim, []).append(arrays)
-        parts.clear()  # the stacks take the runs over, so that a run is freed with its stack
+def _draw_stacks(cfg: FuzzConfig, names: list, indices: list, ends: np.ndarray | None, runs: list) -> Iterator[tuple]:
+    """The stacks of a draw whose row b is instance ``indices[b]`` of ensemble ``names[b]``, with the end points
+    ``ends[b]``, and whose ``runs`` (``_drawn``) hold its parts: one per family size, in order, as its families'
+    ensemble names and instance indices and the stack with its inputs bound.  The consecutive runs of one
+    dimension of a size (one an ensemble) are one part.  Where the draw holds disks, every stack binds them, so
+    that every stack gives the same reports.  The stacks are built one at a time, and each run is taken out of
+    ``runs``, so that its arrays are freed with its stack, once the stack's reports are taken."""
+    runs.reverse()  # taken from the end, in row order
     start = 0
-    for size in sorted(sizes):
-        runs = [run for _, run in sorted(sizes.pop(size).items())]
-        parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in runs]
+    while runs:
+        size, dims = runs[-1][0], {}  # per dimension of the size, the arrays of its runs
+        while runs and runs[-1][0] == size:
+            _, dim, arrays = runs.pop()
+            dims.setdefault(dim, []).append(arrays)
+        parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in dims.values()]
         cols = slice(start, start + sum(len(part[0]) for part in parts))
         start = cols.stop
         weights = np.concatenate([p[2] for p in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
         yield names[cols], indices[cols], Stats.stack([p[:2] for p in parts]).bind(
-            ends=ends[cols].T if disks else None, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
+            ends=None if ends is None else ends[cols].T, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
         )
 
 
@@ -742,17 +740,17 @@ def _table(reports: list[BatchReport]) -> tuple:
 
 
 def _join(tables: list[tuple]) -> tuple:
-    """The tables (``_table``) of a draw pair's stacks as one, the stacks' columns in stack order.
+    """The tables (``_table``) of a draw's stacks as one, the stacks' columns in stack order.
 
     Every formula gives the same reports on every stack (``orthonormal_batch`` too, with ``ok`` false
-    where it detects no family), and every stack of a pair binds the same inputs (``_draw_stacks``), so
+    where it detects no family), and every stack of a draw binds the same inputs (``_draw_stacks``), so
     the tables are concatenated row by row.
     """
     return tables[0][0], *(np.concatenate([table[f] for table in tables], axis=1) for f in (1, 2, 3))
 
 
 def _tally(cfg: FuzzConfig, table: tuple, samplers: list[str], indices: list[int]) -> FuzzSummary:
-    """The summary of one draw pair's table (``_join``), whose column b is instance ``indices[b]`` of ensemble
+    """The summary of one draw's table (``_join``), whose column b is instance ``indices[b]`` of ensemble
     ``samplers[b]``, and its tightness winners, judged by ``report.verdict``.
 
     The rows of one bound id (one per weight row or exponent) are
@@ -886,7 +884,8 @@ def _map_tasks(fn, cfg: FuzzConfig, workers: int) -> list:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = _tasks(cfg, workers)
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))  # a process per task at most: the pool forks them all at once
+    if workers <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

@@ -837,8 +837,8 @@ class TestDrawHoldsWhatIsRead:
                     assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
             # a public sampler's draw holds no weights either
             with monkeypatch.context() as m:
-                loop, parts = harness._drawn, []
-                m.setattr(harness, "_drawn", lambda *args: [parts.extend(draw[3]) or draw for draw in loop(*args)])
+                loop, parts = harness._drawn, []  # each draw's runs are (n, d, parts)
+                m.setattr(harness, "_drawn", lambda *args: [parts.extend(r[2] for r in d[2]) or d for d in loop(*args)])
                 sample_families(cfg, ensemble, range(cfg.instances))
             assert parts and all(len(part) == 2 for part in parts)
 
@@ -1065,13 +1065,33 @@ class TestTaskSplit:
         assert tightness_compare(cfg, "disk", workers=2) == tightness_compare(cfg, "disk", workers=1)
         assert pool.tasks == 0
 
+    def test_pool_sized_by_its_tasks(self, monkeypatch):
+        # 600 default instances at workers=64 are 36 tasks: the pool is made for 36 workers, not 64, and kept
+        # under that count for the compare call; an in-process stand-in replaces the executor, so that no
+        # process starts
+        import concurrent.futures
+
+        sizes = []
+
+        def executor(workers, initializer=None):
+            sizes.append(workers)
+            return _InProcess()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+        monkeypatch.setattr(harness, "_pool", None)
+        cfg = FuzzConfig(master_seed=5, instances=600)
+        assert len(harness._tasks(cfg, 64)) == 36
+        assert fuzz(cfg, workers=64).as_dict() == fuzz(cfg, workers=1).as_dict()
+        assert tightness_compare(cfg, "disk", workers=64) == tightness_compare(cfg, "disk", workers=1)
+        assert sizes == [36] and harness._pool[0] == 36
+        assert harness._pool[1].tasks == 72
+
 
 class TestDrawReduction:
     """A draw's stacks are reduced together, with the outputs of reducing them one by one."""
 
     def test_one_reduction_per_draw(self, monkeypatch):
-        # 512 default instances are one draw per sampler, the two a draw pair: one tally, and one winners call
-        # per compare
+        # 512 default instances of both samplers are one draw: one tally, and one winners call per compare
         calls = {"_tally": 0, "_winners": 0}
         for name in calls:
 
@@ -1087,10 +1107,32 @@ class TestDrawReduction:
         tightness_compare(cfg, "generic", workers=1)
         assert calls["_winners"] == 1
 
+    @pytest.mark.parametrize(
+        "cfg,mixed",
+        [
+            (FuzzConfig(master_seed=89, instances=2100), True),
+            # each family holds more than the cap alone: a draw of one row each
+            (FuzzConfig(master_seed=89, instances=6, n_range=(280, 300)), False),
+        ],
+        ids=["default", "one-row"],
+    )
+    def test_draw_within_entries_cap(self, cfg, mixed):
+        # a draw of the generic and the disk ensemble together holds at most _DRAW_ENTRIES Gram entries,
+        # n * max(n, d_range[1]) a family, over both ensembles, or one row
+        draws = []
+        for draw in harness._stacks(harness.Task(cfg, 0, cfg.instances), ("generic", "disk"), BOUNDS):
+            stacks = [(names, s.n) for names, _, s in draw]
+            rows = sum(len(names) for names, _ in stacks)
+            entries = sum(len(names) * n * max(n, cfg.d_range[1]) for names, n in stacks)
+            assert entries <= harness._DRAW_ENTRIES or rows == 1
+            draws.append((rows, {name for names, _ in stacks for name in names}))
+        assert sum(rows for rows, _ in draws) == 2 * cfg.instances and len(draws) > 2
+        assert any(len(names) == 2 for _, names in draws) == mixed  # draws that hold both ensembles
+
     @pytest.mark.parametrize("names", [("generic", "disk"), ("orthonormal",)])
     def test_runs_freed_with_their_stack(self, names):
         # the draws hold no run once their stacks take the runs over: a dropped stack's arrays are freed by
-        # the time the next stack is built, and the last stack's once its pair is done, before the tally
+        # the time the next stack is built, and the last stack's once its draw is done, before the tally
         cfg = FuzzConfig(master_seed=67, instances=512, disk_sampler=HEAVY)
         for draw in harness._stacks(harness.Task(cfg, 0, cfg.instances), names, BOUNDS):
             held = []
@@ -1102,9 +1144,9 @@ class TestDrawReduction:
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_same_reports_on_every_stack(self, mode):
-        # every stack of an ensemble, and of the generic and disk draws paired as fuzz pairs them, gives the
-        # same rows, also where its draw detects orthonormal families in one stack and none in the others,
-        # and where a stack of the pair holds one sampler's families alone (16 instances)
+        # every stack of an ensemble, and of the generic and disk ensembles drawn together as fuzz draws them,
+        # gives the same rows, also where its draw detects orthonormal families in one stack and none in the
+        # others, and where a stack of both holds one sampler's families alone (16 instances)
         cases = {
             ("generic",): set(),
             ("disk",): {False, True},
@@ -1256,8 +1298,8 @@ class TestViolationLabels:
         [
             (FuzzConfig(master_seed=73, instances=600), 1.5),
             (FuzzConfig(master_seed=79, instances=600, field_mode="real", disk_sampler=HEAVY), 1.5),
-            # several draws per sampler, cut at different sizes, so that paired draws cover unequal size ranges;
-            # the bounds are looser at these sizes
+            # several draws, cut inside size groups, so that a stack at a cut can hold one sampler's families
+            # alone; the bounds are looser at these sizes
             (FuzzConfig(master_seed=83, instances=400, n_range=(20, 40), d_range=(10, 50), disk_sampler=HEAVY), 4.0),
         ],
     )
