@@ -41,6 +41,7 @@ from .core import (
     Family,
     ParameterError,
     Stats,
+    as_vector,
     libm_pow,
     modulus,
     p_norm,
@@ -185,20 +186,21 @@ class PecaricBounds(NamedTuple):
 
 
 def as_weights(f: Family, c) -> np.ndarray:
-    """``c`` as a complex vector with one weight per test vector."""
+    """``c`` as a finite complex vector (``core.as_vector``) with one weight per test vector."""
     carr = np.asarray(c, dtype=np.complex128)
     if carr.ndim != 1 or carr.shape[-1] != f.n:
         raise DimensionMismatch(
             f"coefficient list must have length {f.n}, got shape {carr.shape}"
         )
-    return carr
+    return as_vector(carr)
 
 
 def _weighted_sq(s: BoundStats) -> np.ndarray:
     """(..., k): ``|sum_i c_i a_i|^2`` for each weight row ``c`` of ``s.weights``, formed once per binding.
 
     A row of a k-row product can differ in its last bit from the same row
-    taken alone, so a single weight vector is bound as a 1-row stack.
+    taken alone, so a single weight vector is bound as a 1-row stack, and the
+    classical weights apart from it (``harness._CLASSICAL``).
     """
     return s.kept("weighted", lambda: libm_pow(modulus((s.weights @ s.a[..., None])[..., 0]), 2))
 

@@ -47,9 +47,10 @@ The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
-``fuzz`` and ``tightness_compare`` draw a task's instances as arrays
-(``_stacks``): ``fuzz`` the generic and the disk ensemble, ``tightness_compare``
-one.  One loop (``_drawn``) sorts all of a task's rows together by size and
+``fuzz`` and ``tightness_compare`` read a task's reports one table a draw
+(``_tables``): ``fuzz`` of ``BOUNDS`` and then ``_CLASSICAL`` on the generic
+and the disk ensemble, ``tightness_compare`` of the competing entries on one.
+One loop (``_drawn``) sorts all of a task's rows together by size and
 dimension and draws their vectors a draw of at most ``_DRAW_ENTRIES`` Gram
 entries at a time, over all its ensembles; each ensemble's runs of one size
 and dimension (``_runs``) are found once and each region of its words decoded
@@ -58,12 +59,12 @@ one dimension (``Stats.stack``), the runs of the ensembles joined.  Where a
 draw holds disks, every stack of it binds them, a family drawn without one
 at the end points (nan, nan), on which every disk entry's preconditions
 fail.  Every formula gives the same reports on every stack, so a draw's
-reports are one table (``_join``): the ids of its K reports and (K, B)
-arrays of both sides and the preconditions over its B families, each
-stack's taken as soon as it is evaluated (``_table``).  ``_tally``,
-``_winners`` and ``_compare_task`` read that table once per draw, so that
-bookkeeping is paid per draw, not per stack or per run.  ``check_all`` runs
-these formulas on one family, a stack without the batch axis, and builds its
+reports are one table: the ids of its K reports and (K, B) arrays of both
+sides and the preconditions over its B families, whose columns each stack
+fills as soon as it is evaluated.  ``_tally``, ``_winners`` and
+``_compare_task`` read that table once per draw, so that bookkeeping is paid
+per draw, not per stack or per run.  ``check_all`` runs the formulas of
+``BOUNDS`` on one family, a stack without the batch axis, and builds its
 ``BoundReport``s.  No array is padded, so a family's reports have the same
 bits in a stack as alone.
 """
@@ -579,41 +580,6 @@ class Task(NamedTuple):
         return index[(n - self.cfg.n_range[0]) % self.classes == self.part]
 
 
-def _stacks(task: Task, names: Sequence[str], entries: Sequence[Bound]) -> Iterator[Iterator[tuple]]:
-    """The instances of ``task`` in the ensembles ``names``, drawn together (``_drawn``), as stacks of one family
-    size that hold what ``entries`` read: the weights are drawn and bound only when one of them needs "weights".
-    A stack is the families of one size in one draw, so a size group at a draw's cut is two stacks.  Yields each
-    draw's stacks together (``_draw_stacks``), reduced once a draw."""
-    weights = any(b.needs == "weights" for b in entries)
-    indices = [task.index(ENSEMBLES[name][0]) for name in names]
-    labels = np.array(names, dtype=object).repeat([len(index) for index in indices])
-    for at, ends, runs in _drawn(task.cfg, names, indices, weights):
-        yield _draw_stacks(task.cfg, labels[at].tolist(), np.concatenate(indices)[at].tolist(), ends, runs)
-
-
-def _draw_stacks(cfg: FuzzConfig, names: list, indices: list, ends: np.ndarray | None, runs: list) -> Iterator[tuple]:
-    """The stacks of a draw whose row b is instance ``indices[b]`` of ensemble ``names[b]``, with the end points
-    ``ends[b]``, and whose ``runs`` (``_drawn``) hold its parts: one per family size, in order, as its families'
-    ensemble names and instance indices and the stack with its inputs bound.  The consecutive runs of one
-    dimension of a size (one an ensemble) are one part.  Where the draw holds disks, every stack binds them, so
-    that every stack gives the same reports.  The stacks are built one at a time, and each run is taken out of
-    ``runs``, so that its arrays are freed with its stack, once the stack's reports are taken."""
-    runs.reverse()  # taken from the end, in row order
-    start = 0
-    while runs:
-        size, dims = runs[-1][0], {}  # per dimension of the size, the arrays of its runs
-        while runs and runs[-1][0] == size:
-            _, dim, arrays = runs.pop()
-            dims.setdefault(dim, []).append(arrays)
-        parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in dims.values()]
-        cols = slice(start, start + sum(len(part[0]) for part in parts))
-        start = cols.stop
-        weights = np.concatenate([p[2] for p in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
-        yield names[cols], indices[cols], Stats.stack([p[:2] for p in parts]).bind(
-            ends=None if ends is None else ends[cols].T, weights=weights, p_values=cfg.p_values, tol=cfg.tolerance
-        )
-
-
 class Bound(NamedTuple):
     """One entry of the catalogue ``BOUNDS``.
 
@@ -657,6 +623,17 @@ BOUNDS = (
 _COMPETITORS = tuple(b for b in BOUNDS if b.competes)
 
 
+def _classical_pecaric(s: BoundStats) -> list[BatchReport]:
+    """``pecaric_first`` and ``pecaric_second`` at each of the three classical weights
+    (``classical_weights_batch``), bound apart from the drawn weights, since a row of a
+    k-row product can differ in its last bit from the same row in a 1-row product."""
+    return pecaric_batch(s.bind(weights=classical_weights_batch(s)))
+
+
+# The entry fuzz evaluates after BOUNDS; check_all never runs it.
+_CLASSICAL = Bound(("pecaric_first", "pecaric_second"), "family", _classical_pecaric)
+
+
 def _evaluate(s: BoundStats, entries: Sequence[Bound]) -> list[BatchReport]:
     """The reports of those ``entries`` that run on what ``s`` holds, in their order."""
     held = {"family": True, "weights": s.weights is not None, "disk": s.gamma is not None}
@@ -690,6 +667,49 @@ def check_all(
     return reports_of(_evaluate(s, BOUNDS))
 
 
+def _tables(task: Task, names: Sequence[str], entries: Sequence[Bound]) -> Iterator[tuple]:
+    """The reports of ``entries`` (``_evaluate``) on the instances of ``task`` in the ensembles ``names``,
+    drawn together (``_drawn``; the weights only when an entry needs "weights").  Yields each draw as
+    ``(samplers, indices, (ids, lhs, rhs, ok))``: column b is instance ``indices[b]`` (uint64) of ensemble
+    ``samplers[b]`` (an object array), and the table holds the ids of its K reports and (K, B) arrays of
+    their sides and preconditions.  A stack is the families of one size in one draw (so a size group at a
+    draw's cut is two), its parts the runs of one dimension (one an ensemble) joined.  Every stack of a draw
+    binds the same inputs, and every formula gives the same reports on every stack (``orthonormal_batch``
+    with ``ok`` false where it detects no family), so each fills its columns of the table once evaluated.
+    The stacks are built one at a time, each run taken out of ``runs``, so that a stack's arrays are freed
+    before the next stack is built, and the last one's before the table is yielded; the table is freed once
+    its reader drops it."""
+    cfg = task.cfg
+    weights = any(b.needs == "weights" for b in entries)
+    indices = [task.index(ENSEMBLES[name][0]) for name in names]
+    samplers = np.array(names, dtype=object).repeat([len(index) for index in indices])
+    joined = np.concatenate(indices)
+    for at, ends, runs in _drawn(cfg, names, indices, weights):
+        runs.reverse()  # taken from the end, in row order
+        table, start = None, 0
+        while runs:
+            size, dims = runs[-1][0], {}  # per dimension of the size, the arrays of its runs
+            while runs and runs[-1][0] == size:
+                dims.setdefault(runs[-1][1], []).append(runs.pop()[2])
+            parts = [run[0] if len(run) == 1 else tuple(map(np.concatenate, zip(*run))) for run in dims.values()]
+            cols = slice(start, start + sum(len(part[0]) for part in parts))
+            start = cols.stop
+            c = np.concatenate([part[2] for part in parts])[:, None] if len(parts[0]) > 2 else None  # (B, 1, n)
+            s = Stats.stack([part[:2] for part in parts]).bind(
+                ends=None if ends is None else ends[cols].T, weights=c, p_values=cfg.p_values, tol=cfg.tolerance
+            )
+            del dims, parts, c  # held by the stack alone
+            reports = _evaluate(s, entries)
+            if table is None:
+                shape = (len(reports), len(at))
+                table = tuple(r.bound_id for r in reports), np.empty(shape), np.empty(shape), np.empty(shape, bool)
+            for f in (1, 2, 3):
+                table[f][:, cols] = [r[f] for r in reports]
+            del s, reports
+        yield samplers[at], joined[at], table
+        del table  # held by the reader alone while the next draw is drawn
+
+
 @dataclass
 class FuzzSummary:
     """Aggregated outcome of a fuzz run; a pure function of its config."""
@@ -707,7 +727,7 @@ class FuzzSummary:
 
 def _winners(ids: tuple[str, ...], rhs: np.ndarray, ok: np.ndarray) -> dict[str, int]:
     """Per competing bound, the families whose smallest ``rhs ** competes`` it gives, of a table's rows
-    ``ids``, right sides and preconditions (``_join``); a competitor not in ``ids`` wins nothing.
+    ``ids``, right sides and preconditions (``_tables``); a competitor not in ``ids`` wins nothing.
 
     A later entry of ``_COMPETITORS`` wins only when strictly smaller, so
     ties go to the earlier one.  A NaN (a side beyond the double range)
@@ -733,24 +753,8 @@ def _groups(ids: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     return keys, np.array([[i == key for key in keys] for i in ids])
 
 
-def _table(reports: list[BatchReport]) -> tuple:
-    """A stack's reports as one table ``(ids, lhs, rhs, ok)``: the ids of its K reports, and their sides and
-    preconditions over its B families as (K, B) arrays."""
-    return tuple(r.bound_id for r in reports), *(np.array([r[f] for r in reports]) for f in (1, 2, 3))
-
-
-def _join(tables: list[tuple]) -> tuple:
-    """The tables (``_table``) of a draw's stacks as one, the stacks' columns in stack order.
-
-    Every formula gives the same reports on every stack (``orthonormal_batch`` too, with ``ok`` false
-    where it detects no family), and every stack of a draw binds the same inputs (``_draw_stacks``), so
-    the tables are concatenated row by row.
-    """
-    return tables[0][0], *(np.concatenate([table[f] for table in tables], axis=1) for f in (1, 2, 3))
-
-
-def _tally(cfg: FuzzConfig, table: tuple, samplers: list[str], indices: list[int]) -> FuzzSummary:
-    """The summary of one draw's table (``_join``), whose column b is instance ``indices[b]`` of ensemble
+def _tally(cfg: FuzzConfig, samplers: np.ndarray, indices: np.ndarray, table: tuple) -> FuzzSummary:
+    """The summary of one draw (``_tables``), whose column b is instance ``indices[b]`` of ensemble
     ``samplers[b]``, and its tightness winners, judged by ``report.verdict``.
 
     The rows of one bound id (one per weight row or exponent) are
@@ -770,7 +774,7 @@ def _tally(cfg: FuzzConfig, table: tuple, samplers: list[str], indices: list[int
             {
                 "bound_id": ids[k],
                 "sampler": samplers[b],
-                "instance_seed": indices[b],
+                "instance_seed": int(indices[b]),
                 "slack": float(rel[k, b]),
             }
             for b, k in np.argwhere(bad.T)  # instance by instance, rows in order
@@ -799,24 +803,11 @@ def _merge(total: FuzzSummary, part: FuzzSummary) -> FuzzSummary:
 
 
 def _fuzz_task(task: Task) -> FuzzSummary:
-    cfg = task.cfg
-    part = FuzzSummary(cfg, {}, [], {}, {}, {})
-    for stacks in _stacks(task, ("generic", "disk"), BOUNDS):
-        samplers, indices, tables = [], [], []
-        with np.errstate(all="ignore"):  # sides beyond the double range are tallied as NaN
-            for stack_samplers, stack_indices, s in stacks:
-                samplers += stack_samplers
-                indices += stack_indices
-                reports = _evaluate(s, BOUNDS)
-                # the three classical weight choices, after every other report; they
-                # are their own stack of rows, since a row of a k-row product can
-                # differ in its last bit from the same row in a 1-row product
-                reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                tables.append(_table(reports))
-                del s, reports  # freed before the next stack is built
-        table = _join(tables)
-        del tables  # freed before the tally
-        _merge(part, _tally(cfg, table, samplers, indices))
+    part = FuzzSummary(task.cfg, {}, [], {}, {}, {})
+    # BOUNDS is read when the task runs, not at import, so that a patch of it reaches later calls in this process
+    for draw in _tables(task, ("generic", "disk"), (*BOUNDS, _CLASSICAL)):
+        _merge(part, _tally(task.cfg, *draw))
+        del draw  # freed before the next draw is drawn
     return part
 
 
@@ -923,8 +914,7 @@ def _compare_task(ensemble: str, task: Task) -> dict[str, tuple[int, list[float]
     """Per competing bound: its wins, and its ratios lhs / rhs where it applies with rhs > 0, in row order."""
     competing = [b.ids[0] for b in _COMPETITORS]
     wins, ratios = dict.fromkeys(competing, 0), {bid: [] for bid in competing}
-    for stacks in _stacks(task, (ensemble,), _COMPETITORS):
-        ids, lhs, rhs, ok = _join([_table(_evaluate(s, _COMPETITORS)) for *_, s in stacks])
+    for _, _, (ids, lhs, rhs, ok) in _tables(task, (ensemble,), _COMPETITORS):
         for bid, count in _winners(ids, rhs, ok).items():
             wins[bid] += count
         with np.errstate(all="ignore"):  # sides beyond the double range give NaN ratios

@@ -13,6 +13,7 @@ from besselkit import (
     bessel_sum,
     boas_bellman,
     bombieri,
+    check_all,
     dragomir03,
     dragomir04,
     dragomir04_corollaries,
@@ -226,6 +227,18 @@ class TestPecaric:
     def test_length_mismatch(self, doubled):
         with pytest.raises(DimensionMismatch):
             pecaric(doubled, [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_weights_rejected(self, orthobasis, bad):
+        # weights take as_vector's rule, as vectors do: every weighted entry point raises
+        calls = [
+            lambda c: pecaric(orthobasis, c),
+            lambda c: dragomir04(orthobasis, c, 2.0),
+            lambda c: check_all(orthobasis, None, c),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                call([bad, 1.0])
 
 
 class TestPecaricSpecializations:

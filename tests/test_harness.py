@@ -1,6 +1,8 @@
 """Samplers, check_all dispatch, fuzz aggregation, tightness comparison."""
 
+import collections
 import ctypes
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -26,7 +28,6 @@ from besselkit import (
     ExtremalTarget,
     Family,
     FuzzConfig,
-    FuzzSummary,
     build,
     bessel_sum,
     check_all,
@@ -43,13 +44,12 @@ from besselkit import (
 )
 from besselkit.classical import (
     classical_weights,
-    classical_weights_batch,
     pecaric_batch,
 )
 from besselkit.cli import family_payload, main
-from besselkit.core import Stats
+from besselkit.core import BoundStats, Stats
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
-from besselkit.report import BatchReport, reports_of
+from besselkit.report import BatchReport, reports_of, verdict
 from besselkit.sharp import orthonormal_batch
 
 HEAVY = DiskSampler(boundary_fraction=0.9, extremal_fraction=0.5)
@@ -65,6 +65,80 @@ def stack_of(families):
     """``Stats.stack`` of families of one size, one part per run of equal dimension."""
     runs = [list(run) for _, run in groupby(families, key=lambda f: f.dim)]
     return Stats.stack([(np.array([f.x for f in run]), np.array([f.ys for f in run])) for run in runs])
+
+
+def fuzz_entries():
+    """The entries ``fuzz`` evaluates: ``BOUNDS`` as it is when called (a test may patch it), then the classical
+    Pečarić entry."""
+    return (*harness.BOUNDS, harness._CLASSICAL)
+
+
+COMPETING = tuple(b for b in BOUNDS if b.competes)
+
+
+def tables(cfg, names, entries, start=0, stop=None):
+    """The draws ``harness._tables`` yields for the instances ``start`` to ``stop - 1`` (all by default), one task."""
+    return harness._tables(harness.Task(cfg, start, cfg.instances if stop is None else stop), names, entries)
+
+
+def bits(*values):
+    """The bytes of ``values`` as doubles, so that NaNs and signed zeros compare too."""
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The stacks ``Stats.stack`` builds from here on, in order, as ``(n, families, arrays, freed)``: their size,
+    their number of families, weak references to the arrays of their parts, and whether every array of the
+    stacks built before was freed by the time this one was built."""
+    records, stack = [], Stats.stack.__func__
+
+    def recording(cls, parts):
+        freed = all(ref() is None for *_, refs, _ in records for ref in refs)
+        s = stack(cls, parts)
+        records.append((s.n, s.shape[0], [weakref.ref(a) for part in parts for a in part], freed))
+        return s
+
+    monkeypatch.setattr(Stats, "stack", classmethod(recording))
+    return records
+
+
+def reference(cfg, ensembles=("generic", "disk")):
+    """The fuzz summary of ``cfg`` (as ``FuzzSummary.as_dict()``, the ensembles of ``fuzz`` among ``ensembles``) and
+    the compare rows of each of ``ensembles``, reduced by hand from each ensemble's own tables, drawn with
+    ``fuzz``'s entries in the tasks of one worker; and each ensemble's number of draws."""
+    counts = {name: collections.Counter() for name in ("checked", "tight", "tightness_wins")}
+    violations, least, rows, draws = [], {}, {}, {}
+    for ensemble in ensembles:
+        wins, ratios, draws[ensemble] = collections.Counter(), {b.ids[0]: [] for b in COMPETING}, 0
+        fuzzed = ensemble in ("generic", "disk")
+        for task in harness._tasks(cfg, 1):
+            for _, indices, (ids, lhs, rhs, ok) in harness._tables(task, (ensemble,), fuzz_entries()):
+                draws[ensemble] += 1
+                won = harness._winners(ids, rhs, ok)
+                wins.update(won)
+                rel, violated, tight = verdict(lhs, rhs, cfg.tolerance)
+                for bid, num, den, use, slack, bad, close in zip(ids, lhs, rhs, ok, rel, violated, tight):
+                    if bid in ratios:
+                        ratios[bid] += (num[use & (den > 0.0)] / den[use & (den > 0.0)]).tolist()
+                    if fuzzed:
+                        counts["checked"][bid] += int(use.sum())
+                        counts["tight"][bid] += int((use & close).sum())
+                        slack_seen = slack[use & ~np.isnan(slack)]
+                        if slack_seen.size:
+                            least[bid] = min(least.get(bid, math.inf), float(slack_seen.min()))
+                        for i, s in zip(indices[use & bad].tolist(), slack[use & bad].tolist()):
+                            violations.append({"bound_id": bid, "sampler": ensemble, "instance_seed": i, "slack": s})
+                if fuzzed:
+                    counts["tightness_wins"].update(won)
+        rows[ensemble] = [
+            harness.TightnessRow(bid, wins[bid], math.fsum(ratios[bid]) / len(ratios[bid]) if ratios[bid] else math.nan)
+            for bid in ratios
+        ]
+    violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))  # stable: rows in order
+    summary = {name: {k: v for k, v in c.items() if v} for name, c in counts.items()}
+    summary.update(config=dataclasses.asdict(cfg), violations=violations, min_slack=least)
+    return summary, rows, draws
 
 
 class TestSampleFamily:
@@ -249,10 +323,10 @@ class TestSampleFamilies:
     def test_indices_checked_before_drawing(self, ensemble, monkeypatch):
         cfg = small_cfg(instances=5)
 
-        def drawn(*args):
+        def words(*args):
             raise AssertionError("drew before checking every index")
 
-        monkeypatch.setattr(harness, "_drawn", drawn)
+        monkeypatch.setattr(harness, "_words", words)
         for bad, message in (
             (5, "index 5 out of range for 5 instances"),
             (-1, "index -1 out of range"),
@@ -603,7 +677,7 @@ class TestStackMatchesFamilyAlone:
                     tol=cfg.tolerance,
                 )
                 batch = s.evaluate(*(b.formula for b in BOUNDS if disk or b.needs != "disk"))
-                batch += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
+                batch += s.evaluate(harness._CLASSICAL.formula)
                 for b, k in enumerate(members):
                     f, d = drawn[k]
                     stacked = [r.as_dict() for r in reports_of(batch, b)]
@@ -733,7 +807,7 @@ class TestSeedStreams:
 
 
 class TestChunkMatchesSamplers:
-    """Every stack of a task holds the bits the public samplers give its instances alone."""
+    """Every column of a draw's table holds the reports the public samplers' families give alone."""
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("sampler", [DiskSampler(), HEAVY, DiskSampler(scale=2**-40)])
@@ -764,37 +838,36 @@ class TestChunkMatchesSamplers:
         self.check(cfg, ensemble, 0, 14)
 
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
-    def test_one_stack_per_size(self, ensemble):
-        # 1024 families at the default sizes fit in one draw, which makes one stack per size
+    def test_one_stack_per_size(self, ensemble, built):
+        # 1024 families at the default sizes fit in one draw, which makes one stack per size, its columns in
+        # stack order
         cfg = FuzzConfig(master_seed=43, instances=1024)
         lane, draw, _ = harness.ENSEMBLES[ensemble]
         n = draw(cfg, lane, np.arange(1024, dtype=np.uint64)).n
         assert (n * np.maximum(n, 8)).sum() <= harness._DRAW_ENTRIES
-        (draw,) = harness._stacks(harness.Task(cfg, 0, 1024), (ensemble,), BOUNDS)
-        stacks = [set(indices) for _, indices, _ in draw]
-        assert stacks == [set(np.flatnonzero(n == size).tolist()) for size in np.unique(n)]
+        ((_, indices, _),) = tables(cfg, (ensemble,), BOUNDS)
+        sizes = np.unique(n).tolist()
+        assert [size for size, *_ in built] == sizes
+        stacks = np.split(indices, np.cumsum([rows for _, rows, *_ in built])[:-1])
+        assert [set(stack.tolist()) for stack in stacks] == [set(np.flatnonzero(n == size).tolist()) for size in sizes]
 
     @staticmethod
     def check(cfg, ensemble, start, stop):
-        """Compares each stack of instances ``start`` to ``stop - 1`` with the public samplers; returns the
-        stacks' instance indices."""
+        """Compares each column of the tables of instances ``start`` to ``stop - 1`` with the reports that
+        ``check_all`` and the classical entry give the public sampler's family alone, with the weights of its
+        own stream; returns the draws' instance indices."""
         seen = []
-        draws = harness._stacks(harness.Task(cfg, start, stop), (ensemble,), BOUNDS)
-        for names, indices, s in (stack for draw in draws for stack in draw):
-            assert names == [ensemble] * len(indices)
-            drawn = [ONE_INSTANCE[ensemble](cfg, i) for i in indices]
-            cs = [TestChunkMatchesSamplers.own_weights(cfg, ensemble, i, f) for i, (f, _) in zip(indices, drawn)]
-            ref = stack_of([f for f, _ in drawn]).bind(
-                ends=None if ensemble == "generic" else np.array([(d.gamma, d.Gamma) for _, d in drawn]).T,
-                weights=None if cs[0] is None else np.array(cs)[:, None],
-            )
-            assert len(s.parts) == len(ref.parts)
-            for part, ref_part in zip(s.parts, ref.parts):  # (x, ys)
-                for a, b in zip(part, ref_part):
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-            for name in ("weights", "gamma", "Gamma"):
-                a, b = getattr(s, name), getattr(ref, name)
-                assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+        for samplers, indices, (ids, lhs, rhs, ok) in tables(cfg, (ensemble,), fuzz_entries(), start, stop):
+            assert samplers.tolist() == [ensemble] * len(indices)
+            indices = indices.tolist()
+            for b, (i, (f, d)) in enumerate(zip(indices, sample_families(cfg, ensemble, indices))):
+                c = TestChunkMatchesSamplers.own_weights(cfg, ensemble, i, f)
+                alone = check_all(f, d, c, cfg.p_values, cfg.tolerance)
+                alone += reports_of(harness._CLASSICAL.formula(f.stats.bind()))
+                alone = [r for r in alone if r.preconditions_met]
+                use = ok[:, b]
+                assert [ids[k] for k in np.flatnonzero(use)] == [r.bound_id for r in alone]
+                assert bits(lhs[use, b], rhs[use, b]) == bits([r.lhs for r in alone], [r.rhs for r in alone])
             seen.append(indices)
         assert sorted(sum(seen, [])) == list(range(start, stop))
         return seen
@@ -818,29 +891,40 @@ class TestDrawHoldsWhatIsRead:
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("ensemble", ["generic", "disk", "orthonormal"])
     def test_compare_draws_no_weights(self, ensemble, mode, monkeypatch):
+        # the words drawn from the vector regions: with the weights, the last n entries of a generic or disk row
+        words, drawn = harness._words, []
+
+        def counting(cfg, lane, index, *regions):
+            counts = [np.broadcast_to(c, len(index)).sum() for block, c in regions if block == harness._VECTORS]
+            drawn.extend(map(int, counts))
+            return words(cfg, lane, index, *regions)
+
+        monkeypatch.setattr(harness, "_words", counting)
         # default sizes in one draw, and n = 40 alone, a size group that spans several draws
         for n_range in ((1, 12), (40, 40)):
             cfg = FuzzConfig(master_seed=71, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY)
-            task = harness.Task(cfg, 0, cfg.instances)
-            compared = [stack for draw in harness._stacks(task, (ensemble,), harness._COMPETITORS) for stack in draw]
-            fuzzed = [stack for draw in harness._stacks(task, (ensemble,), BOUNDS) for stack in draw]
-            assert [indices for _, indices, _ in compared] == [indices for _, indices, _ in fuzzed]
-            for (*_, s), (*_, ref) in zip(compared, fuzzed):
-                assert s.weights is None
-                assert (ref.weights is None) == (ensemble == "orthonormal")
-                assert len(s.parts) == len(ref.parts)
-                for part, ref_part in zip(s.parts, ref.parts):  # (x, ys)
-                    for a, b in zip(part, ref_part):
-                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                for name in ("gamma", "Gamma"):
-                    a, b = getattr(s, name), getattr(ref, name)
-                    assert (a is None and b is None) or (a.shape, a.tobytes()) == (b.shape, b.tobytes())
-            # a public sampler's draw holds no weights either
-            with monkeypatch.context() as m:
-                loop, parts = harness._drawn, []  # each draw's runs are (n, d, parts)
-                m.setattr(harness, "_drawn", lambda *args: [parts.extend(r[2] for r in d[2]) or d for d in loop(*args)])
-                sample_families(cfg, ensemble, range(cfg.instances))
-            assert parts and all(len(part) == 2 for part in parts)
+            drawn.clear()
+            families = sample_families(cfg, ensemble, range(cfg.instances))  # a public sampler draws none either
+            vectors = {
+                "generic": lambda f: f.dim + f.n * f.dim,
+                "disk": lambda f: f.n * f.dim,
+                "orthonormal": lambda f: f.dim * f.n + f.dim * (f.dim > f.n),
+            }[ensemble]
+            per_entry = 2 if mode == "complex" else 1
+            without = per_entry * sum(vectors(f) for f, _ in families)
+            assert sum(drawn) == without
+            drawn.clear()
+            compared = list(tables(cfg, (ensemble,), COMPETING))
+            assert sum(drawn) == without
+            drawn.clear()
+            fuzzed = list(tables(cfg, (ensemble,), BOUNDS))
+            assert sum(drawn) == without + per_entry * sum(f.n for f, _ in families) * (ensemble != "orthonormal")
+            # the competing rows of a compare draw have the bits of the same rows of a fuzz draw
+            assert len(compared) == len(fuzzed)
+            for (_, at, (ids, *sides)), (_, ref_at, (ref_ids, *ref_sides)) in zip(compared, fuzzed):
+                assert at.tobytes() == ref_at.tobytes()
+                rows = [ref_ids.index(i) for i in ids]
+                assert [a.tobytes() for a in sides] == [a[rows].tobytes() for a in ref_sides]
 
 
 class TestFieldFormat:
@@ -1034,26 +1118,28 @@ class TestTaskSplit:
             sizes[(task.start, task.stop)].append(n)
         assert sorted(kept) == list(range(instances))
 
-    def test_each_size_stacked_in_one_task(self, monkeypatch):
+    def test_each_size_stacked_in_one_task(self, monkeypatch, built):
         # 512 default instances at workers=2: two tasks that stack disjoint sets of sizes, each size once, in
         # one stack that holds the families of that size of both samplers
-        pool, stacks, built = _InProcess(), harness._stacks, []
+        pool, draws, stacks = _InProcess(), harness._tables, []
 
-        def counting(*args):
-            for draw in stacks(*args):
-                draw = list(draw)
-                built.extend((pool.tasks, set(names), s.n) for names, _, s in draw)  # task, samplers, size
-                yield iter(draw)
+        def labelling(*args):
+            done = len(built)
+            for draw in draws(*args):
+                new, done = built[done:], len(built)
+                columns = np.split(draw[0], np.cumsum([rows for _, rows, *_ in new])[:-1])
+                # the task, the samplers and the size of each stack
+                stacks.extend((pool.tasks, set(names), n) for (n, *_), names in zip(new, columns))
+                yield draw
 
-        monkeypatch.setattr(harness, "_stacks", counting)
+        monkeypatch.setattr(harness, "_tables", labelling)
         monkeypatch.setattr(harness, "_pool", (2, pool))
         fuzz(FuzzConfig(master_seed=59, instances=512), workers=2)
-        assert pool.tasks == 2
-        sizes = [[n for t, _, n in built if t == task] for task in (1, 2)]
+        assert pool.tasks == 2 and len(stacks) == len(built)
+        sizes = [[n for t, _, n in stacks if t == task] for task in (1, 2)]
         assert sorted(sizes[0] + sizes[1]) == list(range(1, 13))
         assert not set(sizes[0]) & set(sizes[1])
-        assert all(names == {"generic", "disk"} for _, names, _ in built)
-
+        assert all(names == {"generic", "disk"} for _, names, _ in stacks)
 
     def test_one_instance_is_one_task(self, monkeypatch):
         # a 1-instance call at workers=2 is one task, run in this process: no empty task goes to the pool
@@ -1088,24 +1174,29 @@ class TestTaskSplit:
 
 
 class TestDrawReduction:
-    """A draw's stacks are reduced together, with the outputs of reducing them one by one."""
+    """A draw's stacks are reduced together, with the outputs of reducing each ensemble alone."""
 
     def test_one_reduction_per_draw(self, monkeypatch):
-        # 512 default instances of both samplers are one draw: one tally, and one winners call per compare
-        calls = {"_tally": 0, "_winners": 0}
-        for name in calls:
+        # 512 default instances of both samplers are one draw: one table, and one winners call, per call
+        calls, draws, winners = {"_tables": 0, "_winners": 0}, harness._tables, harness._winners
 
-            def counting(*args, fn=getattr(harness, name), name=name):
-                calls[name] += 1
-                return fn(*args)
+        def counting_draws(*args):
+            for draw in draws(*args):
+                calls["_tables"] += 1
+                yield draw
 
-            monkeypatch.setattr(harness, name, counting)
+        def counting_winners(*args):
+            calls["_winners"] += 1
+            return winners(*args)
+
+        monkeypatch.setattr(harness, "_tables", counting_draws)
+        monkeypatch.setattr(harness, "_winners", counting_winners)
         cfg = FuzzConfig(master_seed=61, instances=512)
         fuzz(cfg, workers=1)
-        assert calls["_tally"] == 1
-        calls["_winners"] = 0
+        assert calls == {"_tables": 1, "_winners": 1}
+        calls.update(_tables=0, _winners=0)
         tightness_compare(cfg, "generic", workers=1)
-        assert calls["_winners"] == 1
+        assert calls == {"_tables": 1, "_winners": 1}
 
     @pytest.mark.parametrize(
         "cfg,mixed",
@@ -1120,33 +1211,54 @@ class TestDrawReduction:
         # a draw of the generic and the disk ensemble together holds at most _DRAW_ENTRIES Gram entries,
         # n * max(n, d_range[1]) a family, over both ensembles, or one row
         draws = []
-        for draw in harness._stacks(harness.Task(cfg, 0, cfg.instances), ("generic", "disk"), BOUNDS):
-            stacks = [(names, s.n) for names, _, s in draw]
-            rows = sum(len(names) for names, _ in stacks)
-            entries = sum(len(names) * n * max(n, cfg.d_range[1]) for names, n in stacks)
-            assert entries <= harness._DRAW_ENTRIES or rows == 1
-            draws.append((rows, {name for names, _ in stacks for name in names}))
+        for samplers, indices, _ in tables(cfg, ("generic", "disk"), BOUNDS):
+            names = set(samplers)
+            n = np.concatenate([harness._head(cfg, harness.ENSEMBLES[e][0], indices[samplers == e])[0] for e in names])
+            assert (n * np.maximum(n, cfg.d_range[1])).sum() <= harness._DRAW_ENTRIES or len(indices) == 1
+            draws.append((len(indices), names))
         assert sum(rows for rows, _ in draws) == 2 * cfg.instances and len(draws) > 2
         assert any(len(names) == 2 for _, names in draws) == mixed  # draws that hold both ensembles
 
     @pytest.mark.parametrize("names", [("generic", "disk"), ("orthonormal",)])
-    def test_runs_freed_with_their_stack(self, names):
-        # the draws hold no run once their stacks take the runs over: a dropped stack's arrays are freed by
-        # the time the next stack is built, and the last stack's once its draw is done, before the tally
+    def test_runs_freed_with_their_stack(self, names, built):
+        # a stack's arrays are freed by the time the next stack is built, and the last stack's once its draw's
+        # table is yielded, before the tally
         cfg = FuzzConfig(master_seed=67, instances=512, disk_sampler=HEAVY)
-        for draw in harness._stacks(harness.Task(cfg, 0, cfg.instances), names, BOUNDS):
-            held = []
-            for *_, s in draw:
-                assert all(ref() is None for ref in held)
-                held = [weakref.ref(a) for part in s.parts for a in part]
-                del s
-            assert held and all(ref() is None for ref in held)
+        for _ in tables(cfg, names, fuzz_entries()):
+            assert built and all(ref() is None for *_, refs, _ in built for ref in refs)
+        assert len(built) > 1 and all(freed for *_, freed in built)
+
+    def test_table_freed_before_the_next_draw(self, monkeypatch):
+        # 2100 default instances of both samplers make several draws: a draw's table, once its reader drops it,
+        # is freed before the next draw's words are drawn
+        words, held, freed = harness._words, [], []
+
+        def checking(*args):
+            freed.append(all(ref() is None for ref in held))
+            return words(*args)
+
+        monkeypatch.setattr(harness, "_words", checking)
+        cfg = FuzzConfig(master_seed=89, instances=2100)
+        draws = 0
+        for _, _, table in tables(cfg, ("generic", "disk"), fuzz_entries()):
+            held, draws = [weakref.ref(a) for a in table[1:]], draws + 1
+            del table
+        assert draws > 2 and all(freed)
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
-    def test_same_reports_on_every_stack(self, mode):
+    def test_same_reports_on_every_stack(self, mode, monkeypatch):
         # every stack of an ensemble, and of the generic and disk ensembles drawn together as fuzz draws them,
         # gives the same rows, also where its draw detects orthonormal families in one stack and none in the
         # others, and where a stack of both holds one sampler's families alone (16 instances)
+        evaluate, stacks = BoundStats.evaluate, []
+
+        def recording(s, *formulas):
+            reports = evaluate(s, *formulas)
+            detected = {bool(r.ok.any()) for r in reports if r.bound_id == "orthonormal30"}
+            stacks.append((tuple(r.bound_id for r in reports), s.shape[0], detected))
+            return reports
+
+        monkeypatch.setattr(BoundStats, "evaluate", recording)
         cases = {
             ("generic",): set(),
             ("disk",): {False, True},
@@ -1155,15 +1267,13 @@ class TestDrawReduction:
         }
         for instances in (1024, 16):
             cfg = FuzzConfig(master_seed=13, instances=instances, field_mode=mode, tolerance=0.05)
-            task = harness.Task(cfg, 0, cfg.instances)
             for names, expected in cases.items():
                 ids, detected, alone = set(), set(), set()
-                for samplers, _, s in (stack for draw in harness._stacks(task, names, BOUNDS) for stack in draw):
-                    reports = harness._evaluate(s, BOUNDS)
-                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                    ids.add(tuple(r.bound_id for r in reports))
-                    detected.update(r.ok.any() for r in reports if r.bound_id == "orthonormal30")
-                    alone.add(frozenset(samplers))
+                for samplers, _, table in tables(cfg, names, fuzz_entries()):
+                    ids.update([table[0]] + [stack_ids for stack_ids, *_ in stacks])
+                    detected.update(*(found for *_, found in stacks))
+                    alone.update(map(frozenset, np.split(samplers, np.cumsum([rows for _, rows, _ in stacks])[:-1])))
+                    stacks.clear()
                 assert len(ids) == 1, names
                 if instances == 1024:
                     assert detected == expected
@@ -1173,7 +1283,7 @@ class TestDrawReduction:
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_joined_equals_per_stack(self, mode):
         # size groups that span several draws, and a draw whose stacks detect orthonormal families in one
-        # size and none in the others; the reference reduces the stacks one by one
+        # size and none in the others; the reference reduces each ensemble's draws alone
         spanning = [
             FuzzConfig(master_seed=29, instances=300, n_range=(40, 40), field_mode=mode, disk_sampler=HEAVY),
             FuzzConfig(
@@ -1182,42 +1292,23 @@ class TestDrawReduction:
         ]
         mixed = FuzzConfig(master_seed=13, instances=1024, field_mode=mode, tolerance=0.05)
         for cfg in [*spanning, mixed]:
-            task = harness.Task(cfg, 0, cfg.instances)
-            draws = [[s for *_, s in draw] for draw in harness._stacks(task, ("disk",), BOUNDS)]
+            summary, rows, draws = reference(cfg, tuple(harness.ENSEMBLES))
             if cfg is mixed:
-                assert {bool(np.any((s.n <= s.dim) & (s.ortho_dev <= s.tol))) for s in draws[0]} == {False, True}
+                detected = {}  # per size, whether any disk family of it is detected as orthonormal
+                for f, _ in sample_families(cfg, "disk", range(cfg.instances)):
+                    found = bool(f.n <= f.dim and f.stats.ortho_dev <= cfg.tolerance)
+                    detected[f.n] = detected.get(f.n, False) or found
+                assert draws["disk"] == 1 and set(detected.values()) == {False, True}
             else:
-                assert len(draws) > 1
-            ref = FuzzSummary(cfg, {}, [], {}, {}, {})
-            for sampler in ("generic", "disk"):
-                for names, indices, s in (st for draw in harness._stacks(task, (sampler,), BOUNDS) for st in draw):
-                    reports = harness._evaluate(s, BOUNDS)
-                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                    harness._merge(ref, harness._tally(cfg, harness._table(reports), names, indices))
-            ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
-            text = json.dumps(ref.as_dict(), sort_keys=True, default=repr)
+                assert draws["disk"] > 1
+            text = json.dumps(summary, sort_keys=True, default=repr)
             assert json.dumps(fuzz(cfg).as_dict(), sort_keys=True, default=repr) == text
             for ensemble in harness.ENSEMBLES:
-                ids = [b.ids[0] for b in harness._COMPETITORS]
-                wins, ratios = dict.fromkeys(ids, 0), {bid: [] for bid in ids}
-                stacks = (stack for draw in harness._stacks(task, (ensemble,), harness._COMPETITORS) for stack in draw)
-                for *_, s in stacks:
-                    reports = harness._evaluate(s, harness._COMPETITORS)
-                    table_ids, _, rhs, ok = harness._table(reports)
-                    for bid, count in harness._winners(table_ids, rhs, ok).items():
-                        wins[bid] += count
-                    for r in reports:
-                        use = r.ok & (r.rhs > 0.0)
-                        ratios[r.bound_id] += (r.lhs[use] / r.rhs[use]).tolist()
-                expected = [
-                    (bid, wins[bid], math.fsum(ratios[bid]) / len(ratios[bid]) if ratios[bid] else math.nan)
-                    for bid in ids
-                ]
-                assert repr(tightness_compare(cfg, ensemble)) == repr([harness.TightnessRow(*e) for e in expected])
+                assert repr(tightness_compare(cfg, ensemble)) == repr(rows[ensemble])
 
     def test_zero_x_draws_its_run_again(self, monkeypatch):
-        # instance 5's first x is zeroed in its words: its run alone goes to ``_accepted``, and the stacks
-        # still hold the public sampler's bits, whose x is drawn again too
+        # instance 5's first x is zeroed in its words: its run alone goes to ``_accepted``, and the tables
+        # still hold the reports of the public sampler's family, whose x is drawn again too
         cfg, target = FuzzConfig(master_seed=67, instances=64), 5
         words, accepted, retried = harness._words, harness._accepted, []
 
@@ -1238,10 +1329,10 @@ class TestDrawReduction:
 
         monkeypatch.setattr(harness, "_words", zeroing)
         monkeypatch.setattr(harness, "_accepted", recording)
-        raw = harness._draw_in_disk(cfg, 1, np.arange(64, dtype=np.uint64))
+        lane, draw, _ = harness.ENSEMBLES["disk"]
+        raw = draw(cfg, lane, np.arange(64, dtype=np.uint64))
         run = np.flatnonzero((raw.n == raw.n[target]) & (raw.d == raw.d[target])).tolist()
-        for draw in harness._stacks(harness.Task(cfg, 0, 64), ("disk",), BOUNDS):
-            list(draw)
+        list(tables(cfg, ("disk",), BOUNDS))
         assert retried == [run]
         family, _ = sample_disk_family(cfg, target)
         assert np.any(family.x != 0)
@@ -1249,27 +1340,34 @@ class TestDrawReduction:
 
 
 class TestNoDisk:
-    """A family without a disk, in a stack that binds disks, has the end points ``_NO_DISK``, (nan, nan)."""
+    """A family without a disk, in a draw that binds disks, meets no disk entry."""
 
     @pytest.mark.parametrize("mode", ["complex", "real"])
     def test_disk_entries_never_apply(self, mode):
-        # every report of every disk entry has ok false on such a family, also where orthonormal_batch
-        # detects it, and no entry warns
+        # every report of every disk entry has ok false on a generic family of a draw that holds disk families
         cfg = FuzzConfig(master_seed=17, instances=300, field_mode=mode)
-        task = harness.Task(cfg, 0, cfg.instances)
-        generic = [s for draw in harness._stacks(task, ("generic",), BOUNDS) for *_, s in draw]
-        orthonormal = [s for draw in harness._stacks(task, ("orthonormal",), BOUNDS) for *_, s in draw][:1]
-        assert all(((s.n <= s.dim) & (s.ortho_dev <= s.tol)).any() for s in orthonormal)
-        ends = harness._NO_DISK
-        assert np.isnan(ends.real).all() and np.isnan(ends.imag).all()
         disk = [b for b in BOUNDS if b.needs == "disk"]
-        for s in generic + orthonormal:
-            bound = s.bind(ends=ends.repeat(s.shape[0], 0).T, p_values=cfg.p_values, tol=cfg.tolerance)
-            with warnings.catch_warnings(), np.errstate(all="warn"):
-                warnings.simplefilter("error")
-                reports = [r for b in disk for r in b.formula(bound)]
-            assert len(reports) == sum(len(b.ids) for b in disk)
-            assert not any(np.any(r.ok) for r in reports)
+        disk_ids = [i for b in disk for i in b.ids]
+        for samplers, _, (ids, _, _, ok) in tables(cfg, ("generic", "disk"), BOUNDS):
+            rows = [k for k, i in enumerate(ids) if i in disk_ids]
+            assert [ids[k] for k in rows] == disk_ids
+            generic = samplers == "generic"
+            assert generic.any() and not ok[rows][:, generic].any() and ok[rows][:, ~generic].any()
+        # its end points (nan, nan) fail every disk entry's preconditions without a warning, also where
+        # orthonormal_batch detects the family
+        ends = np.full((2, 1), complex(math.nan, math.nan))
+        for name in ("generic", "orthonormal"):
+            families = [f for f, _ in sample_families(cfg, name, range(cfg.instances))]
+            families.sort(key=lambda f: (f.n, f.dim))
+            for _, group in groupby(families, key=lambda f: f.n):
+                s = stack_of(list(group))
+                assert name == "generic" or ((s.n <= s.dim) & (s.ortho_dev <= cfg.tolerance)).all()
+                bound = s.bind(ends=ends.repeat(s.shape[0], 1), p_values=cfg.p_values, tol=cfg.tolerance)
+                with warnings.catch_warnings(), np.errstate(all="warn"):
+                    warnings.simplefilter("error")
+                    reports = [r for b in disk for r in b.formula(bound)]
+                assert len(reports) == len(disk_ids)
+                assert not any(np.any(r.ok) for r in reports)
 
 
 _INFLATED = ("selberg", "dragomir_pq", "theorem22")
@@ -1305,19 +1403,12 @@ class TestViolationLabels:
     )
     def test_violations_match_each_sampler_alone(self, cfg, factor, monkeypatch):
         label(monkeypatch, factor)
-        ref = FuzzSummary(cfg, {}, [], {}, {}, {})
-        for sampler in ("generic", "disk"):
-            for task in harness._tasks(cfg, 1):
-                for names, indices, s in (st for draw in harness._stacks(task, (sampler,), BOUNDS) for st in draw):
-                    reports = harness._evaluate(s, harness.BOUNDS)
-                    reports += s.bind(weights=classical_weights_batch(s)).evaluate(pecaric_batch)
-                    harness._merge(ref, harness._tally(cfg, harness._table(reports), names, indices))
-        ref.violations.sort(key=lambda v: (v["instance_seed"], v["sampler"], v["bound_id"]))
-        assert {v["sampler"] for v in ref.violations} == {"generic", "disk"}
-        assert {v["bound_id"] for v in ref.violations} == set(_INFLATED)
+        violations = reference(cfg)[0]["violations"]
+        assert {v["sampler"] for v in violations} == {"generic", "disk"}
+        assert {v["bound_id"] for v in violations} == set(_INFLATED)
         monkeypatch.setattr(harness, "_pool", (2, _InProcess()))
         for workers in (1, 2):
-            assert fuzz(cfg, workers).violations == ref.violations
+            assert fuzz(cfg, workers).violations == violations
 
 
 class TestConfigValidation:
