@@ -23,7 +23,10 @@ another worker count or found the pool broken.  Its workers run numpy's BLAS
 on one thread (``_one_blas_thread``).  Where they are forked (Linux), they
 are forked at the first such call and see module state as it was then: a
 change to this module made later, such as a test's monkeypatch, does not
-reach them.
+reach them.  ``_pool`` holds the kept pool as ``(workers, executor)``.  It is
+the one seam through which tests reach the pool: a test may set it, or the
+executor it is made from, to a stand-in that runs the tasks in process, where
+a patch does reach them.
 
 The table ``ENSEMBLES`` holds the three ensembles: unconstrained families,
 families whose coefficients are placed inside a sampled disk (so the sharp
@@ -48,11 +51,12 @@ once, maps the statistics of a stack of families (``core.BoundStats``:
 coefficients, norms, Gram row sums and maxima, and the disk end points,
 weights and exponents bound to it) to one ``BatchReport`` per report.
 ``fuzz`` and ``tightness_compare`` read a task's reports one table a draw
-(``_tables``): ``fuzz`` of ``BOUNDS`` and then ``_CLASSICAL`` on the generic
-and the disk ensemble, ``tightness_compare`` of the competing entries on one.
-One loop (``_drawn``) sorts all of a task's rows together by size and
-dimension and draws their vectors a draw of at most ``_DRAW_ENTRIES`` Gram
-entries at a time, over all its ensembles; each ensemble's runs of one size
+(``_tables``, the seam through which tests read the draws): ``fuzz`` of
+``BOUNDS`` and then ``_CLASSICAL`` on the generic and the disk ensemble,
+``tightness_compare`` of the competing entries on one.  One loop (``_drawn``)
+sorts all of a task's rows together by size and dimension and draws their
+vectors a draw of at most ``_DRAW_ENTRIES`` Gram entries at a time, over all
+its ensembles, one or several alike; each ensemble's runs of one size
 and dimension (``_runs``) are found once and each region of its words decoded
 once.  The families of one size n in one draw are a stack, held in runs of
 one dimension (``Stats.stack``), the runs of the ensembles joined.  Where a
@@ -483,13 +487,12 @@ def _drawn(cfg: FuzzConfig, names: Sequence[str], indices: Sequence[np.ndarray],
     ``assemble``, with the weights where ``weights``, a draw of at most ``_DRAW_ENTRIES`` Gram entries (or one row)
     at a time.  Yields each draw as ``(at, ends, runs)``: the places of its rows in the joined ``indices``, their
     disks' end points (B, 2) or None, and its runs of one size, dimension and ensemble in row order, ``(n, d,
-    parts)`` with their parts (x, ys[, c]), which the caller takes over."""
+    parts)`` with their parts (x, ys[, c]), which the caller takes over.  One ensemble takes the same path as
+    several: its rows are masked out of the joined order per draw, and its end points joined per draw."""
     ensembles = [ENSEMBLES[name] for name in names]
     raws = [draw(cfg, lane, index) for (lane, draw, _), index in zip(ensembles, indices)]
-    n, d = raws[0].n, raws[0].d  # a lone ensemble's rows as drawn, else all rows joined
-    if len(raws) > 1:
-        n, d = np.concatenate([raw.n for raw in raws]), np.concatenate([raw.d for raw in raws])
-        bounds = list(pairwise([0, *accumulate(len(raw.n) for raw in raws)]))  # of each ensemble's rows
+    n, d = np.concatenate([raw.n for raw in raws]), np.concatenate([raw.d for raw in raws])
+    bounds = list(pairwise([0, *accumulate(len(raw.n) for raw in raws)]))  # of each ensemble's rows
     order = np.lexsort((d, n))
     cost = (n * np.maximum(n, cfg.d_range[1]))[order]  # each family's Gram entries, sorted
     del n, d  # not held through the draws
@@ -497,22 +500,20 @@ def _drawn(cfg: FuzzConfig, names: Sequence[str], indices: Sequence[np.ndarray],
     while lo < len(cost):
         hi = lo + max(1, int(cost[lo:].cumsum().searchsorted(_DRAW_ENTRIES, side="right")))
         at, lo = order[lo:hi], hi
-        # each ensemble's rows of the draw, in order; a lone ensemble's are all of them
-        own = [at] if len(raws) == 1 else [at[(a <= at) & (at < b)] - a for a, b in bounds]
         runs = []
-        for raw, rows, (_, _, assemble) in zip(raws, own, ensembles):
+        for raw, (a, b), (_, _, assemble) in zip(raws, bounds, ensembles):
+            rows = at[(a <= at) & (at < b)] - a  # the ensemble's rows of the draw, in order
             if rows.size:  # an ensemble may hold no row of a draw
                 points = None if raw.ends is None else raw.ends[rows]
                 sub = Raw(raw.lane, raw.index[rows], raw.n[rows], raw.d[rows], points, raw.zs)
                 cuts = _runs(sub)
                 with np.errstate(all="ignore"):  # a disk near the double range gives inf or NaN entries
                     runs += [(size, dim, part) for (_, size, dim), part in zip(cuts, assemble(cfg, sub, cuts, weights))]
-        ends = points  # the rows' end points; a lone ensemble's runs and end points are in row order already
-        if len(raws) > 1:
-            runs.sort(key=operator.itemgetter(0, 1))  # stable: the ensembles in order within one size and dimension
-            if any(raw.ends is not None for raw in raws):  # _NO_DISK for an ensemble without disks
-                ends = [_NO_DISK.repeat(len(raw.n), 0) if raw.ends is None else raw.ends for raw in raws]
-                ends = np.concatenate(ends)[at]
+        runs.sort(key=operator.itemgetter(0, 1))  # stable: the ensembles in order within one size and dimension
+        ends = None  # the rows' end points, _NO_DISK for an ensemble without disks, joined once assembled
+        if any(raw.ends is not None for raw in raws):
+            ends = [_NO_DISK.repeat(len(raw.n), 0) if raw.ends is None else raw.ends for raw in raws]
+            ends = np.concatenate(ends)[at]
         yield at, ends, runs
 
 
@@ -811,23 +812,17 @@ def _fuzz_task(task: Task) -> FuzzSummary:
     return part
 
 
-def _task_size(cfg: FuzzConfig, ways: int) -> int:
-    """Instances per index chunk, for ``ways`` chunks or more: ``ceil(instances / ways)``, but at least
-    ``_TASK_MIN`` and at most what ``_TASK_ENTRIES`` allows."""
-    n, d = cfg.n_range[1], cfg.d_range[1]
-    cap = max(1, _TASK_ENTRIES // (n * max(n, d)))
-    return min(cap, max(_TASK_MIN, -(-cfg.instances // ways)))
-
-
 def _tasks(cfg: FuzzConfig, workers: int) -> list[Task]:
-    """The tasks of a call on ``workers`` workers: index chunks of ``_task_size(cfg, ceil(workers / m))``
-    instances, each cut into m tasks by the class of its sizes modulo m, ``m = min(workers, sizes,
-    instances)`` for the ``sizes`` of ``n_range`` (at least 1).  So each size of a chunk is drawn and stacked
-    in one task alone, and no task is made for want of instances; with m = workers the chunks are as large
-    as the cap allows, and with one size they are split by index alone."""
+    """The tasks of a call on ``workers`` workers: index chunks of ``ceil(instances / ceil(workers / m))``
+    instances, but at least ``_TASK_MIN`` and at most what ``_TASK_ENTRIES`` allows of the largest families,
+    each cut into m tasks by the class of its sizes modulo m, ``m = min(workers, sizes, instances)`` for the
+    ``sizes`` of ``n_range`` (at least 1).  So each size of a chunk is drawn and stacked in one task alone, and
+    no task is made for want of instances; with m = workers the chunks are as large as the cap allows, and
+    with one size they are split by index alone."""
     lo, hi = cfg.n_range
     m = max(1, min(workers, hi - lo + 1, cfg.instances))
-    size = _task_size(cfg, -(-workers // m))
+    cap = max(1, _TASK_ENTRIES // (hi * max(hi, cfg.d_range[1])))
+    size = min(cap, max(_TASK_MIN, -(-cfg.instances // -(-workers // m))))
     return [Task(cfg, a, min(a + size, cfg.instances), m, r) for a in range(0, cfg.instances, size) for r in range(m)]
 
 

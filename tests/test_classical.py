@@ -326,6 +326,22 @@ class TestDragomir04Corollaries:
         assert rep3.lhs == pytest.approx(1.0)
         assert rep3.rhs == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_repeated_vector_attains_every_quotient(self, mode):
+        # y_j = x attains all three: with a_j = ||x||^2, each side is ||x||^4 times 1, n and n^(1 - 1/p)
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            for d in (1, 3, 6):
+                x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if mode == "complex" else 0.0)
+                fam = Family(x, [x] * n, mode)
+                for p in (1.1, 1.5, 3.0, 7.0):
+                    reps = dragomir04_corollaries(fam, p)
+                    assert [r.bound_id for r in reps if r.is_tight()] == [
+                        "dragomir04_cor1",
+                        "dragomir04_cor2",
+                        "dragomir04_cor3",
+                    ], (n, d, p)
+
     def test_orthonormal_third_quotient(self):
         rep1, rep2, rep3 = dragomir04_corollaries(Family(E1, [E1, E2]), 2.0)
         assert rep3.lhs == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 """Samplers, check_all dispatch, fuzz aggregation, tightness comparison."""
 
 import collections
+import concurrent.futures
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -47,7 +49,7 @@ from besselkit.classical import (
     pecaric_batch,
 )
 from besselkit.cli import family_payload, main
-from besselkit.core import BoundStats, Stats
+from besselkit.core import BoundStats, Stats, libm_pow
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
 from besselkit.report import BatchReport, reports_of, verdict
 from besselkit.sharp import orthonormal_batch
@@ -103,34 +105,48 @@ def built(monkeypatch):
     return records
 
 
+def winners(ids, rhs, ok):
+    """The winner of each column of a table, family by family: the competing bound of least ``rhs ** competes``
+    among its rows ``ids`` that apply, the earlier on a tie; a NaN never wins.  None where none applies."""
+    won = []
+    for b in range(rhs.shape[1]):
+        best = None
+        for bound in COMPETING:
+            k = ids.index(bound.ids[0]) if bound.ids[0] in ids else None
+            val = None if k is None or not ok[k, b] else float(libm_pow(rhs[k, b], bound.competes))
+            if val is not None and not math.isnan(val) and (best is None or val < best[1]):
+                best = bound.ids[0], val
+        won.append(best and best[0])
+    return won
+
+
 def reference(cfg, ensembles=("generic", "disk")):
     """The fuzz summary of ``cfg`` (as ``FuzzSummary.as_dict()``, the ensembles of ``fuzz`` among ``ensembles``) and
     the compare rows of each of ``ensembles``, reduced by hand from each ensemble's own tables, drawn with
-    ``fuzz``'s entries in the tasks of one worker; and each ensemble's number of draws."""
+    ``fuzz``'s entries in one task of all instances; and each ensemble's number of draws."""
     counts = {name: collections.Counter() for name in ("checked", "tight", "tightness_wins")}
     violations, least, rows, draws = [], {}, {}, {}
     for ensemble in ensembles:
         wins, ratios, draws[ensemble] = collections.Counter(), {b.ids[0]: [] for b in COMPETING}, 0
         fuzzed = ensemble in ("generic", "disk")
-        for task in harness._tasks(cfg, 1):
-            for _, indices, (ids, lhs, rhs, ok) in harness._tables(task, (ensemble,), fuzz_entries()):
-                draws[ensemble] += 1
-                won = harness._winners(ids, rhs, ok)
-                wins.update(won)
-                rel, violated, tight = verdict(lhs, rhs, cfg.tolerance)
-                for bid, num, den, use, slack, bad, close in zip(ids, lhs, rhs, ok, rel, violated, tight):
-                    if bid in ratios:
-                        ratios[bid] += (num[use & (den > 0.0)] / den[use & (den > 0.0)]).tolist()
-                    if fuzzed:
-                        counts["checked"][bid] += int(use.sum())
-                        counts["tight"][bid] += int((use & close).sum())
-                        slack_seen = slack[use & ~np.isnan(slack)]
-                        if slack_seen.size:
-                            least[bid] = min(least.get(bid, math.inf), float(slack_seen.min()))
-                        for i, s in zip(indices[use & bad].tolist(), slack[use & bad].tolist()):
-                            violations.append({"bound_id": bid, "sampler": ensemble, "instance_seed": i, "slack": s})
+        for _, indices, (ids, lhs, rhs, ok) in tables(cfg, (ensemble,), fuzz_entries()):
+            draws[ensemble] += 1
+            won = [bid for bid in winners(ids, rhs, ok) if bid]
+            wins.update(won)
+            rel, violated, tight = verdict(lhs, rhs, cfg.tolerance)
+            for bid, num, den, use, slack, bad, close in zip(ids, lhs, rhs, ok, rel, violated, tight):
+                if bid in ratios:
+                    ratios[bid] += (num[use & (den > 0.0)] / den[use & (den > 0.0)]).tolist()
                 if fuzzed:
-                    counts["tightness_wins"].update(won)
+                    counts["checked"][bid] += int(use.sum())
+                    counts["tight"][bid] += int((use & close).sum())
+                    slack_seen = slack[use & ~np.isnan(slack)]
+                    if slack_seen.size:
+                        least[bid] = min(least.get(bid, math.inf), float(slack_seen.min()))
+                    for i, s in zip(indices[use & bad].tolist(), slack[use & bad].tolist()):
+                        violations.append({"bound_id": bid, "sampler": ensemble, "instance_seed": i, "slack": s})
+            if fuzzed:
+                counts["tightness_wins"].update(won)
         rows[ensemble] = [
             harness.TightnessRow(bid, wins[bid], math.fsum(ratios[bid]) / len(ratios[bid]) if ratios[bid] else math.nan)
             for bid in ratios
@@ -1036,12 +1052,20 @@ class TestTightnessCompare:
         for r, e in zip(rows, expected):
             assert r.mean_ratio == e[2] or (math.isnan(r.mean_ratio) and math.isnan(e[2]))
 
-    def test_nan_side_never_wins(self):
-        # a side beyond the double range is NaN: it takes no win, neither first nor by
-        # displacing a number; numbers and ties keep their table priority
+    def test_nan_side_never_wins(self, monkeypatch):
+        # a side beyond the double range is NaN: it takes no win, neither first nor by displacing a number;
+        # numbers and ties keep their table priority.  One draw of three families, whose table is given.
         rhs = np.array([[math.nan, 1.0, math.nan], [2.0, 1.0, math.nan]])
-        wins = harness._winners(("boas_bellman", "bombieri"), rhs, np.ones(rhs.shape, dtype=bool))
-        assert wins == {"boas_bellman": 1, "bombieri": 1, "dragomir03": 0, "theorem21": 0, "theorem22": 0}
+        table = ("boas_bellman", "bombieri"), np.ones(rhs.shape), rhs, np.ones(rhs.shape, dtype=bool)
+
+        def drawn(task, names, entries):
+            yield np.array(names[:1] * 3, dtype=object), np.arange(3, dtype=np.uint64), table
+
+        monkeypatch.setattr(harness, "_tables", drawn)
+        cfg = small_cfg(instances=3)
+        assert fuzz(cfg).tightness_wins == {"boas_bellman": 1, "bombieri": 1}
+        rows = [(r.bound_id, r.wins) for r in tightness_compare(cfg, "generic")]
+        assert rows == [("boas_bellman", 1), ("bombieri", 1), ("dragomir03", 0), ("theorem21", 0), ("theorem22", 0)]
 
     def test_unknown_ensemble(self):
         for instances in (4, 0):
@@ -1050,7 +1074,8 @@ class TestTightnessCompare:
 
 
 class _InProcess:
-    """A stand-in for the kept pool: runs the tasks of ``_map_tasks`` in this process, in order, and counts them."""
+    """A stand-in for the kept pool's executor: runs the tasks it is given in this process, in order, and counts
+    them."""
 
     def __init__(self):
         self.tasks = 0
@@ -1064,28 +1089,54 @@ class _InProcess:
         pass
 
 
+@contextlib.contextmanager
+def split(draw=True):
+    """The tasks that ``fuzz`` and ``tightness_compare`` run in this block, in order, as ``_tables`` is called for
+    each; without ``draw``, a task draws nothing.  A pool's tasks run in this process (``_InProcess`` stands in for
+    its executor), so that no process starts and every task is seen."""
+    tasks, drawn = [], harness._tables
+
+    def recording(task, names, entries):
+        tasks.append(task)
+        return drawn(task, names, entries) if draw else iter(())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", lambda workers, initializer=None: _InProcess())
+        mp.setattr(harness, "_pool", None)
+        mp.setattr(harness, "_tables", recording)
+        yield tasks
+
+
 class TestTaskSplit:
     """No fuzz or compare output depends on how the instances are split into tasks or workers."""
 
+    # n_range: the tasks of a call on 300 instances at workers 1, 2, 3 and 13
+    SPLITS = {
+        (1, 12): [1, 2, 3, 24],  # by size, then by size and index (chunks of 256 and 44)
+        (5, 5): [1, 2, 2, 2],  # one size: by index alone
+        (3, 4): [1, 2, 4, 4],  # two sizes: by size, then by both
+        (60, 64): [3, 6, 9, 15],  # chunks of 144, the entries cap
+    }
+
     @pytest.mark.parametrize("mode", ["complex", "real"])
-    def test_outputs_byte_identical(self, mode, monkeypatch):
-        # split by size alone, by index alone (one size), and by both (two sizes on three workers); at
-        # tolerance 0.05, a draw whose stacks detect orthonormal families in one size and none in the others
+    def test_outputs_byte_identical(self, mode):
+        # split by size alone, by index alone (one size), and by both; at tolerance 0.05, a draw whose stacks
+        # detect orthonormal families in one size and none in the others
         configs = [
             FuzzConfig(
                 master_seed=41, instances=300, n_range=n_range, field_mode=mode, disk_sampler=HEAVY, tolerance=1e-9
             )
-            for n_range in ((1, 12), (5, 5), (3, 4))
+            for n_range in self.SPLITS
         ]
         mixed = FuzzConfig(master_seed=47, instances=300, field_mode=mode, disk_sampler=HEAVY, tolerance=0.05)
         assert fuzz(mixed).checked.get("orthonormal30")
-        for cfg in [*configs, mixed]:
+        for cfg, counts in zip([*configs, mixed], [*self.SPLITS.values(), self.SPLITS[(1, 12)]]):
             outputs = set()
-            for size in (64, 256, 4096):
-                monkeypatch.setattr(harness, "_task_size", lambda cfg, ways, size=size: size)
-                for workers in (1, 2, 3):
+            for workers, count in zip((1, 2, 3, 13), counts):
+                with split() as tasks:
                     text = json.dumps(fuzz(cfg, workers).as_dict(), sort_keys=True)
                     outputs.add((text, *(repr(tightness_compare(cfg, e, workers)) for e in harness.ENSEMBLES)))
+                assert len(tasks) == 4 * count  # a fuzz call and three compare calls
             assert len(outputs) == 1, cfg
 
     def test_task_fits_its_entries_cap(self):
@@ -1093,7 +1144,8 @@ class TestTaskSplit:
         for n_range in ((200, 200), (199, 200)):
             cfg = FuzzConfig(instances=256, n_range=n_range, d_range=(200, 200))
             for workers in (1, 2, 3):
-                tasks = harness._tasks(cfg, workers)
+                with split(draw=False) as tasks:
+                    fuzz(cfg, workers)
                 assert len(tasks) > 1
                 assert all((t.stop - t.start) * 200 * 200 <= harness._TASK_ENTRIES for t in tasks)
 
@@ -1108,8 +1160,10 @@ class TestTaskSplit:
     def test_tasks_partition_by_size(self, n_range, d_range, instances, workers, lane):
         # the tasks' kept rows are range(instances), each once, and each size of an index chunk is in one task
         cfg = FuzzConfig(master_seed=53, instances=instances, n_range=n_range, d_range=d_range)
+        with split(draw=False) as tasks:
+            fuzz(cfg, workers)
         kept, sizes = [], {}
-        for task in harness._tasks(cfg, workers):
+        for task in tasks:
             index = task.index(lane)
             kept += index.tolist()
             n = set(harness._head(cfg, lane, index)[0].tolist())
@@ -1141,15 +1195,14 @@ class TestTaskSplit:
         assert not set(sizes[0]) & set(sizes[1])
         assert all(names == {"generic", "disk"} for _, names, _ in stacks)
 
-    def test_one_instance_is_one_task(self, monkeypatch):
+    def test_one_instance_is_one_task(self):
         # a 1-instance call at workers=2 is one task, run in this process: no empty task goes to the pool
-        pool = _InProcess()
-        monkeypatch.setattr(harness, "_pool", (2, pool))
         cfg = FuzzConfig(master_seed=3, instances=1)
-        assert len(harness._tasks(cfg, 2)) == 1
-        assert fuzz(cfg, workers=2).as_dict() == fuzz(cfg, workers=1).as_dict()
-        assert tightness_compare(cfg, "disk", workers=2) == tightness_compare(cfg, "disk", workers=1)
-        assert pool.tasks == 0
+        with split() as tasks:
+            assert fuzz(cfg, workers=2).as_dict() == fuzz(cfg, workers=1).as_dict()
+            assert tightness_compare(cfg, "disk", workers=2) == tightness_compare(cfg, "disk", workers=1)
+            assert harness._pool is None
+        assert len(tasks) == 4
 
     def test_pool_sized_by_its_tasks(self, monkeypatch):
         # 600 default instances at workers=64 are 36 tasks: the pool is made for 36 workers, not 64, and kept
@@ -1166,7 +1219,6 @@ class TestTaskSplit:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
         monkeypatch.setattr(harness, "_pool", None)
         cfg = FuzzConfig(master_seed=5, instances=600)
-        assert len(harness._tasks(cfg, 64)) == 36
         assert fuzz(cfg, workers=64).as_dict() == fuzz(cfg, workers=1).as_dict()
         assert tightness_compare(cfg, "disk", workers=64) == tightness_compare(cfg, "disk", workers=1)
         assert sizes == [36] and harness._pool[0] == 36
@@ -1177,26 +1229,19 @@ class TestDrawReduction:
     """A draw's stacks are reduced together, with the outputs of reducing each ensemble alone."""
 
     def test_one_reduction_per_draw(self, monkeypatch):
-        # 512 default instances of both samplers are one draw: one table, and one winners call, per call
-        calls, draws, winners = {"_tables": 0, "_winners": 0}, harness._tables, harness._winners
+        # 512 default instances of both samplers are one draw: one table per call, whose winners are counted once
+        draws, count = harness._tables, collections.Counter()
 
-        def counting_draws(*args):
-            for draw in draws(*args):
-                calls["_tables"] += 1
+        def counting(task, names, entries):
+            for draw in draws(task, names, entries):
+                count[names] += 1
                 yield draw
 
-        def counting_winners(*args):
-            calls["_winners"] += 1
-            return winners(*args)
-
-        monkeypatch.setattr(harness, "_tables", counting_draws)
-        monkeypatch.setattr(harness, "_winners", counting_winners)
+        monkeypatch.setattr(harness, "_tables", counting)
         cfg = FuzzConfig(master_seed=61, instances=512)
-        fuzz(cfg, workers=1)
-        assert calls == {"_tables": 1, "_winners": 1}
-        calls.update(_tables=0, _winners=0)
-        tightness_compare(cfg, "generic", workers=1)
-        assert calls == {"_tables": 1, "_winners": 1}
+        assert sum(fuzz(cfg, workers=1).tightness_wins.values()) == 2 * cfg.instances
+        assert sum(r.wins for r in tightness_compare(cfg, "generic", workers=1)) == cfg.instances
+        assert count == {("generic", "disk"): 1, ("generic",): 1}
 
     @pytest.mark.parametrize(
         "cfg,mixed",
@@ -1576,6 +1621,7 @@ class TestPool:
         if not hasattr(_openblas(), "scipy_openblas_get_num_threads64_"):
             pytest.skip("numpy has no bundled scipy-openblas")
         parent = _blas_threads(None)
-        # two tasks: the odd and the even family sizes
-        assert harness._map_tasks(_blas_threads, small_cfg(instances=600), 2) == [1, 1]
+        fuzz(small_cfg(instances=600), workers=2)  # two tasks: the odd and the even family sizes
+        workers, pool = harness._pool
+        assert workers == 2 and list(pool.map(_blas_threads, range(2))) == [1, 1]
         assert _blas_threads(None) == parent

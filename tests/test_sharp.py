@@ -430,6 +430,18 @@ class TestOrthonormalRemark:
         assert rem.report30.rhs == pytest.approx(float(np.linalg.norm(x)), rel=1e-12)
         assert rem.coarser_than_bessel
 
+    def test_constant_coefficients_attain_both(self):
+        # x = c sum(e_j) has every coefficient c, the one point of the disk (c, c): both remarks hold with
+        # equality, orthonormal31's factor being |2c|^2 / (4 |c|^2) = 1
+        rng = np.random.default_rng(34)
+        for n in range(1, 7):
+            for dim in (n, n + 2):
+                q, _ = np.linalg.qr(rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n)))
+                es = q.T
+                for c in (1.0, 5.0, 0.6 - 1.3j):
+                    rem = orthonormal_remark(c * es.sum(axis=0), es, Disk(c, c))
+                    assert rem.report30.is_tight() and rem.report31.is_tight(), (n, dim, c)
+
     def test_random_valid_instances_coarser(self):
         rng = np.random.default_rng(28)
         for _ in range(30):
