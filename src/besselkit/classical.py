@@ -42,7 +42,6 @@ from .core import (
     ParameterError,
     Stats,
     as_vector,
-    libm_pow,
     modulus,
     p_norm,
 )
@@ -202,7 +201,7 @@ def _weighted_sq(s: BoundStats) -> np.ndarray:
     taken alone, so a single weight vector is bound as a 1-row stack, and the
     classical weights apart from it (``harness._CLASSICAL``).
     """
-    return s.kept("weighted", lambda: libm_pow(modulus((s.weights @ s.a[..., None])[..., 0]), 2))
+    return s.kept("weighted", lambda: np.square(modulus((s.weights @ s.a[..., None])[..., 0])))
 
 
 def pecaric_batch(s: BoundStats) -> list[BatchReport]:
@@ -274,7 +273,7 @@ def dragomir04_batch(s: BoundStats) -> list[BatchReport]:
     for p in s.p_values:
         rhs2 = xsq * sum_c * p_norm(abs_c, p) * s.row_q_norm_max(p / (p - 1.0))
         reports.append(BatchReport("dragomir04_b2", lhs, rhs2, s.always))
-    rhs3 = xsq * libm_pow(sum_c, 2) * s.abs_gram_max
+    rhs3 = xsq * np.square(sum_c) * s.abs_gram_max
     reports.append(BatchReport("dragomir04_b3", lhs, rhs3, s.always))
     return reports
 

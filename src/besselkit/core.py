@@ -35,7 +35,6 @@ __all__ = [
     "project_orthogonal",
     "lift_gram_values",
     "lift_stack",
-    "libm_pow",
     "modulus",
     "p_norm",
 ]
@@ -152,27 +151,6 @@ def _pow_or_inf(x: float, e: float) -> float:
         return math.inf
 
 
-def libm_pow(v, e: float):
-    """``v ** e`` elementwise for ``v >= 0`` through libm ``pow``, as Python floats compute it.
-
-    numpy's vectorised power, and its squaring shortcut at ``e = 2``, can
-    differ from libm in the last bit.  The bounds take every power of a
-    single number (a squared modulus, the root of a p-norm) through this
-    function, so a report has the same bits at any batch size.  A result
-    beyond the double range is inf.  A scalar, Python or numpy, gives a
-    numpy float, so that dividing by it gives inf or NaN, as over an array,
-    instead of raising.
-    """
-    if not isinstance(v, np.ndarray):
-        return np.float64(_pow_or_inf(v, e))
-    flat = v.ravel().tolist()
-    try:
-        out = [x**e for x in flat]
-    except OverflowError:
-        out = [_pow_or_inf(x, e) for x in flat]
-    return np.array(out, dtype=np.float64).reshape(v.shape)
-
-
 def _scaled_powers(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The maxima ``m`` of non-negative ``values`` over the last axis, and ``sum (v / m) ** p``.
 
@@ -185,9 +163,27 @@ def _scaled_powers(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
 
 
 def p_norm(values: np.ndarray, p: float) -> np.ndarray:
-    """``(sum v**p) ** (1/p)`` over the last axis for non-negative values, overflow-safe."""
+    """``(sum v**p) ** (1/p)`` over the last axis for non-negative values, overflow-safe.
+
+    Each root goes through libm ``pow``, as Python floats compute it, so a
+    report has the same bits at any batch size (numpy's vectorised power can
+    differ in the last bit).  The scaled sum (``_scaled_powers``) is at most
+    the number of values, so a root overflows only at ``p < 1``, which
+    ``Stats.coeff_norm`` accepts (a dozen equal values at ``p = 0.001``);
+    over a stack ``_pow_or_inf`` makes it inf where a Python float's ``**``
+    raises.  A 1-D ``values`` gives a numpy float, so that dividing by it
+    gives inf or NaN, as over an array, instead of raising.
+    """
     m, total = _scaled_powers(values, p)
-    return m * libm_pow(total, 1.0 / p)
+    e = 1.0 / p
+    if not isinstance(total, np.ndarray):  # a numpy float, whose ** gives inf past the double range
+        return m * total**e
+    flat = total.ravel().tolist()
+    try:
+        roots = [x**e for x in flat]
+    except OverflowError:
+        roots = [_pow_or_inf(x, e) for x in flat]
+    return m * np.array(roots, dtype=np.float64).reshape(total.shape)
 
 
 def _along(ws: np.ndarray, x: np.ndarray, xsq: np.ndarray) -> np.ndarray:

@@ -56,7 +56,6 @@ from .core import (
     Family,
     ParameterError,
     as_vector,
-    libm_pow,
     lift_stack,
     modulus,
     project_orthogonal,
@@ -119,7 +118,8 @@ def plan(target: ExtremalTarget, n: int, d: Disk) -> ExtremalSpec:
         d.require_positive_re()
     center, radius = d.center, d.radius
     center_abs = modulus(center)
-    center_sq = libm_pow(center_abs, 2)
+    with np.errstate(over="ignore"):  # a |center| beyond the root of the double range squares to inf
+        center_sq = np.square(center_abs)
     if center_sq in (0.0, math.inf):
         reason = f"|center| = {center_abs} squares to {center_sq}, outside the double range"
         return ExtremalSpec(target, n, d, complex(math.nan, math.nan), False, reason)

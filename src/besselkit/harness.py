@@ -43,8 +43,10 @@ points alike, is uniform dyadic, read from the words in one format by
 ``Generator``, so the draws do not depend on numpy's version.  The platform's
 BLAS and libm still enter through the arithmetic on the draws: the QR of the
 orthonormal ensemble, ``np.exp`` in the angles of complex disk points, and
-the bounds.  Entries and ratios beyond the double range are inf or NaN,
-never a numpy warning.
+the bounds' products and powers.  In the bounds libm's ``pow`` takes only
+the p-norm roots (``core.p_norm``); every square is an IEEE product
+(``np.square``), correctly rounded on every platform.  Entries and ratios
+beyond the double range are inf or NaN, never a numpy warning.
 
 The table ``BOUNDS`` holds the bounds.  Each entry's formula, written
 once, maps the statistics of a stack of families (``core.BoundStats``:
@@ -100,7 +102,7 @@ from .classical import (
     pecaric_batch,
     selberg_batch,
 )
-from .core import BoundStats, Family, Stats, libm_pow, lift_stack, modulus
+from .core import BoundStats, Family, Stats, lift_stack, modulus
 from .extremal import ExtremalTarget, equality_coefficients, plan
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, check_tolerance, is_exponent, reports_of, verdict
 from .sharp import (
@@ -589,8 +591,8 @@ class Bound(NamedTuple):
     family: "family" (nothing; the exponents ``s.p_values`` are always
     bound), "weights" (``s.weights``) or "disk" (``s.gamma``, ``s.Gamma``);
     an entry runs only on a stack that holds what it needs (``_evaluate``).
-    A bound with ``competes > 0`` competes in tightness through
-    ``rhs ** competes``.
+    A bound with ``competes`` 1 or 2 competes in tightness through
+    ``rhs ** competes``: its right side, or that side squared.
     """
 
     ids: tuple[str, ...]
@@ -736,14 +738,15 @@ def _winners(ids: tuple[str, ...], rhs: np.ndarray, ok: np.ndarray) -> dict[str,
     """
     win = np.full(ok.shape[1], -1)
     best = np.zeros(win.shape)
-    for k, b in enumerate(_COMPETITORS):
-        if b.ids[0] not in ids:
-            continue
-        row = ids.index(b.ids[0])
-        val = rhs[row] if b.competes == 1 else libm_pow(rhs[row], b.competes)
-        take = ok[row] & ~np.isnan(val) & ((win < 0) | (val < best))
-        best = np.where(take, val, best)
-        win = np.where(take, k, win)
+    with np.errstate(over="ignore"):  # a side beyond the root of the double range squares to inf
+        for k, b in enumerate(_COMPETITORS):
+            if b.ids[0] not in ids:
+                continue
+            row = ids.index(b.ids[0])
+            val = rhs[row] if b.competes == 1 else np.square(rhs[row])
+            take = ok[row] & ~np.isnan(val) & ((win < 0) | (val < best))
+            best = np.where(take, val, best)
+            win = np.where(take, k, win)
     return {b.ids[0]: int(np.count_nonzero(win == k)) for k, b in enumerate(_COMPETITORS)}
 
 

@@ -59,7 +59,6 @@ from .core import (
     ParameterError,
     PreconditionError,
     as_vector,
-    libm_pow,
     modulus,
 )
 from .report import DEFAULT_TOLERANCE, BatchReport, BoundReport, reports_of, skipped
@@ -240,7 +239,7 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
         n = s.n
         total, center, radius, re, centered = disk_quantities(s.gamma, s.Gamma)
         sum_abs = modulus(total)
-        sum_sq = libm_pow(sum_abs, 2)
+        sum_sq = np.square(sum_abs)
         # the coefficient axis first, so that the terms, one per family, broadcast over it
         inside = _within(s.a.T, center, radius, s.tol).T
         return _DiskTerms(
@@ -252,11 +251,11 @@ def _disk_terms(s: BoundStats) -> _DiskTerms:
             positive=np.bool_(re > 0.0),
             inside=inside,
             all_inside=np.logical_and.reduce(inside, axis=-1),
-            penalty=(math.sqrt(n) / 4.0) * libm_pow(2.0 * radius, 2) / sum_abs,  # 2 radius = |G - g|
+            penalty=(math.sqrt(n) / 4.0) * np.square(2.0 * radius) / sum_abs,  # 2 radius = |G - g|
             factor=sum_sq / (4.0 * re * n),
             factor1=sum_sq / (4.0 * re),
-            n_center_sq=n * libm_pow(modulus(center), 2),
-            n_radius_sq=n * libm_pow(radius, 2),
+            n_center_sq=n * np.square(modulus(center)),
+            n_radius_sq=n * np.square(radius),
         )
 
     return s.kept("disk", compute)

@@ -273,10 +273,26 @@ class TestPecaricSpecializations:
 class TestDragomir04:
     def test_repeated_vector_worked_values(self, doubled):
         res = dragomir04(doubled, [1, 1], 2.0)
-        assert res.lhs == pytest.approx(4.0)
-        assert res.rhs_branch1 == pytest.approx(4.0)
+        assert res.lhs == pytest.approx(4.0, rel=1e-12)
+        assert res.rhs_branch1 == pytest.approx(4.0, rel=1e-12)
         assert res.rhs_branch2 == pytest.approx(4.0, rel=1e-12)
-        assert res.rhs_branch3 == pytest.approx(4.0)
+        assert res.rhs_branch3 == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_repeated_vector_attains_every_branch(self, mode):
+        # y_j = x with weights all 1 attains all three: with a_j = ||x||^2, each side is n^2 ||x||^4
+        rng = np.random.default_rng(36)
+        for n in range(1, 9):
+            for d in (1, 3, 6):
+                x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if mode == "complex" else 0.0)
+                fam = Family(x, [x] * n, mode)
+                for p in (1.1, 1.5, 3.0, 7.0):
+                    reps = check_all(fam, c=np.ones(n), p_values=(p,))
+                    assert [r.bound_id for r in reps if r.bound_id.startswith("dragomir04_b") and r.is_tight()] == [
+                        "dragomir04_b1",
+                        "dragomir04_b2",
+                        "dragomir04_b3",
+                    ], (n, d, p)
 
     def test_zero_weights(self, doubled):
         res = dragomir04(doubled, [0, 0], 3.0)

@@ -15,6 +15,7 @@ from besselkit import (
     norm,
     project_orthogonal,
 )
+from besselkit.core import Stats
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -270,6 +271,15 @@ class TestOverflowSafeNorms:
                 expected = np.asarray(statistic(Family(x, ys).stats))
             assert not np.isfinite(value).all(), name
             assert value.tobytes() == expected.tobytes(), name
+
+    def test_root_beyond_the_double_range_is_inf(self):
+        # below p = 1 the root of the scaled sum can overflow: 12 ** 1000, over a stack
+        # (whose roots are Python floats) and a family alone, with no RuntimeWarning
+        fam = Family([1.0], [[1.0]] * 12)
+        assert fam.coeff_p_norm(0.001) == math.inf
+        stack = Stats.stack([(np.ones((2, 1), complex), np.ones((2, 12, 1), complex))])
+        assert stack.coeff_norm(0.001).tolist() == [math.inf, math.inf]
+        assert stack.coeff_norm(2.0).tolist() == [fam.coeff_p_norm(2.0)] * 2
 
     def test_all_zero_gram_row(self):
         # a zero test vector: its Gram row and its coefficient are 0, and are divided by 1

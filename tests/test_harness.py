@@ -49,12 +49,14 @@ from besselkit.classical import (
     pecaric_batch,
 )
 from besselkit.cli import family_payload, main
-from besselkit.core import BoundStats, Stats, libm_pow
+from besselkit.core import BoundStats, Stats
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
 from besselkit.report import BatchReport, reports_of, verdict
 from besselkit.sharp import orthonormal_batch
 
 HEAVY = DiskSampler(boundary_fraction=0.9, extremal_fraction=0.5)
+# finite Theorem 2.1 sides whose squares, which compete in tightness, leave the double range
+SQUARES_OVERFLOW = FuzzConfig(master_seed=2, instances=64, field_mode="real", disk_sampler=DiskSampler(scale=1e153))
 
 
 def small_cfg(**kw):
@@ -113,7 +115,7 @@ def winners(ids, rhs, ok):
         best = None
         for bound in COMPETING:
             k = ids.index(bound.ids[0]) if bound.ids[0] in ids else None
-            val = None if k is None or not ok[k, b] else float(libm_pow(rhs[k, b], bound.competes))
+            val = None if k is None or not ok[k, b] else math.prod([float(rhs[k, b])] * bound.competes)
             if val is not None and not math.isnan(val) and (best is None or val < best[1]):
                 best = bound.ids[0], val
         won.append(best and best[0])
@@ -588,8 +590,17 @@ class TestFuzz:
             lambda: tightness_compare(FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e160)), "orthonormal"),
             lambda: fuzz(FuzzConfig(instances=256, disk_sampler=DiskSampler(scale=1e306))),
             lambda: TestFuzz.sample_all(FuzzConfig(instances=64, disk_sampler=DiskSampler(scale=1e308))),
+            lambda: fuzz(SQUARES_OVERFLOW),
+            lambda: tightness_compare(SQUARES_OVERFLOW, "disk"),
         ],
-        ids=["compare-disk-1e160", "compare-orthonormal-1e160", "fuzz-1e306", "sample-disk-1e308"],
+        ids=[
+            "compare-disk-1e160",
+            "compare-orthonormal-1e160",
+            "fuzz-1e306",
+            "sample-disk-1e308",
+            "fuzz-real-1e153",
+            "compare-disk-real-1e153",
+        ],
     )
     def test_no_numpy_warnings_beyond_double_range(self, run):
         # draws, stacks and ratios beyond the double range are inf or NaN, never a
@@ -1038,8 +1049,9 @@ class TestTightnessCompare:
                 r = reports.get(b.ids[0])
                 if r is None:
                     continue
-                if best is None or r.rhs**b.competes < best[1]:
-                    best = (b.ids[0], r.rhs**b.competes)
+                val = math.prod([r.rhs] * b.competes)  # squared as an IEEE product, as _winners squares
+                if best is None or val < best[1]:
+                    best = (b.ids[0], val)
                 if r.rhs > 0.0:
                     ratios[b.ids[0]].append(r.ratio)
             wins[best[0]] += 1
