@@ -170,14 +170,14 @@ def p_norm(values: np.ndarray, p: float) -> np.ndarray:
     differ in the last bit).  The scaled sum (``_scaled_powers``) is at most
     the number of values, so a root overflows only at ``p < 1``, which
     ``Stats.coeff_norm`` accepts (a dozen equal values at ``p = 0.001``);
-    over a stack ``_pow_or_inf`` makes it inf where a Python float's ``**``
-    raises.  A 1-D ``values`` gives a numpy float, so that dividing by it
-    gives inf or NaN, as over an array, instead of raising.
+    ``_pow_or_inf`` makes it inf where a Python float's ``**`` raises.  A 1-D
+    ``values`` gives a numpy float, so that dividing by it gives inf or NaN,
+    as over an array, instead of raising.
     """
     m, total = _scaled_powers(values, p)
     e = 1.0 / p
-    if not isinstance(total, np.ndarray):  # a numpy float, whose ** gives inf past the double range
-        return m * total**e
+    if not isinstance(total, np.ndarray):  # one sum: a numpy float, as is its maximum m
+        return m * _pow_or_inf(float(total), e)
     flat = total.ravel().tolist()
     try:
         roots = [x**e for x in flat]

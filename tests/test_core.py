@@ -15,7 +15,7 @@ from besselkit import (
     norm,
     project_orthogonal,
 )
-from besselkit.core import Stats
+from besselkit.core import Stats, p_norm
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -274,9 +274,11 @@ class TestOverflowSafeNorms:
 
     def test_root_beyond_the_double_range_is_inf(self):
         # below p = 1 the root of the scaled sum can overflow: 12 ** 1000, over a stack
-        # (whose roots are Python floats) and a family alone, with no RuntimeWarning
+        # (whose roots are Python floats), a family alone and p_norm of 1-D values, with no
+        # RuntimeWarning
         fam = Family([1.0], [[1.0]] * 12)
         assert fam.coeff_p_norm(0.001) == math.inf
+        assert p_norm(np.full(12, 1.0), 0.001) == math.inf
         stack = Stats.stack([(np.ones((2, 1), complex), np.ones((2, 12, 1), complex))])
         assert stack.coeff_norm(0.001).tolist() == [math.inf, math.inf]
         assert stack.coeff_norm(2.0).tolist() == [fam.coeff_p_norm(2.0)] * 2
