@@ -81,8 +81,20 @@ class TestBoasBellman:
         assert rep.lhs == pytest.approx(2.0)
         assert rep.rhs == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
+    def test_single_vector_equality(self):
+        rep = boas_bellman(Family(E1, [E1]))
+        assert rep.lhs == pytest.approx(1.0)
+        assert rep.rhs == pytest.approx(1.0)
+        assert rep.is_tight()
+
 
 class TestBombieri:
+    def test_repeated_vector_equality(self, doubled):
+        rep = bombieri(doubled)
+        assert rep.lhs == pytest.approx(2.0)
+        assert rep.rhs == pytest.approx(2.0)
+        assert rep.is_tight()
+
     def test_all_zero_family(self):
         rep = bombieri(Family(E1, [[0, 0], [0, 0]]))
         assert rep.lhs == 0.0
@@ -96,6 +108,11 @@ class TestSelberg:
         rep = selberg(orthobasis)
         assert rep.lhs == pytest.approx(bessel_sum(orthobasis), rel=1e-12)
         assert rep.rhs == pytest.approx(25.0)
+
+    def test_repeated_vector_equality(self, doubled):
+        rep = selberg(doubled)
+        assert rep.lhs == pytest.approx(1.0)
+        assert rep.is_tight()
 
     def test_zero_vector_not_applicable(self):
         rep = selberg(Family(E1, [[0, 0], E1]))
@@ -112,6 +129,11 @@ class TestDragomir03:
     def test_orthonormal(self, orthobasis):
         assert dragomir03(orthobasis).rhs == pytest.approx(25.0)
 
+    def test_repeated_vector_equality(self, doubled):
+        rep = dragomir03(doubled)
+        assert rep.rhs == pytest.approx(2.0)
+        assert rep.is_tight()
+
     def test_single_vector_schwarz(self):
         rep = dragomir03(Family([2.0, 0.0], [[0.0, 3.0]]))
         assert rep.rhs == pytest.approx(4.0 * 9.0)
@@ -127,6 +149,11 @@ class TestDragomirPQ:
             assert got.lhs == pytest.approx(ref.lhs, rel=1e-12)
             assert got.rhs == pytest.approx(ref.rhs, rel=1e-12)
 
+    def test_repeated_vector_p_three(self, doubled):
+        rep = dragomir_pq(doubled, 3.0)
+        assert rep.lhs == pytest.approx(2.0, rel=1e-12)
+        assert rep.rhs == pytest.approx(2.0)
+
     def test_invalid_p(self, doubled):
         for p in (1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
@@ -135,6 +162,12 @@ class TestDragomirPQ:
     def test_vanishing_coefficients_not_applicable(self):
         rep = dragomir_pq(Family(E2, [E1, E1]), 3.0)
         assert not rep.preconditions_met
+
+    def test_single_vector_equality(self):
+        for p in (1.5, 2.5, 7.0):
+            rep = dragomir_pq(Family(E1, [E1]), p)
+            assert rep.lhs == pytest.approx(1.0, rel=1e-12)
+            assert rep.rhs == pytest.approx(1.0)
 
 
 class TestHeilbronn:
@@ -148,6 +181,11 @@ class TestHeilbronn:
                 np.linalg.norm(x) * np.linalg.norm(y), rel=1e-12
             )
             assert rep.holds()
+
+    def test_repeated_vector_equality(self, doubled):
+        rep = heilbronn(doubled)
+        assert rep.lhs == pytest.approx(2.0)
+        assert rep.rhs == pytest.approx(2.0)
 
     def test_orthogonal_reference(self):
         assert heilbronn(Family(E2, [E1, E1])).lhs == pytest.approx(0.0)
@@ -240,6 +278,22 @@ class TestDragomir04:
         assert res.rhs_branch2 == pytest.approx(4.0, rel=1e-12)
         assert res.rhs_branch3 == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_repeated_vector_attains_every_branch(self, mode):
+        # y_j = x with weights all 1 attains all three: with a_j = ||x||^2, each side is n^2 ||x||^4
+        rng = np.random.default_rng(36)
+        for n in range(1, 9):
+            for d in (1, 3, 6):
+                x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if mode == "complex" else 0.0)
+                fam = Family(x, [x] * n, mode)
+                for p in (1.1, 1.5, 3.0, 7.0):
+                    reps = check_all(fam, c=np.ones(n), p_values=(p,))
+                    assert [r.bound_id for r in reps if r.bound_id.startswith("dragomir04_b") and r.is_tight()] == [
+                        "dragomir04_b1",
+                        "dragomir04_b2",
+                        "dragomir04_b3",
+                    ], (n, d, p)
+
     def test_zero_weights(self, doubled):
         res = dragomir04(doubled, [0, 0], 3.0)
         assert res.lhs == 0.0
@@ -287,6 +341,22 @@ class TestDragomir04Corollaries:
         assert rep1.rhs == pytest.approx(2.0)
         assert rep3.lhs == pytest.approx(1.0)
         assert rep3.rhs == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    def test_repeated_vector_attains_every_quotient(self, mode):
+        # y_j = x attains all three: with a_j = ||x||^2, each side is ||x||^4 times 1, n and n^(1 - 1/p)
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            for d in (1, 3, 6):
+                x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if mode == "complex" else 0.0)
+                fam = Family(x, [x] * n, mode)
+                for p in (1.1, 1.5, 3.0, 7.0):
+                    reps = dragomir04_corollaries(fam, p)
+                    assert [r.bound_id for r in reps if r.is_tight()] == [
+                        "dragomir04_cor1",
+                        "dragomir04_cor2",
+                        "dragomir04_cor3",
+                    ], (n, d, p)
 
     def test_orthonormal_third_quotient(self):
         rep1, rep2, rep3 = dragomir04_corollaries(Family(E1, [E1, E2]), 2.0)
