@@ -67,7 +67,6 @@ __all__ = [
     "heilbronn_batch",
     "pecaric",
     "pecaric_batch",
-    "classical_weights",
     "classical_weights_batch",
     "dragomir04",
     "dragomir04_batch",
@@ -244,14 +243,6 @@ def classical_weights_batch(s: Stats | BoundStats) -> np.ndarray:
         ],
         axis=-2,
     )
-
-
-def classical_weights(f: Family) -> np.ndarray:
-    """The weights ``conj(a)``, ``conj(a) / S`` and ``conj(a) / |a|``, stacked.
-
-    A zero divisor gives weight 0 for ``S`` and weight 1 for ``|a|``.
-    """
-    return classical_weights_batch(f.stats)
 
 
 class Dragomir04Bounds(NamedTuple):

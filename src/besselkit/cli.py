@@ -260,6 +260,8 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 
 def _fuzz_config(args: argparse.Namespace, **sampler) -> FuzzConfig:
     """The ``FuzzConfig`` of the shared flags; ``sampler`` sets its ``DiskSampler``."""
+    if args.workers < 1:
+        raise CliInputError(f"workers must be >= 1, got {args.workers}")
     try:
         return FuzzConfig(
             master_seed=args.seed,
@@ -274,17 +276,9 @@ def _fuzz_config(args: argparse.Namespace, **sampler) -> FuzzConfig:
         raise CliInputError(str(exc)) from None
 
 
-def _mapped(run, *args, workers: int):
-    """``run(*args, workers=workers)``; the ValueError of a worker count below 1 is an input error."""
-    try:
-        return run(*args, workers=workers)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     cfg = _fuzz_config(args, boundary_fraction=args.boundary_fraction)
-    summary = _mapped(fuzz, cfg, workers=args.workers)
+    summary = fuzz(cfg, workers=args.workers)
     _emit(_json_text(summary.as_dict()), args.output)
     return 0 if not summary.violations else 2
 
@@ -321,7 +315,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    rows = _mapped(tightness_compare, _fuzz_config(args), args.ensemble, workers=args.workers)
+    rows = tightness_compare(_fuzz_config(args), args.ensemble, workers=args.workers)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["bound_id", "wins", "mean_ratio"])

@@ -487,6 +487,16 @@ class TestFuzzCommand:
                 assert main(argv) == 1, argv
                 assert capsys.readouterr().err.startswith("error: ")
 
+    def test_internal_error_propagates(self, monkeypatch):
+        # only malformed input exits 1: a ValueError raised inside the library is a bug, with its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("internal shape bug")
+
+        for command, name in (("fuzz", "fuzz"), ("compare", "tightness_compare")):
+            monkeypatch.setattr(f"besselkit.cli.{name}", broken)
+            with pytest.raises(ValueError, match="internal shape bug"):
+                main([command, "--instances", "3"])
+
 
 class TestCompareCommand:
     def test_csv_contract(self, tmp_path):

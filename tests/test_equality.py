@@ -11,11 +11,16 @@ id of ``harness.BOUNDS``:
 "Attains" is ``|lhs - rhs| <= 32 eps max(|lhs|, |rhs|)``, a rounding bound
 much stricter than ``is_tight()``'s 1e-9.  It checks truth, not recorded
 bits, so the last bits that a BLAS kernel moves do not fail it.
+
+The table also calls each of the 15 public single-bound functions on every
+family, with the inputs ``check_all`` is given, and requires each id's sides
+to be ``check_all``'s, bit for bit: the two paths share one formula.
 """
 
 import numpy as np
 import pytest
 
+import besselkit as bk
 from besselkit import Disk, Family, check_all
 from besselkit.core import BoundStats
 from besselkit.harness import BOUNDS
@@ -51,27 +56,56 @@ UNATTAINED = {
 }
 
 
+def wrapped(f, disk):
+    """``(id, k, lhs, rhs)`` for each report of the public single-bound functions on ``f`` and ``disk`` with
+    weights all 1, each called at every exponent of ``P_VALUES`` it takes: the sides of the k-th report of the
+    id in ``check_all``, where k is the exponent's index for an id reported once per exponent, else 0."""
+    ones = np.ones(f.n)
+    reports = [fn(f) for fn in (bk.boas_bellman, bk.bombieri, bk.selberg, bk.dragomir03, bk.heilbronn)]
+    reports += [bk.theorem21(f, disk), bk.theorem22(f, disk), *bk.orthonormal_remark(f.x, f.ys, disk)[:2]]
+    reports += [fn(f.coefficients, disk) for fn in (bk.triangle_reverse_l2, bk.triangle_reverse_sq)]
+    rows = [(r.bound_id, 0, r.lhs, r.rhs) for r in reports]
+    pec = bk.pecaric(f, ones)
+    rows += [("pecaric_first", 0, pec.lhs, pec.rhs_first), ("pecaric_second", 0, pec.lhs, pec.rhs_second)]
+    rows.append(("lemma_eq6", 0, *bk.lemma_eq6(f, disk)))
+    for k, p in enumerate(P_VALUES):
+        pq, b = bk.dragomir_pq(f, p), bk.dragomir04(f, ones, p)
+        cor1, cor2, cor3 = bk.dragomir04_corollaries(f, p)
+        rows += [("dragomir_pq", k, pq.lhs, pq.rhs), ("dragomir04_b1", 0, b.lhs, b.rhs_branch1)]
+        rows += [("dragomir04_b2", k, b.lhs, b.rhs_branch2), ("dragomir04_b3", 0, b.lhs, b.rhs_branch3)]
+        rows += [(r.bound_id, i, r.lhs, r.rhs) for r, i in ((cor1, 0), (cor2, k), (cor3, 0))]
+    return rows
+
+
 def failures(field: str) -> set[str]:
     """The ids the table finds at fault in ``field``, over n = 1 to 6 and d in {n, n + 2}.
 
     An id fails where one of its reports is skipped or violated, or is not
-    attained on a family that attains it, and where neither family attains it
-    anywhere on the grid.
+    attained on a family that attains it, or differs from a public function's
+    sides (``wrapped``, where ``check_all`` reports the id), and where no
+    family attains it, or no function is compared with it, on the whole grid.
     """
     rng = np.random.default_rng(37)
-    failed, attained = set(), set()
+    failed, attained, compared = set(), set(), set()
     for n in range(1, 7):
         for d in (n, n + 2):
             for build, unattained in UNATTAINED.items():
                 f, disk = build(rng, n, d, field)
+                sides = {}
                 for r in check_all(f, disk, np.ones(n), P_VALUES):
+                    sides.setdefault(r.bound_id, []).append((r.lhs, r.rhs))
                     if not r.preconditions_met or not r.holds():
                         failed.add(r.bound_id)
                     elif abs(r.lhs - r.rhs) <= ULPS * max(abs(r.lhs), abs(r.rhs)):
                         attained.add(r.bound_id)
                     elif n == 1 or r.bound_id not in unattained:
                         failed.add(r.bound_id)
-    return failed | (set(IDS) - attained)
+                for bound_id, k, lhs, rhs in wrapped(f, disk):
+                    if bound_id in sides:
+                        compared.add(bound_id)
+                        if sides[bound_id][k] != (lhs, rhs):
+                            failed.add(bound_id)
+    return failed | (set(IDS) - (attained & compared))
 
 
 @pytest.mark.parametrize("field", FIELDS)

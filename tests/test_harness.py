@@ -44,10 +44,7 @@ from besselkit import (
     sample_orthonormal_family,
     tightness_compare,
 )
-from besselkit.classical import (
-    classical_weights,
-    pecaric_batch,
-)
+from besselkit.classical import classical_weights_batch, pecaric_batch
 from besselkit.cli import family_payload, main
 from besselkit.core import BoundStats, Stats
 from besselkit.harness import BOUNDS, DEFAULT_P_VALUES, Bound
@@ -505,7 +502,7 @@ class TestSpecialChoices:
         cfg = small_cfg()
         for i in range(20):
             fam = sample_family(cfg, i)
-            choices = classical_weights(fam)
+            choices = classical_weights_batch(fam.stats)
             batch = reports_of(fam.stats.bind(weights=choices).evaluate(pecaric_batch))
             for k in range(choices.shape[0]):
                 direct = pecaric(fam, choices[k])
@@ -519,7 +516,7 @@ class TestSpecialChoices:
 
     def test_choices_guard_zero_entries(self):
         fam = Family([0.0, 1.0], [[1, 0], [0, 0]])  # one zero vector, one zero coeff
-        choices = classical_weights(fam)
+        choices = classical_weights_batch(fam.stats)
         assert np.all(np.isfinite(choices.view(float)))
 
 
@@ -711,7 +708,8 @@ class TestStackMatchesFamilyAlone:
                     # the family alone, also with a strided x
                     for x in (f.x, np.repeat(f.x, 2)[::2]):
                         alone = check_all(Family(x, f.ys, mode), d, weights[k], DEFAULT_P_VALUES, cfg.tolerance)
-                        alone += reports_of(f.stats.bind(weights=classical_weights(f)).evaluate(pecaric_batch))
+                        classical = f.stats.bind(weights=classical_weights_batch(f.stats))
+                        alone += reports_of(classical.evaluate(pecaric_batch))
                         assert stacked == [r.as_dict() for r in alone]
 
 

@@ -205,14 +205,6 @@ class TestSufficientBox:
 
 
 class TestTheorem21:
-    def test_zero_radius_repeated_family(self):
-        d = Disk(1.0, 1.0)
-        for n in (1, 2, 5):
-            fam = Family(E1, [E1] * n)
-            rep = theorem21(fam, d)
-            assert rep.lhs == pytest.approx(math.sqrt(n), rel=1e-12)
-            assert rep.rhs == pytest.approx(math.sqrt(n), rel=1e-12)
-
     def test_worked_equality_fixture(self):
         fam, zs = worked_family_thm21()
         d = worked_disk()
@@ -314,13 +306,6 @@ def test_bad_tolerance_raises_in_every_bound(tol):
 
 
 class TestTheorem22:
-    def test_zero_radius_repeated_family(self):
-        d = Disk(1.0, 1.0)
-        for n in (1, 3, 6):
-            rep = theorem22(Family(E1, [E1] * n), d)
-            assert rep.lhs == pytest.approx(n)
-            assert rep.rhs == pytest.approx(n, rel=1e-12)
-
     def test_worked_equality_fixture(self):
         fam, zs = worked_family_thm22()
         rep = theorem22(fam, worked_disk())
@@ -375,13 +360,6 @@ class TestTheorem22Residuals:
 
 
 class TestLemma:
-    def test_zero_radius_equality(self):
-        d = Disk(1.0, 1.0)
-        for n in (1, 2, 7):
-            lhs, rhs = lemma_eq6(Family(E1, [E1] * n), d)
-            assert lhs == pytest.approx(2.0 * n)
-            assert rhs == pytest.approx(2.0 * n)
-
     def test_boundary_only_family_equality(self):
         rng = np.random.default_rng(26)
         for _ in range(40):
@@ -428,18 +406,6 @@ class TestOrthonormalRemark:
         assert rem.report30.preconditions_met
         assert rem.report30.rhs == pytest.approx(float(np.linalg.norm(x)), rel=1e-12)
         assert rem.coarser_than_bessel
-
-    def test_constant_coefficients_attain_both(self):
-        # x = c sum(e_j) has every coefficient c, the one point of the disk (c, c): both remarks hold with
-        # equality, orthonormal31's factor being |2c|^2 / (4 |c|^2) = 1
-        rng = np.random.default_rng(34)
-        for n in range(1, 7):
-            for dim in (n, n + 2):
-                q, _ = np.linalg.qr(rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n)))
-                es = q.T
-                for c in (1.0, 5.0, 0.6 - 1.3j):
-                    rem = orthonormal_remark(c * es.sum(axis=0), es, Disk(c, c))
-                    assert rem.report30.is_tight() and rem.report31.is_tight(), (n, dim, c)
 
     def test_random_valid_instances_coarser(self):
         rng = np.random.default_rng(28)
@@ -493,16 +459,6 @@ class TestOrthonormalRemark:
 
 
 class TestTriangleReverses:
-    def test_constant_ones_zero_radius(self):
-        d = Disk(1.0, 1.0)
-        for n in (1, 2, 6):
-            rep = triangle_reverse_l2([1.0] * n, d)
-            assert rep.lhs == pytest.approx(math.sqrt(n), rel=1e-12)
-            assert rep.rhs == pytest.approx(math.sqrt(n), rel=1e-12)
-            rep2 = triangle_reverse_sq([1.0] * n, d)
-            assert rep2.lhs == pytest.approx(n)
-            assert rep2.rhs == pytest.approx(n, rel=1e-12)
-
     def test_worked_equalities(self):
         _, zs21 = worked_family_thm21()
         rep = triangle_reverse_l2(zs21, worked_disk())
